@@ -1,99 +1,34 @@
-"""Bitset support-counting kernels.
+"""Vertical (tidset) support counting.
 
-Transactions and candidates are packed into rows of uint64 words; a
-candidate's support is the number of transaction rows that contain all of
-its bits.  This is the one genuinely hot loop in the miner, so it gets a
-numba-jitted kernel with a pure-numpy fallback.  Selection is driven by the
-MAXPAT_KERNELS environment variable:
-
-    auto   use numba when importable, else numpy        (default)
-    numba  require numba, fail loudly if missing
-    numpy  force the vectorized numpy path
-
-Both paths produce identical counts for any thread count, which the
-determinism tests rely on.
+Each item keeps one bitset over the transactions, packed into uint64 words.
+A candidate's support is the popcount of the AND of its items' bitsets, the
+representation of Eclat (Zaki 2000) and MAFIA (Burdick et al. 2001).  This
+is the one hot loop in the miner, and the only way it counts support.
 """
-
-import os
 
 import numpy as np
 
-_choice = os.environ.get("MAXPAT_KERNELS", "auto").lower()
-if _choice not in ("auto", "numba", "numpy"):
-    raise RuntimeError(
-        f"MAXPAT_KERNELS must be auto, numba or numpy, got {_choice!r}")
-
-_CHUNK = 128  # candidate rows per numpy block, bounds the broadcast size
-
-
-def count_supports_numpy(txn_words, cand_words):
-    txn_words = np.ascontiguousarray(txn_words)
-    cand_words = np.ascontiguousarray(cand_words)
-    out = np.empty(cand_words.shape[0], dtype=np.int64)
-    for lo in range(0, cand_words.shape[0], _CHUNK):
-        block = cand_words[lo:lo + _CHUNK]
-        hit = (txn_words[None, :, :] & block[:, None, :]) == block[:, None, :]
-        out[lo:lo + _CHUNK] = hit.all(axis=2).sum(axis=1)
-    return out
-
-
-HAS_NUMBA = False
-if _choice in ("auto", "numba"):
-    try:
-        import numba
-        from numba import njit, prange
-
-        @njit(cache=True, parallel=True)
-        def count_supports_numba(txn_words, cand_words):  # pragma: no cover
-            n_cand = cand_words.shape[0]
-            n_txn = txn_words.shape[0]
-            words = txn_words.shape[1]
-            out = np.zeros(n_cand, dtype=np.int64)
-            for c in prange(n_cand):
-                acc = 0
-                for t in range(n_txn):
-                    ok = True
-                    for k in range(words):
-                        w = cand_words[c, k]
-                        if txn_words[t, k] & w != w:
-                            ok = False
-                            break
-                    if ok:
-                        acc += 1
-                out[c] = acc
-            return out
-
-        HAS_NUMBA = True
-    except ImportError:
-        if _choice == "numba":
-            raise
+_BLOCK_BYTES = 1 << 20  # bounds each (block, words) intermediate
 
 
 def backend() -> str:
-    return "numba" if HAS_NUMBA else "numpy"
+    return "numpy"
 
 
-def count_supports(txn_words, cand_words):
-    """Support of each candidate row against the transaction rows."""
-    if cand_words.shape[0] == 0:
-        return np.zeros(0, dtype=np.int64)
-    if HAS_NUMBA:
-        return count_supports_numba(txn_words, cand_words)
-    return count_supports_numpy(txn_words, cand_words)
-
-
-def set_threads(requested: int) -> int:
-    """Ask the numba threading layer for ``requested`` worker threads,
-    clamped to what the runtime allows.  Returns the effective count; the
-    numpy path is single-threaded and reports 1."""
-    if requested < 1:
-        raise ValueError("thread count must be >= 1")
-    if not HAS_NUMBA:
-        return 1
-    limit = numba.config.NUMBA_NUM_THREADS
-    effective = min(requested, limit)
-    numba.set_num_threads(effective)
-    return effective
+def count_supports(tidsets, cand_idx):
+    """Support of each candidate: the popcount of the AND of the ``tidsets``
+    rows named by its row of the ``(n_cand, k)`` index matrix ``cand_idx``,
+    with k >= 1."""
+    n_cand, k = cand_idx.shape
+    out = np.empty(n_cand, dtype=np.int64)
+    step = max(1, _BLOCK_BYTES // (tidsets.shape[1] * tidsets.itemsize))
+    for lo in range(0, n_cand, step):
+        idx = cand_idx[lo:lo + step]
+        acc = tidsets[idx[:, 0]]
+        for j in range(1, k):
+            acc &= tidsets[idx[:, j]]
+        out[lo:lo + step] = np.bitwise_count(acc).sum(axis=1)
+    return out
 
 
 def pack_rows(index_rows, n_bits: int):

@@ -18,7 +18,6 @@ import re
 import sys
 
 from . import io as mio
-from ._kernels import set_threads
 from .core import Database, check_tau, support
 from .domains import (
     BOUNDED_DEGREE, DAG, DIGRAPH, DIRECTED, GENERAL, GRAPH, ITEMSET,
@@ -175,7 +174,6 @@ def _emit(text: str, path):
 # subcommands
 
 def cmd_mine(args) -> int:
-    set_threads(args.threads)
     db = _load(args)
     tau = _resolve_tau(args, db)
     phi = parse_phi(args.phi, db)
@@ -429,7 +427,6 @@ def build_parser() -> _Parser:
     p.add_argument("--reduce", default=None,
                    help="mine through a reduction: <rid> or compose:<a>,<b>[,...]")
     p.add_argument("--mode", choices=MODES, default="auto")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_mine)
 
     p = sub.add_parser("reduce", help="translate a database along a reduction")

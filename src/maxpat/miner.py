@@ -1,7 +1,8 @@
 """Levelwise mining of maximal feasible frequent patterns.
 
 The itemset miner is a classic candidate-generate-and-count loop with
-bitset support counting.  Feasibility is folded in one of two ways:
+vertical (tidset) support counting.  Feasibility is folded in one of two
+ways:
 
 * split-stable predicates prune during the climb: only feasible frequent
   sets survive a level and seed the next one, which can only shrink the
@@ -66,8 +67,20 @@ class MiningResult:
     phi: str
 
 
-def _pack(sets, index, n_bits):
-    return _kernels.pack_rows([[index[x] for x in s] for s in sets], n_bits)
+def _tidsets(rows, index):
+    """One bitset per item over ``rows``: bit r of item i is set when row r
+    contains the item."""
+    tids = [[] for _ in index]
+    for r, row in enumerate(rows):
+        for x in row:
+            tids[index[x]].append(r)
+    return _kernels.pack_rows(tids, len(rows))
+
+
+def _item_matrix(sets, index, k):
+    """The ``(len(sets), k)`` matrix of item indices of equal-size sets."""
+    return np.fromiter((index[x] for s in sets for x in s), dtype=np.intp,
+                       count=len(sets) * k).reshape(len(sets), k)
 
 
 def _generate(survivors, labels_of, merge_phi, k):
@@ -87,30 +100,25 @@ def _generate(survivors, labels_of, merge_phi, k):
     return sorted(out, key=lambda s: tuple(sorted(s)))
 
 
-def _maximal_among(collected, index, n_bits):
-    """Drop every set with a strict superset in the collection.  Works size
-    bucket by size bucket, largest first, against the packed rows of all
-    strictly larger sets."""
+def _maximal_among(collected, index):
+    """Drop every set with a strict superset in the collection.  The sets
+    are distinct, so a set is maximal iff the only collected set containing
+    it is itself; containment is counted like support, with the collected
+    sets in place of the transactions, one size bucket at a time."""
+    tidsets = _tidsets(collected, index)
     by_size = {}
     for s in collected:
         by_size.setdefault(len(s), []).append(s)
     maximal = []
-    bigger = np.zeros((0, max(1, (n_bits + 63) // 64)), dtype=np.uint64)
-    for size in sorted(by_size, reverse=True):
-        rows = sorted(by_size[size], key=lambda s: tuple(sorted(s)))
-        words = _pack(rows, index, n_bits)
-        if bigger.shape[0]:
-            hit = (bigger[None, :, :] & words[:, None, :]) == words[:, None, :]
-            covered = hit.all(axis=2).any(axis=1)
-        else:
-            covered = np.zeros(len(rows), dtype=bool)
-        maximal.extend(s for s, c in zip(rows, covered) if not c)
-        bigger = np.vstack([bigger, words])
+    for size, sets in by_size.items():
+        counts = _kernels.count_supports(tidsets,
+                                         _item_matrix(sets, index, size))
+        maximal.extend(s for s, c in zip(sets, counts) if c == 1)
     return maximal
 
 
-def mine_max_ffis(db: Database, tau: int, phi=ALWAYS, mode: str = "auto",
-                  threads: int | None = None) -> MiningResult:
+def mine_max_ffis(db: Database, tau: int, phi=ALWAYS,
+                  mode: str = "auto") -> MiningResult:
     """Mine an itemset database for its maximal feasible frequent itemsets.
 
     ``mode`` selects the feasibility strategy: "auto" prunes levelwise when
@@ -134,13 +142,10 @@ def mine_max_ffis(db: Database, tau: int, phi=ALWAYS, mode: str = "auto",
     # split-stable family known to enclose it, keeping the exact predicate
     # for the post-filter; the explicit postfilter mode stays frequency-only
     proxy = phi.prune_proxy if mode == "auto" and not prune else None
-    if threads is not None:
-        _kernels.set_threads(threads)
 
     items = sorted({x for t in db.transactions for x in t.items})
     index = {x: i for i, x in enumerate(items)}
-    n_bits = len(items)
-    txn_words = _pack([t.as_set() for t in db.transactions], index, n_bits)
+    tidsets = _tidsets([t.as_set() for t in db.transactions], index)
 
     # the merge hint is sound in both modes: any feasible set of size >= 2
     # keeps two one-smaller feasible subsets (drop a marker or a leaf/cycle
@@ -151,7 +156,8 @@ def mine_max_ffis(db: Database, tau: int, phi=ALWAYS, mode: str = "auto",
     current = [frozenset({x}) for x in items]
     level = 1
     while current:
-        counts = _kernels.count_supports(txn_words, _pack(current, index, n_bits))
+        counts = _kernels.count_supports(tidsets,
+                                         _item_matrix(current, index, level))
         frequent = [s for s, c in zip(current, counts) if int(c) >= tau]
         feasible = [s for s in frequent if evaluate(phi, Itemset(s))]
         stats.append(LevelStats(level, len(current), len(frequent),
@@ -168,7 +174,7 @@ def mine_max_ffis(db: Database, tau: int, phi=ALWAYS, mode: str = "auto",
         current = _generate(survivors, labels_of, merge_phi, level)
 
     if collected:
-        maximal = [Itemset(s) for s in _maximal_among(collected, index, n_bits)]
+        maximal = [Itemset(s) for s in _maximal_among(collected, index)]
     elif tau <= len(db) and evaluate(phi, Itemset()):
         maximal = [Itemset()]
     else:
@@ -178,8 +184,7 @@ def mine_max_ffis(db: Database, tau: int, phi=ALWAYS, mode: str = "auto",
 
 
 def mine_via_reduction(r: Reduction, db: Database, tau: int, phi=ALWAYS,
-                       mode: str = "auto",
-                       threads: int | None = None) -> MiningResult:
+                       mode: str = "auto") -> MiningResult:
     """Reduce, mine with the induced predicate, lift the results back.
 
     The chain must end in the itemset domain (compose with an edge-itemset
@@ -197,7 +202,7 @@ def mine_via_reduction(r: Reduction, db: Database, tau: int, phi=ALWAYS,
             f"to mine through it")
     reduced = reduce_database(r, db)
     induced = r.induced_feasibility(phi)
-    res = mine_max_ffis(reduced, tau, induced, mode=mode, threads=threads)
+    res = mine_max_ffis(reduced, tau, induced, mode=mode)
     lifted = lift_results(r, res.maximal)
     if not lifted and tau <= len(db):
         empty = _empty_pattern(r.source_domain)
@@ -217,46 +222,44 @@ def _empty_pattern(domain):
 _SEQ_CHAIN = Composed(SequenceToDag(), GraphToEdgeItemset(directed=True))
 
 
-def mine(db: Database, tau: int, phi=ALWAYS, mode: str = "auto",
-         threads: int | None = None) -> MiningResult:
+def mine(db: Database, tau: int, phi=ALWAYS,
+         mode: str = "auto") -> MiningResult:
     """Mine any supported domain: itemsets directly, graphs through the
     edge-itemset encoding, sequences through the order-dag chain."""
     check_tau(tau)
     if db.domain == ITEMSET:
-        return mine_max_ffis(db, tau, phi, mode=mode, threads=threads)
+        return mine_max_ffis(db, tau, phi, mode=mode)
     if db.domain == GRAPH:
         return mine_via_reduction(GraphToEdgeItemset(directed=False), db, tau,
-                                  phi, mode=mode, threads=threads)
+                                  phi, mode=mode)
     if db.domain == DIGRAPH:
         return mine_via_reduction(GraphToEdgeItemset(directed=True), db, tau,
-                                  phi, mode=mode, threads=threads)
+                                  phi, mode=mode)
     assert db.domain == SEQUENCE
     nonempty = [t for t in db.transactions if len(t)]
     if len(nonempty) == len(db.transactions):
-        return mine_via_reduction(_SEQ_CHAIN, db, tau, phi, mode=mode,
-                                  threads=threads)
+        return mine_via_reduction(_SEQ_CHAIN, db, tau, phi, mode=mode)
     # empty transactions cannot pass through the order-dag chain; they only
     # ever support the empty sequence, so mine the rest and patch it in
     res = mine_via_reduction(_SEQ_CHAIN, Database(SEQUENCE, tuple(nonempty)),
-                             tau, phi, mode=mode, threads=threads)
+                             tau, phi, mode=mode)
     maximal = res.maximal
     if not maximal and tau <= len(db) and evaluate(phi, Sequence()):
         maximal = (Sequence(),)
     return MiningResult(maximal, res.stats, tau, res.phi)
 
 
-def count_maximal(db: Database, tau: int, phi=ALWAYS, mode: str = "auto",
-                  threads: int | None = None) -> int:
-    return len(mine(db, tau, phi, mode=mode, threads=threads).maximal)
+def count_maximal(db: Database, tau: int, phi=ALWAYS,
+                  mode: str = "auto") -> int:
+    return len(mine(db, tau, phi, mode=mode).maximal)
 
 
-def extend(db: Database, tau: int, phi, known, mode: str = "auto",
-           threads: int | None = None):
+def extend(db: Database, tau: int, phi, known, mode: str = "auto"):
     """The canonically smallest maximal pattern outside ``known``, or None
     once ``known`` covers everything.  ``known`` must consist of maximal
     patterns of this instance; anything else is the caller holding the API
     wrong and raises."""
-    result = mine(db, tau, phi, mode=mode, threads=threads)
+    result = mine(db, tau, phi, mode=mode)
     maximal = set(result.maximal)
     known = set(known)
     bad = known - maximal
@@ -267,16 +270,15 @@ def extend(db: Database, tau: int, phi, known, mode: str = "auto",
     return rest[0] if rest else None
 
 
-def extendible(db: Database, tau: int, phi, known, mode: str = "auto",
-               threads: int | None = None) -> bool:
-    return extend(db, tau, phi, known, mode=mode, threads=threads) is not None
+def extendible(db: Database, tau: int, phi, known, mode: str = "auto") -> bool:
+    return extend(db, tau, phi, known, mode=mode) is not None
 
 
 def extendible_k(db: Database, tau: int, phi, known, k: int,
-                 mode: str = "auto", threads: int | None = None) -> bool:
+                 mode: str = "auto") -> bool:
     """Bounded variant: only meaningful while fewer than ``k`` maximal
     patterns are known."""
     known = tuple(known)
     if len(known) >= k:
         raise ExtendError(f"extendible_k needs |known| < k, got {len(known)} >= {k}")
-    return extendible(db, tau, phi, known, mode=mode, threads=threads)
+    return extendible(db, tau, phi, known, mode=mode)

@@ -2,7 +2,8 @@ import os
 
 from hypothesis import HealthCheck, settings
 
-# kernel warmup (numba jit) makes per-example deadlines meaningless
+# some examples mine dozens of databases, so per-example deadlines
+# would flag slow examples, not slow code
 settings.register_profile(
     "default",
     deadline=None,

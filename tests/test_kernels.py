@@ -1,6 +1,3 @@
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
@@ -12,14 +9,21 @@ def brute(txn, cand):
                     dtype=np.int64)
 
 
-def random_case(rng, n_bits):
-    txn = rng.integers(0, 2, size=(int(rng.integers(0, 10)), n_bits),
-                       dtype=bool)
-    cand = rng.integers(0, 2, size=(int(rng.integers(1, 30)), n_bits),
-                        dtype=bool)
-    tw = _kernels.pack_rows([list(np.flatnonzero(r)) for r in txn], n_bits)
-    cw = _kernels.pack_rows([list(np.flatnonzero(r)) for r in cand], n_bits)
-    return txn, cand, tw, cw
+def random_tidsets(rng, n_txn, n_items=8):
+    """A random horizontal boolean database and its packed tidsets."""
+    txn = rng.integers(0, 2, size=(n_txn, n_items), dtype=bool)
+    tidsets = _kernels.pack_rows(
+        [list(np.flatnonzero(txn[:, i])) for i in range(n_items)], n_txn)
+    return txn, tidsets
+
+
+def random_candidates(rng, n_cand, k, n_items=8):
+    """``n_cand`` random k-sets as an index matrix and as boolean rows."""
+    idx = np.array([rng.choice(n_items, size=k, replace=False)
+                    for _ in range(n_cand)], dtype=np.intp).reshape(n_cand, k)
+    cand = np.zeros((n_cand, n_items), dtype=bool)
+    np.put_along_axis(cand, idx, True, axis=1)
+    return idx, cand
 
 
 def test_pack_rows_shapes():
@@ -34,61 +38,35 @@ def test_pack_rows_shapes():
     assert _kernels.pack_rows([[]], 0).shape == (1, 1)
 
 
-@pytest.mark.parametrize("n_bits", [1, 7, 64, 65, 130])
-def test_numpy_kernel_matches_brute_force(n_bits):
-    rng = np.random.default_rng(n_bits)
-    for _ in range(10):
-        txn, cand, tw, cw = random_case(rng, n_bits)
-        got = _kernels.count_supports_numpy(tw, cw)
-        assert np.array_equal(got, brute(txn, cand))
+@pytest.mark.parametrize("n_txn", [1, 7, 63, 64, 65, 130])
+def test_numpy_kernel_matches_brute_force(n_txn):
+    rng = np.random.default_rng(n_txn)
+    for _ in range(5):
+        txn, tidsets = random_tidsets(rng, n_txn)
+        for k in range(1, 5):
+            idx, cand = random_candidates(rng, int(rng.integers(1, 30)), k)
+            got = _kernels.count_supports(tidsets, idx)
+            assert np.array_equal(got, brute(txn, cand)), (n_txn, k)
 
 
-@pytest.mark.skipif(not _kernels.HAS_NUMBA, reason="numba backend not active")
-@pytest.mark.parametrize("n_bits", [1, 64, 130])
-def test_numba_kernel_matches_numpy(n_bits):
-    rng = np.random.default_rng(100 + n_bits)
-    for _ in range(10):
-        _, _, tw, cw = random_case(rng, n_bits)
-        assert np.array_equal(_kernels.count_supports_numba(tw, cw),
-                              _kernels.count_supports_numpy(tw, cw))
+def test_count_supports_crosses_block_seams(monkeypatch):
+    rng = np.random.default_rng(5)
+    txn, tidsets = random_tidsets(rng, 130)
+    # five candidate rows of three words per block, so 23 rows span five
+    monkeypatch.setattr(_kernels, "_BLOCK_BYTES", 5 * tidsets[0].nbytes)
+    idx, cand = random_candidates(rng, 23, 3)
+    assert np.array_equal(_kernels.count_supports(tidsets, idx),
+                          brute(txn, cand))
 
 
 def test_count_supports_empty_candidates():
-    tw = _kernels.pack_rows([[0]], 1)
-    out = _kernels.count_supports(tw, np.zeros((0, 1), dtype=np.uint64))
+    tidsets = _kernels.pack_rows([[0]], 1)
+    out = _kernels.count_supports(tidsets, np.zeros((0, 1), dtype=np.intp))
     assert out.shape == (0,)
 
 
 def test_count_supports_no_transactions():
-    tw = np.zeros((0, 1), dtype=np.uint64)
-    cw = _kernels.pack_rows([[0]], 1)
-    assert _kernels.count_supports(tw, cw).tolist() == [0]
-
-
-def test_empty_candidate_row_is_contained_everywhere():
-    tw = _kernels.pack_rows([[0], [2]], 3)
-    cw = _kernels.pack_rows([[]], 3)
-    assert _kernels.count_supports(tw, cw).tolist() == [2]
-
-
-def test_set_threads_clamps_and_validates():
-    with pytest.raises(ValueError):
-        _kernels.set_threads(0)
-    got = _kernels.set_threads(8)
-    assert got >= 1
-    if not _kernels.HAS_NUMBA:
-        assert got == 1
-    assert _kernels.set_threads(1) == 1
-
-
-def test_env_var_selects_backend():
-    code = ("import os; os.environ['MAXPAT_KERNELS']='numpy'; "
-            "from maxpat import _kernels; print(_kernels.backend())")
-    out = subprocess.run([sys.executable, "-c", code],
-                         capture_output=True, text=True)
-    assert out.stdout.strip() == "numpy"
-    code_bad = ("import os; os.environ['MAXPAT_KERNELS']='fancy'; "
-                "import maxpat._kernels")
-    out = subprocess.run([sys.executable, "-c", code_bad],
-                         capture_output=True, text=True)
-    assert out.returncode != 0
+    tidsets = _kernels.pack_rows([[], []], 0)
+    cand = np.array([[0], [1]], dtype=np.intp)
+    assert _kernels.count_supports(tidsets, cand).tolist() == [0, 0]
+    assert _kernels.count_supports(tidsets, cand.reshape(1, 2)).tolist() == [0]

@@ -1,5 +1,9 @@
+import json
 import random
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -218,3 +222,47 @@ def test_miner_output_supports_match_definition(data):
     tau = data.draw(st.integers(1, len(txns)))
     for p in mine(db, tau, ALWAYS).maximal:
         assert support(p, db) >= tau
+
+
+_CAPPED_MINE = r'''
+import json
+import resource
+import sys
+
+cap = 384 * 2**20
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+from maxpat.core import itemset_db
+from maxpat.miner import mine_max_ffis
+
+res = mine_max_ffis(itemset_db(json.loads(sys.argv[1])), int(sys.argv[2]))
+print(json.dumps([sorted(p.items) for p in res.maximal]))
+'''
+
+
+def test_dense_maximality_filter_fits_in_memory():
+    # tens of thousands of frequent sets used to make the maximality filter
+    # broadcast them against each other and ask for gigabytes
+    pytest.importorskip("resource")
+    rng = random.Random(7)
+    txns = [rng.sample(range(1, 19), 14) for _ in range(150)]
+    tau = 30
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED_MINE, json.dumps(txns), str(tau)],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    got = sorted(json.loads(proc.stdout))
+
+    # exhaustive reference over all 2^18 subsets as bitmasks
+    masks = np.arange(1 << 18)
+    sup = np.zeros(1 << 18, dtype=np.int64)
+    for t in txns:
+        tm = sum(1 << (x - 1) for x in t)
+        sup += (masks & tm) == masks
+    frequent = sup >= tau
+    maximal = frequent.copy()
+    for b in range(18):
+        maximal &= ~(frequent[masks | (1 << b)] & (masks >> b & 1 == 0))
+    want = sorted([b + 1 for b in range(18) if m >> b & 1]
+                  for m in np.flatnonzero(maximal))
+    assert got == want
