@@ -31,11 +31,13 @@ def count_supports(tidsets, cand_idx):
     return out
 
 
-def pack_rows(index_rows, n_bits: int):
-    """Pack iterables of bit indices into a uint64 word matrix."""
+def pack_rows(rows, bits, n_rows: int, n_bits: int):
+    """Pack flat ``(row, bit)`` index arrays into an ``(n_rows, words)``
+    uint64 bitset matrix: bit ``bits[j]`` of row ``rows[j]`` is set for
+    every j.  Repeated pairs set their bit once."""
     words = max(1, (n_bits + 63) // 64)
-    out = np.zeros((len(index_rows), words), dtype=np.uint64)
-    for i, row in enumerate(index_rows):
-        for b in row:
-            out[i, b >> 6] |= np.uint64(1) << np.uint64(b & 63)
+    out = np.zeros((n_rows, words), dtype=np.uint64)
+    bits = np.asarray(bits, dtype=np.intp)
+    np.bitwise_or.at(out, (np.asarray(rows, dtype=np.intp), bits >> 6),
+                     np.left_shift(np.uint64(1), (bits & 63).astype(np.uint64)))
     return out

@@ -9,7 +9,7 @@ Subcommands::
     maxpat stats   per-level tables and a tau sweep (itemset encodings)
 
 Exit codes: 0 success, 1 usage error, 2 parse failure, 3 validation
-failure, 4 verification mismatch.
+failure, 4 verification mismatch, 5 out of memory.
 """
 
 import argparse
@@ -246,6 +246,21 @@ def _check_one(db: Database, tau: int, phi, out, chain=None) -> bool:
     return False
 
 
+def _print_instance(n, args, db: Database, tau: int, phi: str, out):
+    """Report a failing ``verify --random`` instance in the input format,
+    between marker lines, with the command that replays it."""
+    replay = (f"maxpat verify --input FILE --domain {db.domain} --tau {tau} "
+              f"--phi '{phi}'")
+    if args.reduce:
+        replay += f" --reduce {args.reduce}"
+    print(f"instance {n} of --random {args.random} --seed {args.seed}; save "
+          f"the lines between the markers as FILE and replay with: {replay}",
+          file=out)
+    print("--- instance", file=out)
+    out.write(mio.write_database(db))
+    print("--- end", file=out)
+
+
 def _check_reduction_properties(chain, db: Database, rng, out,
                                 samples: int = 24) -> bool:
     """Spot-check what makes the encoding trustworthy on this database:
@@ -314,7 +329,7 @@ def cmd_verify(args) -> int:
             # chains through seq2dag cannot picture an empty transaction
             kw["allow_empty"] = False
         checked = 0
-        for _ in range(args.random):
+        for n in range(args.random):
             db = random_db(rng, args.domain, **kw)
             if not db.transactions:
                 continue
@@ -325,6 +340,7 @@ def cmd_verify(args) -> int:
                                  f"{chain.source_domain}, not {db.domain}")
                 if not _check_reduction_properties(chain, db, rng,
                                                    sys.stdout):
+                    _print_instance(n, args, db, 1, args.phi, sys.stdout)
                     return 4
             for tau in range(1, len(db.transactions) + 1):
                 phis = [ALWAYS]
@@ -332,6 +348,8 @@ def cmd_verify(args) -> int:
                     phis.append(parse_phi(args.phi, db))
                 for phi in phis:
                     if not _check_one(db, tau, phi, sys.stdout, chain):
+                        _print_instance(n, args, db, tau, describe(phi),
+                                        sys.stdout)
                         return 4
                     checked += 1
         print(f"ok: {checked} checks passed")
@@ -482,6 +500,9 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"error:io: {e}", file=sys.stderr)
         return 3
+    except MemoryError as e:
+        print(f"error:memory: {str(e) or 'out of memory'}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

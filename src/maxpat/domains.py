@@ -59,6 +59,15 @@ class Itemset:
     def __post_init__(self):
         object.__setattr__(self, "items", _canonical_items(self.items))
 
+    @classmethod
+    def _trusted(cls, items: tuple):
+        """Internal constructor that skips validation.  ``items`` must
+        already be canonical: a sorted, duplicate-free tuple of valid labels
+        of one kind, taken from a pattern that was validated."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "items", items)
+        return p
+
     def __len__(self):
         return len(self.items)
 

@@ -132,13 +132,6 @@ def item_labels(items) -> frozenset:
     return frozenset(out)
 
 
-def mergeable(a: Itemset, b: Itemset) -> bool:
-    """Merge test for the connectivity predicate: the union of two connected
-    edge itemsets stays connected exactly when their label sets share an
-    element, so only the disjointness of the two label sets is tested."""
-    return not item_labels(a).isdisjoint(item_labels(b))
-
-
 def _require_pair_itemset(p):
     if not isinstance(p, Itemset):
         raise DomainMismatchError(

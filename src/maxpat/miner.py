@@ -21,6 +21,13 @@ overlapping two-edge halves, which differ in their first item).  For the
 connectivity predicate a pair is skipped when the label sets are disjoint,
 which is exactly the cheap merge test that makes the union disconnected.
 
+The climb runs on item indices.  Items are numbered once, in label order,
+so a candidate is a sorted tuple of ints that sorts exactly like the
+itemset it names, and the tidsets are packed in numpy from flat index
+arrays.  Labels are validated once, where the database is built; a labelled
+``Itemset`` is made, without checking its labels again, only where a
+predicate or the caller needs one.
+
 Other domains are mined by encoding into itemsets through a reduction and
 lifting the results back; the empty itemset / sequence, which some chains
 cannot represent, is reported directly at the source level when nothing
@@ -28,7 +35,7 @@ else is frequent.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -67,28 +74,23 @@ class MiningResult:
     phi: str
 
 
-def _tidsets(rows, index):
-    """One bitset per item over ``rows``: bit r of item i is set when row r
-    contains the item."""
-    tids = [[] for _ in index]
-    for r, row in enumerate(rows):
-        for x in row:
-            tids[index[x]].append(r)
-    return _kernels.pack_rows(tids, len(rows))
+def _tidsets(rows, n_items):
+    """One bitset per item index over ``rows``, each a run of item indices:
+    bit r of item i is set when row r contains i."""
+    lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+    items = np.fromiter(chain.from_iterable(rows), dtype=np.intp,
+                        count=int(lengths.sum()))
+    rids = np.repeat(np.arange(len(rows), dtype=np.intp), lengths)
+    return _kernels.pack_rows(items, rids, n_items, len(rows))
 
 
-def _item_matrix(sets, index, k):
-    """The ``(len(sets), k)`` matrix of item indices of equal-size sets."""
-    return np.fromiter((index[x] for s in sets for x in s), dtype=np.intp,
-                       count=len(sets) * k).reshape(len(sets), k)
-
-
-def _generate(survivors, labels_of, merge_phi, k):
-    """Level-k candidates: unions of survivor pairs sharing k-2 items."""
+def _generate(survivors, labels_of, merge_phi):
+    """Next-level candidates: unions of survivor pairs sharing all but one
+    item, as sorted index tuples in ascending order."""
     buckets = {}
     for i, s in enumerate(survivors):
-        for x in s:
-            buckets.setdefault(s - {x}, []).append((x, i))
+        for j, x in enumerate(s):
+            buckets.setdefault(s[:j] + s[j + 1:], []).append((x, i))
     out = set()
     for shared, entries in buckets.items():
         if len(entries) < 2:
@@ -96,23 +98,23 @@ def _generate(survivors, labels_of, merge_phi, k):
         for (xa, ia), (xb, ib) in combinations(entries, 2):
             if not merge_phi.merge_hint(labels_of[ia], labels_of[ib]):
                 continue
-            out.add(shared | {xa, xb})
-    return sorted(out, key=lambda s: tuple(sorted(s)))
+            out.add(tuple(sorted(shared + (xa, xb))))
+    return sorted(out)
 
 
-def _maximal_among(collected, index):
-    """Drop every set with a strict superset in the collection.  The sets
-    are distinct, so a set is maximal iff the only collected set containing
-    it is itself; containment is counted like support, with the collected
-    sets in place of the transactions, one size bucket at a time."""
-    tidsets = _tidsets(collected, index)
+def _maximal_among(collected, n_items):
+    """Drop every index tuple with a strict superset in the collection.  The
+    sets are distinct, so a set is maximal iff the only collected set
+    containing it is itself; containment is counted like support, with the
+    collected sets in place of the transactions, one size bucket at a time."""
+    tidsets = _tidsets(collected, n_items)
     by_size = {}
     for s in collected:
         by_size.setdefault(len(s), []).append(s)
     maximal = []
-    for size, sets in by_size.items():
+    for sets in by_size.values():
         counts = _kernels.count_supports(tidsets,
-                                         _item_matrix(sets, index, size))
+                                         np.array(sets, dtype=np.intp))
         maximal.extend(s for s, c in zip(sets, counts) if c == 1)
     return maximal
 
@@ -143,9 +145,15 @@ def mine_max_ffis(db: Database, tau: int, phi=ALWAYS,
     # for the post-filter; the explicit postfilter mode stays frequency-only
     proxy = phi.prune_proxy if mode == "auto" and not prune else None
 
+    # index order is label order, so index tuples sort like their itemsets
     items = sorted({x for t in db.transactions for x in t.items})
     index = {x: i for i, x in enumerate(items)}
-    tidsets = _tidsets([t.as_set() for t in db.transactions], index)
+    tidsets = _tidsets([[index[x] for x in t.items] for t in db.transactions],
+                       len(items))
+    item_label_sets = [item_labels((x,)) for x in items]
+
+    def itemset(s):
+        return Itemset._trusted(tuple(items[i] for i in s))
 
     # the merge hint is sound in both modes: any feasible set of size >= 2
     # keeps two one-smaller feasible subsets (drop a marker or a leaf/cycle
@@ -153,28 +161,29 @@ def mine_max_ffis(db: Database, tau: int, phi=ALWAYS,
     merge_phi = proxy if proxy is not None else phi
     stats = []
     collected = []
-    current = [frozenset({x}) for x in items]
+    current = [(i,) for i in range(len(items))]
     level = 1
     while current:
         counts = _kernels.count_supports(tidsets,
-                                         _item_matrix(current, index, level))
-        frequent = [s for s, c in zip(current, counts) if int(c) >= tau]
-        feasible = [s for s in frequent if evaluate(phi, Itemset(s))]
+                                         np.array(current, dtype=np.intp))
+        frequent = [current[i] for i in np.flatnonzero(counts >= tau)]
+        feasible = [s for s in frequent if evaluate(phi, itemset(s))]
         stats.append(LevelStats(level, len(current), len(frequent),
                                 len(feasible)))
         collected.extend(feasible)
         if prune:
             survivors = feasible
         elif proxy is not None:
-            survivors = [s for s in frequent if evaluate(proxy, Itemset(s))]
+            survivors = [s for s in frequent if evaluate(proxy, itemset(s))]
         else:
             survivors = frequent
-        labels_of = [item_labels(s) for s in survivors]
+        labels_of = [frozenset().union(*(item_label_sets[i] for i in s))
+                     for s in survivors]
         level += 1
-        current = _generate(survivors, labels_of, merge_phi, level)
+        current = _generate(survivors, labels_of, merge_phi)
 
     if collected:
-        maximal = [Itemset(s) for s in _maximal_among(collected, index)]
+        maximal = [itemset(s) for s in _maximal_among(collected, len(items))]
     elif tau <= len(db) and evaluate(phi, Itemset()):
         maximal = [Itemset()]
     else:

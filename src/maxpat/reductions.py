@@ -238,7 +238,10 @@ class GraphToEdgeItemset(Reduction):
         for v in p.vertices:
             if not isinstance(v, int):
                 raise PatternError(f"{self.id} needs plain int labels, got {v!r}")
-        return Itemset(tuple((v, v) for v in p.vertices) + tuple(p.edges))
+        # the graph validated its labels and edges, and markers never
+        # collide with edges since self-loops are rejected
+        return Itemset._trusted(
+            tuple(sorted([(v, v) for v in p.vertices] + list(p.edges))))
 
     def inverse(self, q: Itemset):
         self._check_target(q)

@@ -147,6 +147,42 @@ def test_verify_random_mode(capsys):
     assert "checks passed" in out
 
 
+def test_verify_random_mismatch_prints_a_replayable_instance(
+        capsys, monkeypatch, tmp_path):
+    import maxpat.cli as cli
+    from maxpat import io as mio
+    from maxpat.miner import MiningResult
+
+    mined = []
+
+    def wrong(db, tau, phi, mode="auto"):
+        mined.append(db)
+        return MiningResult((), (), tau, "always")  # the oracle finds more
+
+    monkeypatch.setattr(cli, "mine", wrong)
+    code, out, _ = run(capsys, ["verify", "--random", "3",
+                                "--domain", "itemset", "--seed", "9"])
+    assert code == 4
+    lines = out.splitlines()
+    assert lines[0] == "MISMATCH tau=1 phi=always"
+    header = next(line for line in lines if line.startswith("instance "))
+    assert header.startswith("instance 0 of --random 3 --seed 9;")
+    assert header.endswith("maxpat verify --input FILE --domain itemset "
+                           "--tau 1 --phi 'always'")
+    body = lines[lines.index("--- instance") + 1:lines.index("--- end")]
+    text = "".join(line + "\n" for line in body)
+    assert mio.parse_database(text, "itemset") == mined[-1]
+
+    monkeypatch.undo()
+    replay = tmp_path / "replay.db"
+    replay.write_text(text)
+    code, out, _ = run(capsys, ["verify", "--input", str(replay),
+                                "--domain", "itemset", "--tau", "1",
+                                "--phi", "always"])
+    assert code == 0
+    assert out.startswith("ok:")
+
+
 def test_verify_file_mode_with_reduction_properties(capsys, graphs_file):
     code, out, _ = run(capsys, ["verify", "--input", graphs_file,
                                 "--domain", "graph", "--tau", "1",
@@ -214,6 +250,20 @@ def test_exit_code_missing_file(capsys):
                                 "--domain", "itemset", "--tau", "1"])
     assert code == 3
     assert err.startswith("error:io")
+
+
+def test_out_of_memory_exits_five(capsys, monkeypatch, items_file):
+    import maxpat.cli as cli
+
+    def oom(*args, **kwargs):
+        raise MemoryError("Unable to allocate 27.4 GiB")
+
+    monkeypatch.setattr(cli, "mine", oom)
+    code, out, err = run(capsys, ["mine", "--input", items_file,
+                                  "--domain", "itemset", "--tau", "2"])
+    assert code == 5
+    assert out == ""
+    assert err.startswith("error:memory: Unable to allocate 27.4 GiB")
 
 
 def test_bad_flag_exits_one(capsys):

@@ -25,6 +25,18 @@ def test_itemset_as_set():
     assert Itemset([2, 1]).as_set() == {1, 2}
 
 
+@given(st.one_of(
+    st.frozensets(st.integers(1, 10**6), max_size=8),
+    st.frozensets(st.tuples(st.integers(1, 12), st.integers(1, 12)),
+                  max_size=8)))
+def test_trusted_itemset_equals_validated(labels):
+    want = Itemset(labels)
+    got = Itemset._trusted(tuple(sorted(labels)))
+    assert got == want and hash(got) == hash(want)
+    assert got.items == want.items and repr(got) == repr(want)
+    assert got.as_set() == want.as_set() == labels
+
+
 @pytest.mark.parametrize("bad", [0, -1, True, "x", 1.5, (1,), (1, 2, 3),
                                  (0, 1), (1, "a")])
 def test_bad_labels_rejected(bad):

@@ -7,7 +7,7 @@ from maxpat.domains import Itemset, Sequence
 from maxpat.errors import DomainMismatchError
 from maxpat.feasibility import (
     ALWAYS, CONNECTED_EDGES, And, PreimageExistsAnd,
-    connected_edge_itemset, describe, evaluate, item_labels, mergeable,
+    connected_edge_itemset, describe, evaluate, item_labels,
 )
 from maxpat.reductions import GraphToEdgeItemset, Identity
 
@@ -52,14 +52,15 @@ def test_split_stability_is_real_not_just_a_flag():
 
 
 def test_mergeable_soundness_exhaustive():
-    """mergeable may only return False when the union really is infeasible;
-    checked exhaustively for all pairs of connected sets over 4 labels."""
+    """The connectivity merge hint, called on label sets as the miner calls
+    it, may only reject a pair whose union really is infeasible; checked
+    exhaustively for all pairs of connected sets over 4 labels."""
     pool = [(a, b) for a in range(1, 5) for b in range(a, 5)]
     sets = [frozenset(c) for k in (1, 2) for c in combinations(pool, k)
             if connected_edge_itemset(c)]
     for a in sets:
         for b in sets:
-            if not mergeable(Itemset(a), Itemset(b)):
+            if not CONNECTED_EDGES.merge_hint(item_labels(a), item_labels(b)):
                 assert not connected_edge_itemset(a | b), (a, b)
 
 

@@ -12,9 +12,8 @@ def brute(txn, cand):
 def random_tidsets(rng, n_txn, n_items=8):
     """A random horizontal boolean database and its packed tidsets."""
     txn = rng.integers(0, 2, size=(n_txn, n_items), dtype=bool)
-    tidsets = _kernels.pack_rows(
-        [list(np.flatnonzero(txn[:, i])) for i in range(n_items)], n_txn)
-    return txn, tidsets
+    items, rows = np.nonzero(txn.T)
+    return txn, _kernels.pack_rows(items, rows, n_items, n_txn)
 
 
 def random_candidates(rng, n_cand, k, n_items=8):
@@ -26,16 +25,45 @@ def random_candidates(rng, n_cand, k, n_items=8):
     return idx, cand
 
 
+def pack_reference(rows, bits, n_rows, n_bits):
+    """Bit-at-a-time packing with Python ints."""
+    out = [[0] * max(1, (n_bits + 63) // 64) for _ in range(n_rows)]
+    for r, b in zip(rows, bits):
+        out[r][b // 64] |= 1 << (b % 64)
+    return out
+
+
 def test_pack_rows_shapes():
-    out = _kernels.pack_rows([[0], [63], [64]], 65)
+    out = _kernels.pack_rows([0, 1, 2], [0, 63, 64], 3, 65)
     assert out.shape == (3, 2)
     assert out.dtype == np.uint64
     assert out[0, 0] == 1
     assert out[1, 0] == np.uint64(1) << np.uint64(63)
     assert out[2, 1] == 1
     # zero-width bitsets still get one word so downstream shapes hold
-    assert _kernels.pack_rows([], 0).shape == (0, 1)
-    assert _kernels.pack_rows([[]], 0).shape == (1, 1)
+    assert _kernels.pack_rows([], [], 0, 0).shape == (0, 1)
+    assert _kernels.pack_rows([], [], 1, 0).shape == (1, 1)
+
+
+@pytest.mark.parametrize("rows, bits, n_rows, n_bits", [
+    ([0, 0, 1, 1, 1, 2, 2], [0, 0, 63, 64, 64, 65, 127], 3, 128),
+    ([1, 1, 1, 0], [127, 127, 0, 65], 2, 128),
+    ([0, 0, 0], [64, 63, 64], 1, 65),
+    ([], [], 0, 130),
+    ([], [], 4, 0),
+])
+def test_pack_rows_matches_reference(rows, bits, n_rows, n_bits):
+    out = _kernels.pack_rows(rows, bits, n_rows, n_bits)
+    assert out.dtype == np.uint64
+    assert out.tolist() == pack_reference(rows, bits, n_rows, n_bits)
+
+
+def test_pack_rows_matches_reference_on_random_duplicates():
+    rng = np.random.default_rng(3)
+    rows = rng.integers(0, 6, size=400)
+    bits = rng.integers(0, 130, size=400)  # far more pairs than distinct bits
+    out = _kernels.pack_rows(rows, bits, 6, 130)
+    assert out.tolist() == pack_reference(rows.tolist(), bits.tolist(), 6, 130)
 
 
 @pytest.mark.parametrize("n_txn", [1, 7, 63, 64, 65, 130])
@@ -60,13 +88,13 @@ def test_count_supports_crosses_block_seams(monkeypatch):
 
 
 def test_count_supports_empty_candidates():
-    tidsets = _kernels.pack_rows([[0]], 1)
+    tidsets = _kernels.pack_rows([0], [0], 1, 1)
     out = _kernels.count_supports(tidsets, np.zeros((0, 1), dtype=np.intp))
     assert out.shape == (0,)
 
 
 def test_count_supports_no_transactions():
-    tidsets = _kernels.pack_rows([[], []], 0)
+    tidsets = _kernels.pack_rows([], [], 2, 0)
     cand = np.array([[0], [1]], dtype=np.intp)
     assert _kernels.count_supports(tidsets, cand).tolist() == [0, 0]
     assert _kernels.count_supports(tidsets, cand.reshape(1, 2)).tolist() == [0]

@@ -2,17 +2,20 @@ import json
 import random
 import subprocess
 import sys
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from maxpat import _kernels, miner
 from maxpat.core import graph_db, itemset_db, sequence_db, support
 from maxpat.domains import Itemset, LabelledGraph, Sequence, pattern_leq
 from maxpat.errors import DomainMismatchError, ExtendError
 from maxpat.feasibility import (
     ALWAYS, CONNECTED_EDGES, PreimageExistsAnd, evaluate,
 )
+from maxpat.io import render_pattern
 from maxpat.miner import (
     count_maximal, extend, extendible, extendible_k, mine, mine_max_ffis,
     mine_via_reduction,
@@ -222,6 +225,87 @@ def test_miner_output_supports_match_definition(data):
     tau = data.draw(st.integers(1, len(txns)))
     for p in mine(db, tau, ALWAYS).maximal:
         assert support(p, db) >= tau
+
+
+def pinned_instances():
+    """Seeded small instances, one per mining path: plain itemsets, pair
+    itemsets under connectivity, sequences through the order-dag chain and
+    graphs through the edge-itemset encoding."""
+    rng = random.Random(3)
+    items = itemset_db([rng.sample(range(1, 9), rng.randint(2, 6))
+                        for _ in range(14)])
+    rng = random.Random(4)
+    pool = list(combinations(range(1, 6), 2))
+    pairs = itemset_db([rng.sample(pool, rng.randint(2, 6))
+                        for _ in range(10)])
+    rng = random.Random(5)
+    seqs = sequence_db([rng.sample(range(1, 7), rng.randint(2, 5))
+                        for _ in range(12)])
+    rng = random.Random(6)
+    graphs = []
+    for _ in range(10):
+        vs = rng.sample(range(1, 7), rng.randint(2, 5))
+        es = {tuple(sorted((vs[i], rng.choice(vs[:i]))))
+              for i in range(1, len(vs))}
+        es.add(tuple(sorted(rng.sample(vs, 2))))
+        graphs.append(LabelledGraph(frozenset(vs), frozenset(es)))
+    return {"itemsets": (items, 3, ALWAYS),
+            "pairs": (pairs, 2, CONNECTED_EDGES),
+            "sequences": (seqs, 2, ALWAYS),
+            "graphs": (graph_db(graphs), 2, ALWAYS)}
+
+
+# (level, candidates, frequent, feasible) rows and rendered answers of the
+# instances above, recorded from the label-keyed climb; the perfbench
+# digests cover answers only, so these also hold the level tables still
+PINNED = {
+    "itemsets": (
+        [(1, 8, 8, 8), (2, 28, 20, 20), (3, 42, 7, 7), (4, 5, 1, 1)],
+        ["{1 2}", "{1 4}", "{1 8}", "{2 3}", "{2 4}", "{2 5}", "{2 6}",
+         "{2 7}", "{2 8}", "{3 5}", "{4 5 6}", "{4 5 7 8}", "{5 6 7}",
+         "{6 7 8}"]),
+    "pairs": (
+        [(1, 10, 9, 9), (2, 24, 11, 11), (3, 17, 5, 5), (4, 4, 0, 0)],
+        ["{1,2 1,3 3,5}", "{1,2 1,4 1,5}", "{1,2 2,3}", "{1,3 1,4 3,5}",
+         "{1,3 2,3 2,5}", "{1,3 2,3 3,5}", "{1,5 4,5}", "{3,4}"]),
+    "sequences": (
+        [(1, 30, 20, 6), (2, 85, 35, 0), (3, 90, 36, 14), (4, 30, 24, 0),
+         (5, 12, 10, 0), (6, 1, 1, 1)],
+        ["<2 1>", "<2 4>", "<2 5>", "<2 6>", "<3 1>", "<3 2>", "<4 1>",
+         "<4 5>", "<4 6>", "<5 1>", "<5 6>", "<6 1 2>"]),
+    "graphs": (
+        [(1, 18, 14, 6), (2, 30, 18, 0), (3, 27, 15, 8), (4, 10, 10, 0),
+         (5, 8, 8, 2), (6, 4, 4, 0), (7, 1, 1, 1)],
+        ["1 2 | 1~2", "1 3 5 6 | 1~5 3~6 5~6", "2 4 | 2~4", "2 5 | 2~5",
+         "3 4 | 3~4", "4 6 | 4~6"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_level_tables_and_answers_are_pinned(name):
+    db, tau, phi = pinned_instances()[name]
+    res = mine(db, tau, phi)
+    assert [(s.level, s.candidates, s.frequent, s.feasible_frequent)
+            for s in res.stats] == PINNED[name][0]
+    assert [render_pattern(p) for p in res.maximal] == PINNED[name][1]
+
+
+def test_benchmark_wrap_points_are_called(monkeypatch):
+    """perfbench times the layers by replacing these module attributes, so
+    the miner has to look each one up there, or that layer reads zero."""
+    targets = [(_kernels, "count_supports"), (_kernels, "pack_rows"),
+               (miner, "evaluate"), (miner, "reduce_database"),
+               (miner, "lift_results"), (miner, "mine_max_ffis")]
+    calls = set()
+    for mod, name in targets:
+        def counted(*args, _fn=getattr(mod, name), _name=name, **kwargs):
+            calls.add(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(mod, name, counted)
+    db = graph_db([LabelledGraph(frozenset({1, 2, 3}),
+                                 frozenset({(1, 2), (2, 3)}))] * 2)
+    assert mine(db, 2).maximal == db.transactions[:1]
+    assert calls == {name for _, name in targets}
 
 
 _CAPPED_MINE = r'''

@@ -365,6 +365,21 @@ def test_dirg2fis_preserves_and_reflects_order(pyr):
     assert r.inverse(r.forward(g)) == g
 
 
+@settings(max_examples=60)
+@given(st.randoms(use_true_random=False), st.booleans())
+def test_edge_itemset_forward_equals_validated_construction(pyr, directed):
+    # forward skips re-validating labels the graph already checked; its
+    # image must equal the one the validating constructor builds
+    r = GraphToEdgeItemset(directed=directed)
+    g = random_connected_graph(pyr, n_labels=7, max_vertices=6,
+                               max_extra_edges=4, directed=directed,
+                               acyclic=False)
+    want = Itemset(tuple((v, v) for v in g.vertices) + tuple(g.edges))
+    got = r.forward(g)
+    assert got == want and got.items == want.items
+    assert hash(got) == hash(want)
+
+
 # support transfer: supp(p, db) == supp(f(p), f(db)) for every reduction,
 # which is the fact the whole mining pipeline stands on
 
