@@ -19,6 +19,7 @@ from .domains import (
 from .errors import (
     DatabaseError, DomainMismatchError, ExtendError, MaxpatError,
     NoPreimageError, OracleGuardError, ParseError, PatternError,
+    ReductionIdError,
 )
 from .feasibility import (
     ALWAYS, CONNECTED_EDGES, And, AlwaysTrue, ConnectedEdgeItemset,
@@ -32,7 +33,8 @@ from .oracle import enumerate_patterns, oracle_all_feasible_frequent, oracle_max
 from .reductions import (
     REDUCTION_IDS, Composed, GraphToBoundedDegree, GraphToEdgeItemset,
     Identity, ItemsetToSequence, ItemsetToStar, Reduction, SequenceToDag,
-    bind_reduction, lift_results, lift_to_ffbp, reduce_database,
+    bind_from_target, bind_reduction, invert_database, lift_results,
+    reduce_database,
 )
 
 __version__ = "0.1.0"
@@ -46,12 +48,13 @@ __all__ = [
     "ITEMSET", "Identity", "Itemset", "ItemsetToSequence", "ItemsetToStar",
     "LabelledGraph", "LevelStats", "MaxpatError", "MiningResult",
     "NoPreimageError", "OracleGuardError", "ParseError", "PatternError",
-    "PreimageExistsAnd", "REDUCTION_IDS", "Reduction", "SEQUENCE",
-    "Sequence", "SequenceToDag", "TREE",
-    "bind_reduction", "canonical_key", "count_maximal", "describe",
+    "PreimageExistsAnd", "REDUCTION_IDS", "Reduction", "ReductionIdError",
+    "SEQUENCE", "Sequence", "SequenceToDag", "TREE",
+    "bind_from_target", "bind_reduction", "canonical_key", "count_maximal",
+    "describe",
     "enumerate_patterns", "evaluate", "extend", "extendible", "extendible_k",
     "graph_db", "is_acyclic", "is_connected", "is_frequent",
-    "is_maximal_feasible", "itemset_db", "lift_results", "lift_to_ffbp",
+    "invert_database", "is_maximal_feasible", "itemset_db", "lift_results",
     "mine", "mine_max_ffis", "mine_via_reduction", "oracle_all_feasible_frequent",
     "oracle_max", "pattern_domain", "pattern_leq", "pattern_size",
     "reduce_database", "sequence_db", "support", "validate_class",

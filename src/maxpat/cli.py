@@ -25,7 +25,7 @@ from .domains import (
 )
 from .errors import (
     DatabaseError, DomainMismatchError, MaxpatError, NoPreimageError,
-    OracleGuardError, ParseError, PatternError,
+    OracleGuardError, ParseError, PatternError, ReductionIdError,
 )
 from .feasibility import (
     ALWAYS, CONNECTED_EDGES, And, PreimageExistsAnd, describe,
@@ -33,8 +33,7 @@ from .feasibility import (
 from .miner import MODES, mine, mine_via_reduction
 from .oracle import oracle_max
 from .reductions import (
-    GraphToBoundedDegree, GraphToEdgeItemset, ItemsetToSequence,
-    ItemsetToStar, SequenceToDag, bind_reduction, reduce_database,
+    bind_from_target, bind_reduction, invert_database, reduce_database,
 )
 from .synth import random_db, random_subpattern
 
@@ -79,37 +78,6 @@ def parse_graph_class(s: str) -> GraphClass:
     raise _usage(f"bad graph class {s!r} (tree|bdg:<b>|general|dag|directed)")
 
 
-def _max_component(universe, default=1):
-    best = default
-    for x in universe:
-        for c in (x if isinstance(x, tuple) else (x,)):
-            if isinstance(c, int) and c > best:
-                best = c
-    return best
-
-
-def _bind_for_preimage(rid: str, db: Database):
-    """Reductions named inside preimage(...) get their parameters from the
-    universe of the database being mined (the reduction's target side)."""
-    if rid == "fis2tree":
-        return ItemsetToStar(_max_component(db.universe))
-    if rid == "fis2seq":
-        return ItemsetToSequence()
-    if rid == "g2bdg3":
-        # stop labels of an n-bound image run up to n*n exactly (the largest
-        # source vertex ends its path there), so n is the root of the top label
-        top = _max_component(db.universe)
-        n = math.isqrt(top)
-        return GraphToBoundedDegree(n if n * n == top else n + 1)
-    if rid == "g2fis":
-        return GraphToEdgeItemset()
-    if rid == "dirg2fis":
-        return GraphToEdgeItemset(directed=True)
-    if rid == "seq2dag":
-        return SequenceToDag()
-    raise _usage(f"unknown reduction {rid!r} in preimage(...)")
-
-
 def parse_phi(expr: str, db: Database):
     parts = []
     for piece in re.split(r"[∧&]", expr):
@@ -126,7 +94,7 @@ def parse_phi(expr: str, db: Database):
                 raise _usage(f"bad predicate {piece!r} (always | "
                              "connected-edges | preimage(<rid>))")
             parts.append(PreimageExistsAnd(
-                _bind_for_preimage(m.group(1).strip(), db), ALWAYS))
+                bind_from_target(m.group(1).strip(), db), ALWAYS))
     keep = [p for p in parts if p is not ALWAYS]
     if not keep:
         return ALWAYS
@@ -189,34 +157,11 @@ def cmd_mine(args) -> int:
 def cmd_reduce(args) -> int:
     db = _load(args)
     if args.invert:
-        out = _invert_database(args.reduce, db)
+        out = invert_database(args.reduce, db)
     else:
-        chain = bind_reduction(args.reduce, db)
-        out = reduce_database(chain, db)
+        out = reduce_database(bind_reduction(args.reduce, db), db)
     _emit(mio.write_database(out), args.output)
     return 0
-
-
-def _invert_database(chain_id: str, db: Database) -> Database:
-    """Walk a reduction chain right-to-left, undoing one link at a time so
-    every link's parameters can be read off the universe it actually maps
-    into."""
-    if chain_id.startswith("compose:"):
-        rids = [r.strip() for r in chain_id[len("compose:"):].split(",")]
-        if len(rids) < 2:
-            raise _usage("compose: needs at least two reduction ids")
-    else:
-        rids = [chain_id]
-    for rid in reversed(rids):
-        link = _bind_for_preimage(rid, db)
-        sources = []
-        for i, t in enumerate(db.transactions):
-            q = link.inverse(t)
-            if q is None:
-                raise DatabaseError(f"no preimage under {link.id}", index=i)
-            sources.append(q)
-        db = Database(link.source_domain, tuple(sources))
-    return db
 
 
 def cmd_oracle(args) -> int:
@@ -490,6 +435,9 @@ def main(argv=None) -> int:
     except CliError as e:
         print(f"error:{e.tag}: {e}", file=sys.stderr)
         return e.code
+    except ReductionIdError as e:
+        print(f"error:usage: {e}", file=sys.stderr)
+        return 1
     except ParseError as e:
         print(f"error:parse: {e}", file=sys.stderr)
         return 2

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 from .domains import (
     DIGRAPH, GRAPH, ITEMSET, SEQUENCE,
-    GraphClass, Itemset, Sequence,
-    element_kind, is_connected, label_set, pattern_domain, pattern_leq,
+    GraphClass, Itemset, LabelledGraph, Sequence,
+    element_kind, is_connected, item_labels, pattern_domain, pattern_leq,
     validate_class,
 )
 from .errors import DatabaseError, DomainMismatchError
@@ -76,11 +76,11 @@ class Database:
 
     @property
     def universe(self) -> frozenset:
-        """Union of the labels occurring in the transactions."""
-        out = set()
-        for t in self.transactions:
-            out |= label_set(t)
-        return frozenset(out)
+        """The plain labels occurring in the transactions; a label pair
+        contributes both of its components."""
+        return item_labels(
+            x for t in self.transactions
+            for x in (t.vertices if isinstance(t, LabelledGraph) else t))
 
 
 def itemset_db(transactions) -> Database:

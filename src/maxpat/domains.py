@@ -162,23 +162,32 @@ class LabelledGraph:
         return f"LabelledGraph([{vs}], [{es}])"
 
 
+def connected_components(vertices, edges):
+    """The connected components of the undirected view of ``edges`` over
+    ``vertices``, as sets, found one at a time."""
+    adj = {v: [] for v in vertices}
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    seen = set()
+    for start in adj:
+        if start in seen:
+            continue
+        comp = {start}
+        stack = [start]
+        while stack:
+            for w in adj[stack.pop()]:
+                if w not in comp:
+                    comp.add(w)
+                    stack.append(w)
+        yield comp
+        seen |= comp
+
+
 def is_connected(g: LabelledGraph) -> bool:
     """Connectivity of the undirected view; a single vertex counts."""
-    if len(g.vertices) == 1:
-        return True
-    adj = {v: set() for v in g.vertices}
-    for u, v in g.edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    start = next(iter(g.vertices))
-    seen = {start}
-    stack = [start]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(g.vertices)
+    n = len(g.vertices)
+    return n == 1 or len(next(connected_components(g.vertices, g.edges))) == n
 
 
 def undirected_degrees(g: LabelledGraph):
@@ -298,10 +307,6 @@ def pattern_leq(p, q) -> bool:
     return graph_leq(p, q)
 
 
-def pattern_lt(p, q) -> bool:
-    return p != q and pattern_leq(p, q)
-
-
 def canonical_key(p):
     """Sort key giving the canonical output order within one domain:
     itemsets by item list, sequences by event list, graphs by sorted edge
@@ -315,22 +320,16 @@ def canonical_key(p):
     raise DomainMismatchError(f"not a pattern: {p!r}")
 
 
-def label_set(p) -> frozenset:
-    """The plain labels a pattern touches.  Pair items contribute both of
-    their components, which is what the connectivity merge test needs."""
-    if isinstance(p, Itemset):
-        out = set()
-        for x in p.items:
-            if isinstance(x, tuple):
-                out.update(x)
-            else:
-                out.add(x)
-        return frozenset(out)
-    if isinstance(p, Sequence):
-        return frozenset(p.events)
-    if isinstance(p, LabelledGraph):
-        return frozenset(p.vertices)
-    raise DomainMismatchError(f"not a pattern: {p!r}")
+def item_labels(items) -> frozenset:
+    """The plain labels that ``items`` touch; a label pair contributes both
+    of its components, which is what the connectivity merge test needs."""
+    out = set()
+    for x in items:
+        if isinstance(x, tuple):
+            out.update(x)
+        else:
+            out.add(x)
+    return frozenset(out)
 
 
 def element_kind(p):

@@ -31,6 +31,11 @@ class DatabaseError(MaxpatError):
         self.index = index
 
 
+class ReductionIdError(MaxpatError, ValueError):
+    """A reduction id names no reduction, or a ``compose:`` chain has fewer
+    than two links or an empty one."""
+
+
 class NoPreimageError(MaxpatError):
     """A reduction inverse was required but does not exist for the given
     target pattern."""

@@ -20,7 +20,9 @@ post-filtering, which is always sound.
 
 from dataclasses import dataclass
 
-from .domains import Itemset, pattern_domain
+from .domains import (
+    Itemset, connected_components, item_labels, pattern_domain,
+)
 from .errors import DomainMismatchError
 
 
@@ -100,36 +102,10 @@ def connected_edge_itemset(items) -> bool:
     a--b.  The empty itemset is deemed infeasible so that the empty pattern
     never shadows real connected patterns.
     """
-    items = tuple(items)
-    if not items:
+    labels = item_labels(items)
+    if not labels:
         return False
-    labels = set()
-    for a, b in items:
-        labels.update((a, b))
-    adj = {x: set() for x in labels}
-    for a, b in items:
-        if a != b:
-            adj[a].add(b)
-            adj[b].add(a)
-    start = next(iter(labels))
-    seen = {start}
-    stack = [start]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(labels)
-
-
-def item_labels(items) -> frozenset:
-    out = set()
-    for x in items:
-        if isinstance(x, tuple):
-            out.update(x)
-        else:
-            out.add(x)
-    return frozenset(out)
+    return len(next(connected_components(labels, items))) == len(labels)
 
 
 def _require_pair_itemset(p):

@@ -19,7 +19,7 @@ import sys
 from .core import Database
 from .domains import (
     DIGRAPH, GRAPH, ITEMSET, SEQUENCE,
-    Itemset, LabelledGraph, Sequence,
+    Itemset, LabelledGraph, Sequence, connected_components,
 )
 from .errors import ParseError, PatternError
 
@@ -140,25 +140,6 @@ def write_graph_db(db: Database) -> str:
 # ---------------------------------------------------------------------------
 # edge lists
 
-def _components_of(vertices, edges):
-    adj = {v: set() for v in vertices}
-    for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    remaining = set(vertices)
-    while remaining:
-        start = remaining.pop()
-        comp = {start}
-        stack = [start]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        remaining -= comp
-        yield comp
-
-
 def ingest_edge_lists(paths, components="keep", directed=False,
                       warn=_warn_stderr) -> Database:
     """One transaction per file.  ``components='split'`` turns each
@@ -188,7 +169,8 @@ def ingest_edge_lists(paths, components="keep", directed=False,
             continue
         vertices = {x for e in edges for x in e}
         if components == "split":
-            for comp in sorted(_components_of(vertices, edges), key=sorted):
+            comps = connected_components(vertices, edges)
+            for comp in sorted(comps, key=sorted):
                 txns.append(LabelledGraph(
                     frozenset(comp),
                     frozenset(e for e in edges if e[0] in comp),

@@ -43,10 +43,10 @@ from . import _kernels
 from .core import Database, check_tau
 from .domains import (
     DIGRAPH, GRAPH, ITEMSET, SEQUENCE,
-    Itemset, Sequence, canonical_key,
+    Itemset, Sequence, canonical_key, item_labels,
 )
 from .errors import DomainMismatchError, ExtendError
-from .feasibility import ALWAYS, describe, evaluate, item_labels
+from .feasibility import ALWAYS, describe, evaluate
 from .reductions import (
     Composed, GraphToEdgeItemset, Reduction, SequenceToDag,
     lift_results, reduce_database,

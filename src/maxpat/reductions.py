@@ -14,13 +14,19 @@ source's maximal feasible frequent patterns, in equal number.
 
 Feasibility travels along a reduction by the preimage construction: a target
 pattern is feasible iff it has a preimage and the source predicate accepts
-that preimage.  ``induced_feasibility`` builds that predicate; compositions
-spell out the full conjunction (target-level feasibility, one-step preimage
-with the mid-level predicate, whole-chain preimage with the source
-predicate) so each hop stays checkable in isolation.
+that preimage.  ``induced_feasibility`` builds that predicate, for a single
+reduction and a composition alike: a whole-chain preimage implies every
+hop's, so the chain's inverse is the only preimage test needed.
+
+Every reduction id lives in one table, which says how the reduction is
+bound from a database on its source side (``bind_reduction``, used to
+reduce and mine) and from one on its target side (``bind_from_target``,
+used to invert and for ``preimage(<rid>)``).
 """
 
+import math
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
 
 from .core import Database
@@ -31,6 +37,7 @@ from .domains import (
 )
 from .errors import (
     DatabaseError, DomainMismatchError, NoPreimageError, PatternError,
+    ReductionIdError,
 )
 from .feasibility import And, CONNECTED_EDGES, PreimageExistsAnd
 
@@ -58,7 +65,12 @@ class Reduction:
         raise NotImplementedError
 
     def induced_feasibility(self, phi_source):
-        return PreimageExistsAnd(self, phi_source)
+        # the proxy encloses every decodable pattern, so it only lets the
+        # miner prune; the preimage test alone decides
+        exact = PreimageExistsAnd(self, phi_source)
+        if self.image_proxy is None:
+            return exact
+        return And((self.image_proxy, exact))
 
     def _check_source(self, p):
         if pattern_domain(p) != self.source_domain:
@@ -266,9 +278,6 @@ class GraphToEdgeItemset(Reduction):
                           directed=self.directed)
         return g if is_connected(g) else None
 
-    def induced_feasibility(self, phi_source):
-        return And((CONNECTED_EDGES, PreimageExistsAnd(self, phi_source)))
-
 
 @dataclass(frozen=True)
 class SequenceToDag(Reduction):
@@ -356,11 +365,8 @@ class Composed(Reduction):
     @property
     def id(self):
         # flattened so that any chain id parses back through bind_reduction
-        def tail(r):
-            rid = r.id
-            return rid[len("compose:"):] if rid.startswith("compose:") else rid
-
-        return f"compose:{tail(self.first)},{tail(self.second)}"
+        return "compose:" + ",".join(r.id.removeprefix("compose:")
+                                     for r in (self.first, self.second))
 
     @property
     def source_domain(self):
@@ -391,39 +397,6 @@ class Composed(Reduction):
         if mid is None:
             return None
         return self.first.inverse(mid)
-
-    def induced_feasibility(self, phi_source):
-        # the transitivity construction, spelled out: target-level
-        # feasibility, the one-hop preimage with the mid-level predicate,
-        # and the whole-chain preimage with the source predicate
-        phi_mid = self.first.induced_feasibility(phi_source)
-        phi_target = self.second.induced_feasibility(phi_mid)
-        return And((phi_target,
-                    PreimageExistsAnd(self.second, phi_mid),
-                    PreimageExistsAnd(self, phi_source)))
-
-
-@dataclass(frozen=True)
-class LiftedReduction:
-    """A reduction bundled with a source feasibility predicate; the target
-    predicate is the induced one.  Maps are unchanged."""
-
-    base: Reduction
-    source_feasibility: object
-
-    @property
-    def target_feasibility(self):
-        return self.base.induced_feasibility(self.source_feasibility)
-
-    def forward(self, p):
-        return self.base.forward(p)
-
-    def inverse(self, q):
-        return self.base.inverse(q)
-
-
-def lift_to_ffbp(r: Reduction, phi_source) -> LiftedReduction:
-    return LiftedReduction(r, phi_source)
 
 
 # ---------------------------------------------------------------------------
@@ -457,55 +430,105 @@ def lift_results(r: Reduction, results) -> tuple:
     return tuple(sorted(out, key=canonical_key))
 
 
+def invert_database(rid: str, db: Database) -> Database:
+    """Map a database on the target side of ``rid`` back to the source side,
+    binding the reduction from it.  A transaction without a preimage raises
+    with its index."""
+    return _undo(bind_from_target(rid, db), db)
+
+
+def _undo(r: Reduction, db: Database) -> Database:
+    sources = []
+    for i, t in enumerate(db.transactions):
+        p = r.inverse(t)
+        if p is None:
+            raise DatabaseError(f"no preimage under {r.id}", i)
+        sources.append(p)
+    return Database(r.source_domain, tuple(sources))
+
+
 # ---------------------------------------------------------------------------
 # registry
 
+def _top_label(db):
+    """The largest plain label of ``db`` (0 when there is none)."""
+    return max(db.universe, default=0) if db is not None else 0
+
+
+#: every reduction id.  A reduction with no parameter is stored as itself;
+#: the two whose parameter comes from the database are stored as a pair of
+#: binders, one reading the source database and one the target database.
+#: The star's root must exceed every item, and the path bundle needs one
+#: stop per source label, so both read the largest label: on the target
+#: side the root is that label, and the top stop label of an n-path image
+#: is n*n.
+_REGISTRY = {
+    "fis2tree": (lambda db: ItemsetToStar(_top_label(db) + 1),
+                 lambda db: ItemsetToStar(max(_top_label(db), 1))),
+    "fis2seq": ItemsetToSequence(),
+    "g2bdg3": (lambda db: GraphToBoundedDegree(max(_top_label(db), 1)),
+               lambda db: GraphToBoundedDegree(
+                   math.isqrt(max(_top_label(db), 1) - 1) + 1)),
+    "g2fis": GraphToEdgeItemset(directed=False),
+    "dirg2fis": GraphToEdgeItemset(directed=True),
+    "seq2dag": SequenceToDag(),
+}
+
 #: ids accepted on the command line and inside preimage(...) descriptors
-REDUCTION_IDS = ("fis2tree", "fis2seq", "g2bdg3", "g2fis", "dirg2fis",
-                 "seq2dag")
+REDUCTION_IDS = tuple(_REGISTRY)
 
 
-def _max_int_label(universe, default=0):
-    ints = [x for x in universe if isinstance(x, int)]
-    return max(ints, default=default)
+def _links(rid: str) -> list:
+    """The registry entries ``rid`` names, left to right: one for a plain
+    id, two or more for ``compose:a,b[,c...]``, whose links may be padded
+    with whitespace."""
+    if rid.startswith("compose:"):
+        ids = [part.strip() for part in rid[len("compose:"):].split(",")]
+        if len(ids) < 2:
+            raise ReductionIdError(
+                f"compose: needs at least two ids, got {rid!r}")
+    else:
+        ids = [rid]
+    for part in ids:
+        if part not in _REGISTRY:
+            raise ReductionIdError(f"unknown reduction id {part!r} "
+                                   f"(known: {', '.join(_REGISTRY)})")
+    return [_REGISTRY[part] for part in ids]
+
+
+def _reads_db(links) -> bool:
+    return any(not isinstance(link, Reduction) for link in links)
+
+
+_SOURCE, _TARGET = 0, 1
+
+
+def _bind(link, side: int, db):
+    return link if isinstance(link, Reduction) else link[side](db)
 
 
 def bind_reduction(rid: str, db: Database | None = None) -> Reduction:
-    """Construct the reduction named ``rid``, fixing any parameters from the
-    source database.  ``compose:a,b[,c...]`` folds left to right.
-
-    The star and path-bundle encodings take their fresh-root / path-length
-    parameter from the largest label actually present, which keeps them
-    collision-free on sparse label sets and matches 1..n universes exactly.
-    """
-    if rid.startswith("compose:"):
-        parts = rid[len("compose:"):].split(",")
-        if len(parts) < 2 or not all(parts):
-            raise ValueError(f"compose needs at least two ids: {rid!r}")
-        r = bind_reduction(parts[0], db)
-        for part in parts[1:]:
-            if _needs_binding(part) and db is not None:
-                nxt = bind_reduction(part, reduce_database(r, db))
-            else:
-                nxt = bind_reduction(part, None)
-            r = Composed(r, nxt)
-        return r
-    if rid == "fis2tree":
-        top = _max_int_label(db.universe) if db is not None else 0
-        return ItemsetToStar(root=top + 1)
-    if rid == "fis2seq":
-        return ItemsetToSequence()
-    if rid == "g2bdg3":
-        top = _max_int_label(db.universe, default=1) if db is not None else 1
-        return GraphToBoundedDegree(n=top)
-    if rid == "g2fis":
-        return GraphToEdgeItemset(directed=False)
-    if rid == "dirg2fis":
-        return GraphToEdgeItemset(directed=True)
-    if rid == "seq2dag":
-        return SequenceToDag()
-    raise ValueError(f"unknown reduction id {rid!r}")
+    """Construct the reduction named ``rid``, fixing any parameters from
+    ``db``, its source database.  A chain folds left to right; a link that
+    reads the database reads the image of ``db`` under the links before it,
+    which is only computed when such a link follows."""
+    links = _links(rid)
+    bound = []
+    for k, link in enumerate(links):
+        bound.append(_bind(link, _SOURCE, db))
+        if db is not None and _reads_db(links[k + 1:]):
+            db = reduce_database(bound[-1], db)
+    return reduce(Composed, bound)
 
 
-def _needs_binding(rid):
-    return rid in ("fis2tree", "g2bdg3")
+def bind_from_target(rid: str, db: Database) -> Reduction:
+    """Construct the reduction named ``rid`` from ``db``, a database on its
+    target side.  A chain binds right to left; a link that reads the
+    database reads the preimage of ``db`` under the links after it."""
+    links = _links(rid)
+    bound = []
+    for k in reversed(range(len(links))):
+        bound.insert(0, _bind(links[k], _TARGET, db))
+        if _reads_db(links[:k]):
+            db = _undo(bound[0], db)
+    return reduce(Composed, bound)

@@ -122,6 +122,37 @@ def test_reduce_and_invert_round_trip_bdg3(capsys, graphs_file, tmp_path):
             == mio.write_database(mio.load_database(graphs_file, GRAPH)))
 
 
+@pytest.mark.parametrize("rid", [
+    "bogus", "compose:fis2tree", "compose:fis2seq,,seq2dag"])
+def test_bad_reduction_id_is_a_usage_error(capsys, items_file, rid):
+    # an unknown id, a one-id chain and an empty link, read by the same
+    # parser whichever direction the command binds in
+    errors = set()
+    for cmd in (["mine", "--tau", "1"], ["reduce"], ["reduce", "--invert"],
+                ["verify", "--tau", "1"],
+                ["stats", "--tau", "1", "--phi", "connected-edges"]):
+        code, _, err = run(capsys, cmd + ["--input", items_file,
+                                          "--reduce", rid])
+        assert code == 1, (cmd, err)
+        assert err.startswith("error:usage:"), (cmd, err)
+        errors.add(err)
+    assert len(errors) == 1, errors
+
+
+def test_compose_links_may_carry_whitespace(capsys, items_file, tmp_path):
+    rid = "compose:fis2seq, seq2dag"
+    enc = tmp_path / "enc.db"
+    code, _, err = run(capsys, ["reduce", "--input", items_file,
+                                "--reduce", rid, "--output", str(enc)])
+    assert code == 0, err
+    back = tmp_path / "back.db"
+    code, _, err = run(capsys, ["reduce", "--input", str(enc),
+                                "--domain", "digraph", "--reduce", rid,
+                                "--invert", "--output", str(back)])
+    assert code == 0, err
+    assert back.read_text() == ITEMS
+
+
 def test_invert_without_preimage_fails(capsys, tmp_path):
     p = tmp_path / "bad.db"
     p.write_text("1,2\n")  # proper pair without markers

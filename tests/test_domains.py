@@ -5,8 +5,8 @@ from maxpat.domains import (
     DIGRAPH, GRAPH, ITEMSET, SEQUENCE,
     BOUNDED_DEGREE, DAG, DIRECTED, GENERAL, TREE,
     GraphClass, Itemset, LabelledGraph, Sequence,
-    canonical_key, is_acyclic, is_connected, label_set, pattern_domain,
-    pattern_leq, pattern_lt, pattern_size, undirected_degrees,
+    canonical_key, is_acyclic, is_connected, item_labels, pattern_domain,
+    pattern_leq, pattern_size, undirected_degrees,
     validate_class,
 )
 from maxpat.errors import DomainMismatchError, PatternError
@@ -138,6 +138,8 @@ def test_pattern_domain():
 
 def test_leq_semantics():
     assert pattern_leq(Itemset([1]), Itemset([1, 2]))
+    assert Itemset([1]) != Itemset([1, 2])           # strictly below
+    assert pattern_leq(Itemset([1]), Itemset([1]))   # reflexive, not strict
     assert not pattern_leq(Itemset([3]), Itemset([1, 2]))
     assert pattern_leq(Sequence([1, 3]), Sequence([1, 2, 3]))
     assert not pattern_leq(Sequence([3, 1]), Sequence([1, 2, 3]))
@@ -158,18 +160,13 @@ def test_leq_across_domains_raises():
         pattern_leq(g, d)
 
 
-def test_pattern_lt():
-    assert pattern_lt(Itemset([1]), Itemset([1, 2]))
-    assert not pattern_lt(Itemset([1]), Itemset([1]))
-
-
 def test_sizes_and_labels():
     assert pattern_size(Itemset([1, 2])) == 2
     assert pattern_size(Sequence([])) == 0
     g = LabelledGraph(frozenset({1, 2}), frozenset({(1, 2)}))
     assert pattern_size(g) == 3
-    assert label_set(Itemset([(1, 2), (2, 3)])) == {1, 2, 3}
-    assert label_set(g) == {1, 2}
+    assert item_labels(Itemset([(1, 2), (2, 3)])) == {1, 2, 3}
+    assert item_labels(g.vertices) == {1, 2}
 
 
 def test_canonical_key_sorts_itemsets():

@@ -9,7 +9,7 @@ from maxpat.feasibility import (
     ALWAYS, CONNECTED_EDGES, And, PreimageExistsAnd,
     connected_edge_itemset, describe, evaluate, item_labels,
 )
-from maxpat.reductions import GraphToEdgeItemset, Identity
+from maxpat.reductions import GraphToEdgeItemset, Identity, ItemsetToSequence
 
 
 def test_always():
@@ -77,6 +77,12 @@ def test_preimage_predicate():
     assert not evaluate(phi, Itemset([(1, 2)]))       # markers missing
     assert not evaluate(phi, Itemset([(1, 1), (2, 2)]))  # decodes disconnected
     assert not phi.split_stable  # the encoding skips over sizes
+    # without an image proxy the induced predicate is the bare preimage
+    # test, accepting exactly the images
+    seq = ItemsetToSequence().induced_feasibility(ALWAYS)
+    assert isinstance(seq, PreimageExistsAnd)
+    assert evaluate(seq, Sequence([1, 3]))
+    assert not evaluate(seq, Sequence([3, 1]))
 
 
 def test_preimage_split_stable_via_identity():

@@ -5,22 +5,21 @@ from hypothesis import given, settings, strategies as st
 
 from maxpat.core import graph_db, itemset_db
 from maxpat.domains import (
-    DIGRAPH, ITEMSET, DAG, TREE,
+    DIGRAPH, ITEMSET, SEQUENCE, DAG, TREE,
     Itemset, LabelledGraph, Sequence, pattern_leq, validate_class,
 )
 from maxpat.errors import (
     DatabaseError, DomainMismatchError, NoPreimageError, PatternError,
 )
-from maxpat.feasibility import (
-    ALWAYS, And, CONNECTED_EDGES, PreimageExistsAnd, evaluate,
-)
+from maxpat.feasibility import ALWAYS, And, CONNECTED_EDGES
 from maxpat.oracle import oracle_max
 from maxpat.reductions import (
     REDUCTION_IDS, Composed, GraphToBoundedDegree, GraphToEdgeItemset,
     Identity, ItemsetToSequence, ItemsetToStar, SequenceToDag,
-    bind_reduction, lift_results, lift_to_ffbp, reduce_database,
+    bind_from_target, bind_reduction, invert_database, lift_results,
+    reduce_database,
 )
-from maxpat.synth import random_connected_graph
+from maxpat.synth import random_connected_graph, random_db
 
 
 def graph(vs, es, directed=False):
@@ -266,19 +265,6 @@ def test_lift_results_raises_on_non_images():
         lift_results(r, [Itemset({(1, 2)})])
 
 
-def test_lift_to_ffbp():
-    r = ItemsetToSequence()
-    lifted = lift_to_ffbp(r, ALWAYS)
-    assert lifted.base is r
-    phi_t = lifted.target_feasibility
-    assert isinstance(phi_t, PreimageExistsAnd)
-    # the induced predicate accepts exactly the images
-    assert evaluate(phi_t, Sequence([1, 3]))
-    assert not evaluate(phi_t, Sequence([3, 1]))
-    assert lifted.forward(Itemset({2})) == Sequence([2])
-    assert lifted.inverse(Sequence([2])) == Itemset({2})
-
-
 def test_bind_reduction_parameters_come_from_the_universe():
     db = itemset_db([{1, 4}, {2}])
     r = bind_reduction("fis2tree", db)
@@ -308,6 +294,25 @@ def test_bind_reduction_rejects_unknown():
         bind_reduction("nope", db)
     assert set(REDUCTION_IDS) == {
         "fis2tree", "fis2seq", "g2bdg3", "g2fis", "dirg2fis", "seq2dag"}
+
+
+@pytest.mark.parametrize("rid", REDUCTION_IDS + (
+    "compose:fis2seq,seq2dag,dirg2fis", "compose:fis2tree,g2bdg3,g2fis"))
+def test_registry_round_trip(rid):
+    """Every registry entry, bound from a source database, maps it to a
+    database that inverts back to it; binding from that image gives the
+    same reduction with the same parameters."""
+    rng = random.Random(rid)
+    domain = bind_reduction(rid).source_domain
+    for _ in range(12):
+        # chains through seq2dag cannot picture an empty transaction
+        kw = ({"allow_empty": "seq2dag" not in rid}
+              if domain in (ITEMSET, SEQUENCE) else {})
+        db = random_db(rng, domain, **kw)
+        r = bind_reduction(rid, db)
+        image = reduce_database(r, db)
+        assert invert_database(rid, image) == db
+        assert bind_from_target(rid, image) == r
 
 
 def test_forward_rejects_wrong_domain():
