@@ -100,6 +100,15 @@ class Sequence:
             raise PatternError("sequence mixes plain labels and label pairs")
         object.__setattr__(self, "events", events)
 
+    @classmethod
+    def _trusted(cls, events: tuple):
+        """Internal constructor that skips validation.  ``events`` must be a
+        tuple of pairwise-distinct valid labels of one kind, taken from
+        patterns that were validated."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "events", events)
+        return p
+
     def __len__(self):
         return len(self.events)
 
@@ -110,14 +119,20 @@ class Sequence:
         return "Sequence(%s)" % ", ".join(map(repr, self.events))
 
 
-def _normalize_edge(e, directed):
+def _normalize_edge(e, vertices, directed):
+    """``e`` as stored in a graph on ``vertices``, whose labels were checked:
+    an endpoint that is one of them has a valid label of their one kind."""
     if not (isinstance(e, tuple) and len(e) == 2):
         raise PatternError(f"edge must be a 2-tuple, got {e!r}")
     u, v = e
-    _check_label(u)
-    _check_label(v)
-    if _label_kind(u) != _label_kind(v):
-        raise PatternError(f"edge ({u!r}, {v!r}) mixes label kinds")
+    if type(u) is not int or type(v) is not int:
+        # equal to a vertex is not enough for anything but a plain int:
+        # True and 1.0 both equal 1, and an unhashable endpoint cannot be
+        # looked up
+        _check_label(u)
+        _check_label(v)
+    if u not in vertices or v not in vertices:
+        raise PatternError(f"edge ({u!r}, {v!r}) leaves the vertex set")
     if u == v:
         raise PatternError(f"self-loop on {u!r} is not allowed")
     if not directed and u > v:
@@ -148,12 +163,23 @@ class LabelledGraph:
             _check_label(v)
         if len({_label_kind(v) for v in vertices}) > 1:
             raise PatternError("graph mixes plain labels and label pairs")
-        edges = frozenset(_normalize_edge(e, self.directed) for e in self.edges)
-        for u, v in edges:
-            if u not in vertices or v not in vertices:
-                raise PatternError(f"edge ({u!r}, {v!r}) leaves the vertex set")
+        edges = frozenset(_normalize_edge(e, vertices, self.directed)
+                          for e in self.edges)
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "edges", edges)
+
+    @classmethod
+    def _trusted(cls, vertices: frozenset, edges: frozenset,
+                 directed: bool = False):
+        """Internal constructor that skips validation.  ``vertices`` must be
+        a non-empty frozenset of valid labels of one kind and ``edges`` a
+        frozenset of pairs of distinct vertices, smaller endpoint first when
+        undirected, all taken from patterns that were validated."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "vertices", vertices)
+        object.__setattr__(g, "edges", edges)
+        object.__setattr__(g, "directed", directed)
+        return g
 
     def __repr__(self):
         arrow = "->" if self.directed else "--"

@@ -16,6 +16,11 @@ anti-monotone.  The flag is conservative: conjunctions and preimage forms
 only claim it when every constituent does and the reduction declares its
 preimage set downward-reachable; otherwise the miner falls back to
 post-filtering, which is always sound.
+
+A predicate may also name a ``step_reduction``: a reduction that can grow
+its source patterns one element at a time, and among whose images lies
+every set the predicate accepts.  The miner then climbs through those
+images alone.
 """
 
 from dataclasses import dataclass
@@ -30,6 +35,7 @@ from .errors import DomainMismatchError
 class AlwaysTrue:
     split_stable = True
     prune_proxy = None
+    step_reduction = None
 
     def merge_hint(self, labels_a, labels_b):
         return True
@@ -39,6 +45,7 @@ class AlwaysTrue:
 class ConnectedEdgeItemset:
     split_stable = True
     prune_proxy = None
+    step_reduction = None
 
     def merge_hint(self, labels_a, labels_b):
         # the union of two connected edge sets is connected iff their label
@@ -60,6 +67,14 @@ class PreimageExistsAnd:
         # a split-stable family enclosing everything with a preimage; the
         # miner may prune the climb with it and post-filter exactly
         return getattr(self.reduction, "image_proxy", None)
+
+    @property
+    def step_reduction(self):
+        # everything accepted is an image of the reduction, so when its
+        # source patterns can grow the miner may climb through its images
+        if getattr(self.reduction, "grow", None) is None:
+            return None
+        return self.reduction
 
     def merge_hint(self, labels_a, labels_b):
         return True
@@ -86,6 +101,12 @@ class And:
             if p.prune_proxy is not None:
                 return p.prune_proxy
         return None
+
+    @property
+    def step_reduction(self):
+        # a conjunct's images enclose everything the conjunction accepts
+        return next((p.step_reduction for p in self.parts
+                     if p.step_reduction is not None), None)
 
     def merge_hint(self, labels_a, labels_b):
         return all(p.merge_hint(labels_a, labels_b) for p in self.parts)

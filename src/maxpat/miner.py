@@ -1,9 +1,12 @@
 """Levelwise mining of maximal feasible frequent patterns.
 
 The itemset miner is a classic candidate-generate-and-count loop with
-vertical (tidset) support counting.  Feasibility is folded in one of two
+vertical (tidset) support counting.  Feasibility is folded in one of three
 ways:
 
+* a predicate that only accepts images of a reduction whose source
+  patterns can grow (``step_reduction``, today any chain that starts with
+  ``seq2dag``) is climbed in the source domain: the step climb below;
 * split-stable predicates prune during the climb: only feasible frequent
   sets survive a level and seed the next one, which can only shrink the
   per-level candidate counts relative to an unconstrained run;
@@ -11,15 +14,31 @@ ways:
   post-filter before maximality extraction, which is always sound because
   the frequent sets are downward-closed and fully enumerated.
 
-Candidates at level k are unions of two surviving (k-1)-sets sharing k-2
-items.  Pairs are found by bucketing each survivor under its (k-2)-subsets,
-so a union is attempted once per shared subset and deduplicated.  The
-lexicographic prefix join familiar from unconstrained mining would be
-incomplete here: the two connected (k-1)-subsets that witness a connected
-k-set need not share a prefix (a three-edge path is the union of its two
-overlapping two-edge halves, which differ in their first item).  For the
-connectivity predicate a pair is skipped when the label sets are disjoint,
-which is exactly the cheap merge test that makes the union disconnected.
+The step climb counts images only.  Level 1 holds the images of the
+one-element source patterns, and level k+1 the images of every pattern
+that ``grow`` makes from a frequent level-k one (for sequences: one new
+label inserted anywhere).  It finds every frequent image, whatever the
+predicate: a reduction preserves containment, so image(s') is inside
+image(s) for every sub-pattern s' of s and is frequent when image(s) is;
+a sequence of length k+1 is one insertion away from each of its length-k
+subsequences, so by induction every frequent image is reached through
+frequent images alone.  Every set the predicate accepts is an image, so
+the predicate only filters what the climb counts.  Through
+``seq2dag``∘``dirg2fis`` a length-k sequence is k + k(k-1)/2 items; the
+join climb below would count every frequent connected subset of those
+items on the way, most of which are no image at all.  Graph encodings are
+linear in the pattern and stay on the join climb.
+
+Candidates of the join climb at level k are unions of two surviving
+(k-1)-sets sharing k-2 items.  Pairs are found by bucketing each survivor
+under its (k-2)-subsets, so a union is attempted once per shared subset and
+deduplicated.  The lexicographic prefix join familiar from unconstrained
+mining would be incomplete here: the two connected (k-1)-subsets that
+witness a connected k-set need not share a prefix (a three-edge path is the
+union of its two overlapping two-edge halves, which differ in their first
+item).  For the connectivity predicate a pair is skipped when the label
+sets are disjoint, which is exactly the cheap merge test that makes the
+union disconnected.
 
 The climb runs on item indices.  Items are numbered once, in label order,
 so a candidate is a sorted tuple of ints that sorts exactly like the
@@ -35,7 +54,7 @@ else is frequent.
 """
 
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain, combinations, compress
 
 import numpy as np
 
@@ -58,7 +77,9 @@ MODES = ("auto", "levelwise", "postfilter")
 @dataclass(frozen=True)
 class LevelStats:
     """Counts for one level of the climb; feasible_frequent <= frequent <=
-    candidates by construction."""
+    candidates by construction.  A level is an itemset size, except under
+    the step climb, where it is the size of the source patterns whose
+    images are counted."""
 
     level: int
     candidates: int
@@ -102,6 +123,22 @@ def _generate(survivors, labels_of, merge_phi):
     return sorted(out)
 
 
+def _grow_images(r, parents, labels, index):
+    """The step climb's next level: the images, as index tuples in sorted
+    order, of the source patterns that ``r.grow`` makes from ``parents``
+    (a parent None grows the one-element patterns), each mapped to the
+    pattern it images.  An image with an item the database lacks has
+    support 0, so it is dropped before counting."""
+    grown = {q for p in parents for q in r.grow(p, labels)}
+    out = {}
+    for q in grown:
+        # image items are sorted by label, so their indices come sorted
+        s = tuple(map(index.get, r.forward(q).items))
+        if None not in s:
+            out[s] = q
+    return dict(sorted(out.items()))
+
+
 def _maximal_among(collected, n_items):
     """Drop every index tuple with a strict superset in the collection.  The
     sets are distinct, so a set is maximal iff the only collected set
@@ -123,11 +160,12 @@ def mine_max_ffis(db: Database, tau: int, phi=ALWAYS,
                   mode: str = "auto") -> MiningResult:
     """Mine an itemset database for its maximal feasible frequent itemsets.
 
-    ``mode`` selects the feasibility strategy: "auto" prunes levelwise when
-    the predicate declares itself split-stable and post-filters otherwise;
-    the explicit modes exist so the two strategies can be compared.  Forcing
-    "levelwise" on a predicate that does not claim split-stability is
-    refused, since the climb could then miss feasible sets.
+    ``mode`` selects the feasibility strategy: "auto" climbs through the
+    images of a reduction when the predicate names a ``step_reduction``,
+    prunes levelwise when it declares itself split-stable and post-filters
+    otherwise; the explicit modes exist so the strategies can be compared.
+    Forcing "levelwise" on a predicate that does not claim split-stability
+    is refused, since the climb could then miss feasible sets.
     """
     check_tau(tau)
     if db.domain != ITEMSET:
@@ -139,6 +177,9 @@ def mine_max_ffis(db: Database, tau: int, phi=ALWAYS,
         raise ValueError(
             "levelwise pruning requires a split-stable predicate; "
             "use mode='postfilter'")
+    step = phi.step_reduction if mode == "auto" else None
+    if step is not None and step.target_domain != ITEMSET:
+        step = None  # accepts no itemset at all, which evaluate reports
     prune = phi.split_stable if mode == "auto" else (mode == "levelwise")
     # auto mode with a non-stable predicate may still trim the climb with a
     # split-stable family known to enclose it, keeping the exact predicate
@@ -159,27 +200,41 @@ def mine_max_ffis(db: Database, tau: int, phi=ALWAYS,
     # keeps two one-smaller feasible subsets (drop a marker or a leaf/cycle
     # edge), so a climb through feasible sets never needs a pruned join
     merge_phi = proxy if proxy is not None else phi
+
+    if step is not None:
+        labels = item_labels(items)
+        sources = _grow_images(step, [None], labels, index)
+        current = list(sources)
+    else:
+        current = [(i,) for i in range(len(items))]
     stats = []
     collected = []
-    current = [(i,) for i in range(len(items))]
     level = 1
     while current:
         counts = _kernels.count_supports(tidsets,
                                          np.array(current, dtype=np.intp))
         frequent = [current[i] for i in np.flatnonzero(counts >= tau)]
-        feasible = [s for s in frequent if evaluate(phi, itemset(s))]
+        accepted = [evaluate(phi, itemset(s)) for s in frequent]
+        feasible = list(compress(frequent, accepted))
         stats.append(LevelStats(level, len(current), len(frequent),
                                 len(feasible)))
         collected.extend(feasible)
+        level += 1
+        if step is not None:
+            sources = _grow_images(step, [sources[s] for s in frequent],
+                                   labels, index)
+            current = list(sources)
+            continue
         if prune:
             survivors = feasible
         elif proxy is not None:
-            survivors = [s for s in frequent if evaluate(proxy, itemset(s))]
+            # the proxy encloses phi, so only the sets phi rejected need it
+            survivors = [s for s, ok in zip(frequent, accepted)
+                         if ok or evaluate(proxy, itemset(s))]
         else:
             survivors = frequent
         labels_of = [frozenset().union(*(item_label_sets[i] for i in s))
                      for s in survivors]
-        level += 1
         current = _generate(survivors, labels_of, merge_phi)
 
     if collected:

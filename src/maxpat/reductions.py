@@ -57,6 +57,12 @@ class Reduction:
     #: with a preimage, if one is known; lets the miner prune a climb that
     #: will be post-filtered exactly
     image_proxy = None
+    #: for a source domain whose patterns grow one element at a time,
+    #: ``grow(p, labels)`` yields every pattern one element larger than
+    #: ``p`` whose new element is a label of ``labels``, and ``grow(None,
+    #: labels)`` the one-element patterns; lets the miner climb through
+    #: images instead of through all itemsets (see ``miner``)
+    grow = None
 
     def forward(self, p):
         raise NotImplementedError
@@ -227,8 +233,10 @@ class GraphToEdgeItemset(Reduction):
     keeps containment exact in both directions: a single vertex inside a
     larger graph must compare below that graph's image, and a bare edge set
     without its markers must not masquerade as an image.  An itemset inverts
-    iff its proper pairs stay within the marker vertices and the decoded
-    graph is connected; in particular a marker is feasible only on its own.
+    iff its proper pairs stay within the marker vertices, run from the
+    smaller label to the larger when undirected (as the image stores them),
+    and the decoded graph is connected; in particular a marker is feasible
+    only on its own.
     """
 
     directed: bool = False
@@ -274,8 +282,12 @@ class GraphToEdgeItemset(Reduction):
         for a, b in propers:
             if a not in markers or b not in markers:
                 return None
-        g = LabelledGraph(frozenset(markers), frozenset(propers),
-                          directed=self.directed)
+            if not self.directed and a > b:
+                return None
+        # every condition of a valid graph was checked above, on labels the
+        # itemset validated
+        g = LabelledGraph._trusted(frozenset(markers), frozenset(propers),
+                                   self.directed)
         return g if is_connected(g) else None
 
 
@@ -285,7 +297,7 @@ class SequenceToDag(Reduction):
     from the i-th event to the j-th for every i < j.  Inverts iff the graph
     is a transitive tournament (exactly one arc per vertex pair, acyclic);
     the empty sequence maps to no graph and is handled at the source level
-    by the miner."""
+    by the miner.  Sequences grow by inserting one new label anywhere."""
 
     id = "seq2dag"
     source_domain = SEQUENCE
@@ -296,9 +308,26 @@ class SequenceToDag(Reduction):
         self._check_source(p)
         if not p.events:
             raise PatternError("the empty sequence has no graph image")
-        edges = {(a, b) for a, b in combinations(p.events, 2)}
-        return LabelledGraph(frozenset(p.events), frozenset(edges),
-                             directed=True)
+        # the events are distinct valid labels of one kind, so the
+        # tournament on them is a valid graph as it stands
+        return LabelledGraph._trusted(frozenset(p.events),
+                                      frozenset(combinations(p.events, 2)),
+                                      directed=True)
+
+    def grow(self, p, labels):
+        """Every sequence made by inserting a label of ``labels`` that ``p``
+        lacks at any of its ``len(p) + 1`` positions; the one-event
+        sequences when ``p`` is None.  The labels must be valid and of one
+        kind with ``p``'s: the sequences are built without checking them."""
+        if p is None:
+            for x in labels:
+                yield Sequence._trusted((x,))
+            return
+        ev = p.events
+        for x in labels:
+            if x not in ev:
+                for i in range(len(ev) + 1):
+                    yield Sequence._trusted(ev[:i] + (x,) + ev[i:])
 
     def inverse(self, q: LabelledGraph):
         self._check_target(q)
@@ -314,9 +343,9 @@ class SequenceToDag(Reduction):
             seen_pairs.add(key)
             outdeg[u] += 1
         order = sorted(q.vertices, key=lambda v: -outdeg[v])
-        if q.edges != frozenset((a, b) for a, b in combinations(order, 2)):
+        if q.edges != frozenset(combinations(order, 2)):
             return None
-        return Sequence(order)
+        return Sequence._trusted(tuple(order))
 
 
 @dataclass(frozen=True)
@@ -388,6 +417,11 @@ class Composed(Reduction):
     def image_proxy(self):
         # chain images are in particular images of the final link
         return self.second.image_proxy
+
+    @property
+    def grow(self):
+        # the chain's source patterns are its first link's
+        return self.first.grow
 
     def forward(self, p):
         return self.second.forward(self.first.forward(p))

@@ -28,13 +28,33 @@ def test_itemset_as_set():
 @given(st.one_of(
     st.frozensets(st.integers(1, 10**6), max_size=8),
     st.frozensets(st.tuples(st.integers(1, 12), st.integers(1, 12)),
-                  max_size=8)))
-def test_trusted_itemset_equals_validated(labels):
+                  max_size=8)), st.data())
+def test_trusted_itemset_equals_validated(labels, data):
     want = Itemset(labels)
     got = Itemset._trusted(tuple(sorted(labels)))
     assert got == want and hash(got) == hash(want)
     assert got.items == want.items and repr(got) == repr(want)
     assert got.as_set() == want.as_set() == labels
+
+    events = tuple(data.draw(st.permutations(sorted(labels))))
+    want, got = Sequence(events), Sequence._trusted(events)
+    assert got == want and hash(got) == hash(want)
+    assert got.events == want.events and repr(got) == repr(want)
+
+    if not labels:
+        return
+    directed = data.draw(st.booleans())
+    # stored edges run smaller label first when undirected
+    pairs = [(u, v) for u in sorted(labels) for v in sorted(labels)
+             if u < v or (directed and u != v)]
+    edges = data.draw(st.frozensets(st.sampled_from(pairs))) if pairs \
+        else frozenset()
+    want = LabelledGraph(labels, edges, directed)
+    got = LabelledGraph._trusted(labels, edges, directed)
+    assert got == want and hash(got) == hash(want)
+    assert repr(got) == repr(want)
+    assert (got.vertices, got.edges, got.directed) == \
+           (want.vertices, want.edges, want.directed)
 
 
 @pytest.mark.parametrize("bad", [0, -1, True, "x", 1.5, (1,), (1, 2, 3),
@@ -71,6 +91,23 @@ def test_graph_rejects_self_loop():
 def test_graph_rejects_dangling_edge():
     with pytest.raises(PatternError):
         LabelledGraph(frozenset({1, 2}), frozenset({(1, 3)}))
+
+
+@pytest.mark.parametrize("vertices, edge", [
+    ({1, 2}, (True, 2)),            # equal to vertex 1, but not a label
+    ({1, 2}, (1.0, 2)),
+    ({1, 2}, (1, 0)),
+    ({1, 2}, (1, (1, 2))),          # mixed kinds
+    ({(1, 1), (1, 2)}, ((1, True), (1, 2))),
+    ({1, 2}, (2, 2)),               # self-loop
+    ({1, 2}, (1, 3)),               # outside the vertex set
+    ({1, 2}, (1, 2, 3)),
+    ({1, 2}, ([1], 2)),             # unhashable
+])
+def test_graph_rejects_bad_edges(vertices, edge):
+    for directed in (False, True):
+        with pytest.raises(PatternError):
+            LabelledGraph(frozenset(vertices), [edge], directed)
 
 
 def test_undirected_edges_normalized():

@@ -80,6 +80,25 @@ def test_graph_parse_errors():
     assert "line 1" in str(ei.value)
 
 
+@pytest.mark.parametrize("block, line", [
+    ("v 1\nv 2\ne 1 0\n", 5),             # label 0
+    ("v 1\nv 2\ne 1 1,2\n", 5),           # mixed kinds
+    ("v 1,1\nv 1,2\ne 1 1,2\n", 5),
+    ("v 1\nv 2\ne 2 2\n", 5),             # self-loop
+    ("v 1\nv 2\ne 1 3\n", 5),             # outside the vertex set
+    ("v 1\nv 2\ne 1 2 3\n", 8),           # three endpoints
+    ("v 1\nv 2\ne True 2\n", 8),
+    ("v 1\nv 2\ne 1.0 2\n", 8),
+])
+def test_graph_edge_errors_report_their_line(block, line):
+    # the first block is fine; a bad edge is reported at its block's
+    # "t" line, a bad edge line or token at its own line
+    text = "t # 0\nv 1\nv 2\ne 1 2\nt # 1\n" + block
+    with pytest.raises(ParseError) as ei:
+        mio.parse_graph_db(text)
+    assert ei.value.line == line
+
+
 def test_parse_database_dispatch_and_domain_check():
     assert mio.parse_database("1 2\n", ITEMSET).domain == ITEMSET
     assert mio.parse_database("1 2\n", SEQUENCE).domain == SEQUENCE

@@ -6,12 +6,14 @@ from hypothesis import given, settings, strategies as st
 from maxpat.core import graph_db, itemset_db
 from maxpat.domains import (
     DIGRAPH, ITEMSET, SEQUENCE, DAG, TREE,
-    Itemset, LabelledGraph, Sequence, pattern_leq, validate_class,
+    Itemset, LabelledGraph, Sequence, item_labels, pattern_leq,
+    validate_class,
 )
 from maxpat.errors import (
     DatabaseError, DomainMismatchError, NoPreimageError, PatternError,
 )
 from maxpat.feasibility import ALWAYS, And, CONNECTED_EDGES
+from maxpat.miner import mine_max_ffis
 from maxpat.oracle import oracle_max
 from maxpat.reductions import (
     REDUCTION_IDS, Composed, GraphToBoundedDegree, GraphToEdgeItemset,
@@ -158,6 +160,15 @@ def test_g2fis_inverse_needs_connectivity():
     assert r.inverse(Itemset({(1, 1), (2, 2)})) is None
 
 
+def test_g2fis_inverse_refuses_reversed_pairs():
+    # the image of the edge 1--2 holds (1, 2), never (2, 1)
+    r = GraphToEdgeItemset()
+    assert r.inverse(Itemset({(1, 1), (2, 2), (2, 1)})) is None
+    db = itemset_db([{(1, 1), (2, 2), (2, 1)}, {(1, 1), (2, 2), (1, 2)}])
+    res = mine_max_ffis(db, 1, r.induced_feasibility(ALWAYS))
+    assert res.maximal == (Itemset({(1, 1), (1, 2), (2, 2)}),)
+
+
 def test_dirg2fis():
     r = GraphToEdgeItemset(directed=True)
     arc = graph({1, 2}, {(2, 1)}, directed=True)
@@ -197,6 +208,20 @@ def test_seq2dag_frozen():
 def test_seq2dag_rejects_empty():
     with pytest.raises(PatternError):
         SequenceToDag().forward(Sequence([]))
+
+
+def test_seq2dag_grow_inserts_one_new_label_anywhere():
+    r = SequenceToDag()
+    assert sorted(q.events for q in r.grow(None, [2, 1])) == [(1,), (2,)]
+    grown = list(r.grow(Sequence([1, 2]), [1, 2, 3]))
+    assert sorted(q.events for q in grown) == [(1, 2, 3), (1, 3, 2),
+                                               (3, 1, 2)]
+    assert all(q == Sequence(q.events) for q in grown)
+    # a chain grows its first link's patterns, or nothing
+    chain = bind_reduction("compose:seq2dag,dirg2fis")
+    assert list(chain.grow(Sequence([1, 2]), [1, 2, 3])) == grown
+    assert bind_reduction("compose:fis2seq,seq2dag,dirg2fis").grow is None
+    assert GraphToEdgeItemset(directed=True).grow is None
 
 
 def test_seq2dag_inverse_rejects_non_tournaments():
@@ -313,6 +338,69 @@ def test_registry_round_trip(rid):
         image = reduce_database(r, db)
         assert invert_database(rid, image) == db
         assert bind_from_target(rid, image) == r
+
+
+def _near(rng, q):
+    """``q`` and the valid target patterns one edit away from it: an item,
+    edge or event dropped or reversed, one added, a sequence shuffled."""
+    if isinstance(q, LabelledGraph):
+        xs = sorted(q.vertices)
+    else:
+        xs = list(q.items if isinstance(q, Itemset) else q.events)
+    new = max(item_labels(xs), default=0) + 1
+    picks = range(1, new + 1)
+    if isinstance(q, Itemset):
+        make = Itemset
+        edits = [xs[:i] + xs[i + 1:] for i in range(len(xs))]
+        edits += [xs[:i] + [x[::-1]] + xs[i + 1:]
+                  for i, x in enumerate(xs) if isinstance(x, tuple)]
+        edits.append(xs + [(rng.choice(picks), rng.choice(picks))])
+    elif isinstance(q, Sequence):
+        make = Sequence
+        edits = [xs[:i] + xs[i + 1:] for i in range(len(xs))]
+        edits += [xs[:i] + [xs[i + 1], xs[i]] + xs[i + 2:]
+                  for i in range(len(xs) - 1)]
+        edits += [xs[::-1], rng.sample(xs, len(xs)), xs + [new], [new] + xs]
+    else:
+        def make(e):
+            return LabelledGraph(frozenset(e[0]), frozenset(e[1]), q.directed)
+        es = sorted(q.edges)
+        edits = [(xs, es[:i] + es[i + 1:]) for i in range(len(es))]
+        edits += [(xs, es[:i] + [e[::-1]] + es[i + 1:])
+                  for i, e in enumerate(es)]
+        edits += [([v for v in xs if v != w],
+                   [e for e in es if w not in e]) for w in xs]
+        edits.append((xs, es + [(rng.choice(xs), rng.choice(xs))]))
+        edits.append((xs + [new], es + [(rng.choice(xs), new)]))
+    out = [q]
+    for e in edits:
+        try:
+            out.append(make(e))
+        except PatternError:
+            pass  # not a pattern at all
+    return out
+
+
+@pytest.mark.parametrize("rid", REDUCTION_IDS + (
+    "compose:fis2seq,seq2dag,dirg2fis", "compose:fis2tree,g2bdg3,g2fis"))
+def test_inverse_is_none_off_the_image(rid):
+    """Guarantee 3 on images and on patterns one edit away from them:
+    inverse(q) is None or a pattern whose image is q itself."""
+    rng = random.Random(rid)
+    domain = bind_reduction(rid).source_domain
+    decoded = refused = 0
+    for _ in range(12):
+        kw = ({"allow_empty": "seq2dag" not in rid}
+              if domain in (ITEMSET, SEQUENCE) else {})
+        db = random_db(rng, domain, **kw)
+        r = bind_reduction(rid, db)
+        for t in db.transactions:
+            for q in _near(rng, r.forward(t)):
+                p = r.inverse(q)
+                assert p is None or r.forward(p) == q, (q, p)
+                decoded += p is not None
+                refused += p is None
+    assert decoded and refused
 
 
 def test_forward_rejects_wrong_domain():
