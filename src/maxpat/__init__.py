@@ -32,7 +32,7 @@ from .miner import (
 from .oracle import enumerate_patterns, oracle_all_feasible_frequent, oracle_max
 from .reductions import (
     REDUCTION_IDS, Composed, GraphToBoundedDegree, GraphToEdgeItemset,
-    Identity, ItemsetToSequence, ItemsetToStar, Reduction, SequenceToDag,
+    ItemsetToSequence, ItemsetToStar, Reduction, SequenceToDag,
     bind_from_target, bind_reduction, invert_database, lift_results,
     reduce_database,
 )
@@ -45,7 +45,7 @@ __all__ = [
     "DAG", "DIGRAPH", "DIRECTED", "Database", "DatabaseError",
     "DomainMismatchError", "ExtendError", "GENERAL", "GRAPH",
     "GraphClass", "GraphToBoundedDegree", "GraphToEdgeItemset",
-    "ITEMSET", "Identity", "Itemset", "ItemsetToSequence", "ItemsetToStar",
+    "ITEMSET", "Itemset", "ItemsetToSequence", "ItemsetToStar",
     "LabelledGraph", "LevelStats", "MaxpatError", "MiningResult",
     "NoPreimageError", "OracleGuardError", "ParseError", "PatternError",
     "PreimageExistsAnd", "REDUCTION_IDS", "Reduction", "ReductionIdError",

@@ -188,6 +188,45 @@ class LabelledGraph:
         return f"LabelledGraph([{vs}], [{es}])"
 
 
+def grow(domain, p, labels):
+    """Every ``domain`` pattern one element larger than ``p`` whose new
+    element uses a label of ``labels``, each once; the one-element patterns
+    when ``p`` is None.  An itemset gains one new item and a sequence one new
+    label at any position.  A graph gains one edge between two of its
+    vertices, or one edge to a new vertex, in either direction when directed
+    (so an arc may join its reverse).  The labels must be valid and of one
+    kind with ``p``'s: the patterns are built without checking them."""
+    if domain == ITEMSET:
+        have = p.items if p is not None else ()
+        for x in labels:
+            if x not in have:
+                yield Itemset._trusted(tuple(sorted(have + (x,))))
+    elif domain == SEQUENCE:
+        ev = p.events if p is not None else ()
+        for x in labels:
+            if x not in ev:
+                for i in range(len(ev) + 1):
+                    yield Sequence._trusted(ev[:i] + (x,) + ev[i:])
+    else:
+        directed = domain == DIGRAPH
+        if p is None:
+            for x in labels:
+                yield LabelledGraph._trusted(frozenset((x,)), frozenset(),
+                                             directed)
+            return
+        vs, es = p.vertices, p.edges
+        new = [x for x in labels if x not in vs]
+        ends = [(u, v) for u in vs for v in vs
+                if u != v and (directed or u < v)]
+        ends += [(u, x) for u in vs for x in new]
+        if directed:
+            ends += [(x, u) for u in vs for x in new]
+        for u, v in ends:
+            e = (u, v) if directed or u < v else (v, u)
+            if e not in es:
+                yield LabelledGraph._trusted(vs | {u, v}, es | {e}, directed)
+
+
 def connected_components(vertices, edges):
     """The connected components of the undirected view of ``edges`` over
     ``vertices``, as sets, found one at a time."""

@@ -12,15 +12,16 @@ describable in constant space:
 Each predicate carries a ``split_stable`` flag.  Split-stability means every
 feasible set of size m has feasible subsets of every smaller positive size,
 which is what licenses levelwise pruning even though connectivity is not
-anti-monotone.  The flag is conservative: conjunctions and preimage forms
-only claim it when every constituent does and the reduction declares its
-preimage set downward-reachable; otherwise the miner falls back to
-post-filtering, which is always sound.
+anti-monotone.  The flag is conservative: a conjunction claims it only when
+every constituent does, and a preimage predicate never does, since an
+encoding skips over sizes (a graph's image gains a marker and an edge at
+once).  Forced levelwise pruning is refused on a predicate without the
+flag; post-filtering is always sound.
 
-A predicate may also name a ``step_reduction``: a reduction that can grow
-its source patterns one element at a time, and among whose images lies
-every set the predicate accepts.  The miner then climbs through those
-images alone.
+A predicate may also name a ``step_reduction``: a reduction among whose
+images lies every set the predicate accepts.  Every preimage predicate
+names its reduction, and the miner then climbs through the images of
+source patterns grown one element at a time.
 """
 
 from dataclasses import dataclass
@@ -34,7 +35,6 @@ from .errors import DomainMismatchError
 @dataclass(frozen=True)
 class AlwaysTrue:
     split_stable = True
-    prune_proxy = None
     step_reduction = None
 
     def merge_hint(self, labels_a, labels_b):
@@ -44,7 +44,6 @@ class AlwaysTrue:
 @dataclass(frozen=True)
 class ConnectedEdgeItemset:
     split_stable = True
-    prune_proxy = None
     step_reduction = None
 
     def merge_hint(self, labels_a, labels_b):
@@ -58,22 +57,11 @@ class PreimageExistsAnd:
     reduction: object  # any Reduction; duck-typed to avoid an import cycle
     inner: object
 
-    @property
-    def split_stable(self):
-        return self.inner.split_stable and self.reduction.preimage_closed
-
-    @property
-    def prune_proxy(self):
-        # a split-stable family enclosing everything with a preimage; the
-        # miner may prune the climb with it and post-filter exactly
-        return getattr(self.reduction, "image_proxy", None)
+    split_stable = False
 
     @property
     def step_reduction(self):
-        # everything accepted is an image of the reduction, so when its
-        # source patterns can grow the miner may climb through its images
-        if getattr(self.reduction, "grow", None) is None:
-            return None
+        # everything accepted is an image of the reduction
         return self.reduction
 
     def merge_hint(self, labels_a, labels_b):
@@ -90,17 +78,6 @@ class And:
     @property
     def split_stable(self):
         return all(p.split_stable for p in self.parts)
-
-    @property
-    def prune_proxy(self):
-        # any one conjunct bounds the conjunction from above; a split-stable
-        # conjunct is its own best proxy
-        for p in self.parts:
-            if p.split_stable:
-                return p
-            if p.prune_proxy is not None:
-                return p.prune_proxy
-        return None
 
     @property
     def step_reduction(self):

@@ -39,7 +39,7 @@ from .errors import (
     DatabaseError, DomainMismatchError, NoPreimageError, PatternError,
     ReductionIdError,
 )
-from .feasibility import And, CONNECTED_EDGES, PreimageExistsAnd
+from .feasibility import PreimageExistsAnd
 
 
 class Reduction:
@@ -48,21 +48,8 @@ class Reduction:
     id = "?"
     source_domain = "?"
     target_domain = "?"
-    #: True when the set of target patterns having preimages is itself
-    #: split-stable, which lets a preimage predicate keep levelwise pruning.
-    preimage_closed = False
     #: narrowest graph class the images are known to land in, if any
     target_class: GraphClass | None = None
-    #: a split-stable predicate whose family encloses every target pattern
-    #: with a preimage, if one is known; lets the miner prune a climb that
-    #: will be post-filtered exactly
-    image_proxy = None
-    #: for a source domain whose patterns grow one element at a time,
-    #: ``grow(p, labels)`` yields every pattern one element larger than
-    #: ``p`` whose new element is a label of ``labels``, and ``grow(None,
-    #: labels)`` the one-element patterns; lets the miner climb through
-    #: images instead of through all itemsets (see ``miner``)
-    grow = None
 
     def forward(self, p):
         raise NotImplementedError
@@ -71,12 +58,13 @@ class Reduction:
         raise NotImplementedError
 
     def induced_feasibility(self, phi_source):
-        # the proxy encloses every decodable pattern, so it only lets the
-        # miner prune; the preimage test alone decides
-        exact = PreimageExistsAnd(self, phi_source)
-        if self.image_proxy is None:
-            return exact
-        return And((self.image_proxy, exact))
+        return PreimageExistsAnd(self, phi_source)
+
+    def source_labels(self, labels):
+        """The source labels that the target labels ``labels`` can stand
+        for: the alphabet a climb through images grows source patterns
+        from (see ``miner``)."""
+        return labels
 
     def _check_source(self, p):
         if pattern_domain(p) != self.source_domain:
@@ -117,6 +105,9 @@ class ItemsetToStar(Reduction):
                     f"item {x} collides with root label {self.root}")
         return LabelledGraph(frozenset(p.items) | {self.root},
                              frozenset((x, self.root) for x in p.items))
+
+    def source_labels(self, labels):
+        return frozenset(x for x in labels if x < self.root)
 
     def inverse(self, q: LabelledGraph):
         self._check_target(q)
@@ -194,6 +185,11 @@ class GraphToBoundedDegree(Reduction):
             edges.add((self._stop(a, b), self._stop(b, a)))
         return LabelledGraph(frozenset(vertices), frozenset(edges))
 
+    def source_labels(self, labels):
+        # each stop names the vertex whose path it lies on
+        return frozenset(self._unstop(x)[0] for x in labels
+                         if x <= self.n * self.n)
+
     def inverse(self, q: LabelledGraph):
         self._check_target(q)
         groups = {}
@@ -243,7 +239,6 @@ class GraphToEdgeItemset(Reduction):
 
     source_domain = GRAPH  # overridden per instance below
     target_domain = ITEMSET
-    image_proxy = CONNECTED_EDGES  # decodable itemsets spell connected graphs
 
     @property
     def id(self):
@@ -297,7 +292,7 @@ class SequenceToDag(Reduction):
     from the i-th event to the j-th for every i < j.  Inverts iff the graph
     is a transitive tournament (exactly one arc per vertex pair, acyclic);
     the empty sequence maps to no graph and is handled at the source level
-    by the miner.  Sequences grow by inserting one new label anywhere."""
+    by the miner."""
 
     id = "seq2dag"
     source_domain = SEQUENCE
@@ -313,21 +308,6 @@ class SequenceToDag(Reduction):
         return LabelledGraph._trusted(frozenset(p.events),
                                       frozenset(combinations(p.events, 2)),
                                       directed=True)
-
-    def grow(self, p, labels):
-        """Every sequence made by inserting a label of ``labels`` that ``p``
-        lacks at any of its ``len(p) + 1`` positions; the one-event
-        sequences when ``p`` is None.  The labels must be valid and of one
-        kind with ``p``'s: the sequences are built without checking them."""
-        if p is None:
-            for x in labels:
-                yield Sequence._trusted((x,))
-            return
-        ev = p.events
-        for x in labels:
-            if x not in ev:
-                for i in range(len(ev) + 1):
-                    yield Sequence._trusted(ev[:i] + (x,) + ev[i:])
 
     def inverse(self, q: LabelledGraph):
         self._check_target(q)
@@ -346,36 +326,6 @@ class SequenceToDag(Reduction):
         if q.edges != frozenset(combinations(order, 2)):
             return None
         return Sequence._trusted(tuple(order))
-
-
-@dataclass(frozen=True)
-class Identity(Reduction):
-    """The do-nothing reduction; mostly useful to exercise composition and
-    as the one honest case of a preimage-closed reduction."""
-
-    domain: str
-
-    preimage_closed = True
-
-    @property
-    def id(self):
-        return f"identity:{self.domain}"
-
-    @property
-    def source_domain(self):
-        return self.domain
-
-    @property
-    def target_domain(self):
-        return self.domain
-
-    def forward(self, p):
-        self._check_source(p)
-        return p
-
-    def inverse(self, q):
-        self._check_target(q)
-        return q
 
 
 @dataclass(frozen=True)
@@ -409,19 +359,8 @@ class Composed(Reduction):
     def target_class(self):
         return self.second.target_class
 
-    @property
-    def preimage_closed(self):
-        return self.first.preimage_closed and self.second.preimage_closed
-
-    @property
-    def image_proxy(self):
-        # chain images are in particular images of the final link
-        return self.second.image_proxy
-
-    @property
-    def grow(self):
-        # the chain's source patterns are its first link's
-        return self.first.grow
+    def source_labels(self, labels):
+        return self.first.source_labels(self.second.source_labels(labels))
 
     def forward(self, p):
         return self.second.forward(self.first.forward(p))

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import pytest
 
 from maxpat.cli import main, parse_graph_class, parse_phi
@@ -295,6 +298,33 @@ def test_out_of_memory_exits_five(capsys, monkeypatch, items_file):
     assert code == 5
     assert out == ""
     assert err.startswith("error:memory: Unable to allocate 27.4 GiB")
+
+
+_CAPPED_CLI = r'''
+import resource
+import sys
+
+cap = 384 * 2**20
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+from maxpat.cli import main
+
+sys.exit(main(sys.argv[1:]))
+'''
+
+
+def test_verify_collapse_chain_fits_in_memory():
+    # through the itemset -> star tree -> degree-3 graph chain, a climb over
+    # the frequent connected subsets of the encoding ran out of memory on
+    # this seed; the climb through grown itemsets counts a handful of sets
+    pytest.importorskip("resource")
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED_CLI, "verify", "--random", "30",
+         "--domain", "itemset", "--reduce", "compose:fis2tree,g2bdg3,g2fis",
+         "--seed", "3"],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr
+    assert proc.stdout.splitlines()[-1].startswith("ok:")
 
 
 def test_bad_flag_exits_one(capsys):

@@ -1,3 +1,6 @@
+import random
+from itertools import chain, combinations, permutations
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -5,11 +8,13 @@ from maxpat.domains import (
     DIGRAPH, GRAPH, ITEMSET, SEQUENCE,
     BOUNDED_DEGREE, DAG, DIRECTED, GENERAL, TREE,
     GraphClass, Itemset, LabelledGraph, Sequence,
-    canonical_key, is_acyclic, is_connected, item_labels, pattern_domain,
+    canonical_key, grow, is_acyclic, is_connected, item_labels,
+    pattern_domain,
     pattern_leq, pattern_size, undirected_degrees,
     validate_class,
 )
 from maxpat.errors import DomainMismatchError, PatternError
+from maxpat.synth import random_db
 
 ints = st.integers(min_value=1, max_value=9)
 int_sets = st.frozensets(ints, max_size=5)
@@ -244,3 +249,57 @@ def test_sequence_leq_transitive(a, b, c):
     p, q, r = Sequence(a), Sequence(b), Sequence(c)
     if pattern_leq(p, q) and pattern_leq(q, r):
         assert pattern_leq(p, r)
+
+
+def _one_larger(domain, p, alphabet):
+    """Brute force: every valid pattern one element larger than ``p`` (the
+    one-element patterns when ``p`` is None) whose new label, if it has
+    one, is in ``alphabet``; for graphs, the connected ones."""
+    if domain == ITEMSET:
+        base = p.items if p is not None else ()
+        return {Itemset(base + (x,)) for x in alphabet if x not in base}
+    if domain == SEQUENCE:
+        base = p.events if p is not None else ()
+        return {q for x in alphabet if x not in base
+                for q in map(Sequence, permutations(base + (x,)))
+                if p is None or pattern_leq(p, q)}
+    directed = domain == DIGRAPH
+    if p is None:
+        return {LabelledGraph({x}, (), directed) for x in alphabet}
+    out = set()
+    extra = [x for x in alphabet if x not in p.vertices]
+    for new in chain.from_iterable(combinations(extra, k) for k in range(3)):
+        vs = p.vertices | set(new)
+        pairs = (permutations(vs, 2) if directed
+                 else combinations(sorted(vs), 2))
+        for e in pairs:
+            if e not in p.edges:
+                q = LabelledGraph(vs, p.edges | {e}, directed)
+                if is_connected(q):
+                    out.add(q)
+    return out
+
+
+def _validated(q):
+    if isinstance(q, Itemset):
+        return Itemset(q.items)
+    if isinstance(q, Sequence):
+        return Sequence(q.events)
+    return LabelledGraph(q.vertices, q.edges, q.directed)
+
+
+@pytest.mark.parametrize("domain", [ITEMSET, SEQUENCE, GRAPH, DIGRAPH])
+def test_grow_yields_every_pattern_one_element_larger(domain):
+    rng = random.Random(17)
+    kw = {"acyclic": False} if domain == DIGRAPH else {}  # antiparallel arcs
+    for _ in range(30):
+        db = random_db(rng, domain, n_labels=5, n_txns=3, **kw)
+        alphabet = rng.sample(range(1, 6), rng.randint(0, 5))
+        for p in (None,) + db.transactions:
+            grown = list(grow(domain, p, alphabet))
+            assert len(grown) == len(set(grown)), (p, alphabet)
+            assert set(grown) == _one_larger(domain, p, alphabet), \
+                (p, alphabet)
+            for q in grown:
+                want = _validated(q)
+                assert q == want and repr(q) == repr(want)

@@ -9,7 +9,7 @@ from maxpat.feasibility import (
     ALWAYS, CONNECTED_EDGES, And, PreimageExistsAnd,
     connected_edge_itemset, describe, evaluate, item_labels,
 )
-from maxpat.reductions import GraphToEdgeItemset, Identity, ItemsetToSequence
+from maxpat.reductions import GraphToEdgeItemset, ItemsetToSequence
 
 
 def test_always():
@@ -77,18 +77,12 @@ def test_preimage_predicate():
     assert not evaluate(phi, Itemset([(1, 2)]))       # markers missing
     assert not evaluate(phi, Itemset([(1, 1), (2, 2)]))  # decodes disconnected
     assert not phi.split_stable  # the encoding skips over sizes
-    # without an image proxy the induced predicate is the bare preimage
-    # test, accepting exactly the images
+    # the induced predicate is the bare preimage test, accepting exactly
+    # the images
     seq = ItemsetToSequence().induced_feasibility(ALWAYS)
     assert isinstance(seq, PreimageExistsAnd)
     assert evaluate(seq, Sequence([1, 3]))
     assert not evaluate(seq, Sequence([3, 1]))
-
-
-def test_preimage_split_stable_via_identity():
-    phi = PreimageExistsAnd(Identity("itemset"), ALWAYS)
-    assert phi.split_stable
-    assert evaluate(phi, Itemset([1, 2]))
 
 
 def test_preimage_domain_check():
@@ -104,20 +98,9 @@ def test_and_combination():
     assert not phi.split_stable
 
 
-def test_prune_proxy_algebra():
-    assert ALWAYS.prune_proxy is None
-    assert CONNECTED_EDGES.prune_proxy is None
-    bare = PreimageExistsAnd(GraphToEdgeItemset(), ALWAYS)
-    assert bare.prune_proxy is CONNECTED_EDGES
-    assert PreimageExistsAnd(Identity("itemset"), ALWAYS).prune_proxy is None
-    # a split-stable conjunct is its own proxy for the whole conjunction
-    assert And((CONNECTED_EDGES, bare)).prune_proxy is CONNECTED_EDGES
-    assert And((bare,)).prune_proxy is CONNECTED_EDGES
-
-
 def test_prune_proxy_encloses_the_decodable_family():
-    """Everything the preimage predicate accepts must pass the proxy, or
-    pruning with it would be unsound."""
+    """Everything the preimage predicate accepts spells a connected graph,
+    so it also passes the connectivity predicate."""
     phi = PreimageExistsAnd(GraphToEdgeItemset(), ALWAYS)
     pool = [(1, 1), (2, 2), (3, 3), (1, 2), (2, 3), (1, 3)]
     for k in range(1, len(pool) + 1):

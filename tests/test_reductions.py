@@ -12,12 +12,12 @@ from maxpat.domains import (
 from maxpat.errors import (
     DatabaseError, DomainMismatchError, NoPreimageError, PatternError,
 )
-from maxpat.feasibility import ALWAYS, And, CONNECTED_EDGES
+from maxpat.feasibility import ALWAYS, PreimageExistsAnd
 from maxpat.miner import mine_max_ffis
 from maxpat.oracle import oracle_max
 from maxpat.reductions import (
     REDUCTION_IDS, Composed, GraphToBoundedDegree, GraphToEdgeItemset,
-    Identity, ItemsetToSequence, ItemsetToStar, SequenceToDag,
+    ItemsetToSequence, ItemsetToStar, SequenceToDag,
     bind_from_target, bind_reduction, invert_database, lift_results,
     reduce_database,
 )
@@ -187,8 +187,8 @@ def test_dirg2fis_opposing_pair_roundtrip():
 def test_g2fis_induced_feasibility_carries_connectivity():
     r = GraphToEdgeItemset()
     phi = r.induced_feasibility(ALWAYS)
-    assert isinstance(phi, And)
-    assert any(p is CONNECTED_EDGES for p in phi.parts)
+    assert phi == PreimageExistsAnd(r, ALWAYS)
+    assert phi.step_reduction is r
     assert not phi.split_stable
 
 
@@ -210,20 +210,6 @@ def test_seq2dag_rejects_empty():
         SequenceToDag().forward(Sequence([]))
 
 
-def test_seq2dag_grow_inserts_one_new_label_anywhere():
-    r = SequenceToDag()
-    assert sorted(q.events for q in r.grow(None, [2, 1])) == [(1,), (2,)]
-    grown = list(r.grow(Sequence([1, 2]), [1, 2, 3]))
-    assert sorted(q.events for q in grown) == [(1, 2, 3), (1, 3, 2),
-                                               (3, 1, 2)]
-    assert all(q == Sequence(q.events) for q in grown)
-    # a chain grows its first link's patterns, or nothing
-    chain = bind_reduction("compose:seq2dag,dirg2fis")
-    assert list(chain.grow(Sequence([1, 2]), [1, 2, 3])) == grown
-    assert bind_reduction("compose:fis2seq,seq2dag,dirg2fis").grow is None
-    assert GraphToEdgeItemset(directed=True).grow is None
-
-
 def test_seq2dag_inverse_rejects_non_tournaments():
     r = SequenceToDag()
     assert r.inverse(graph({1, 2, 3}, {(1, 2), (2, 3)}, directed=True)) is None
@@ -234,14 +220,6 @@ def test_seq2dag_inverse_rejects_non_tournaments():
 
 # ---------------------------------------------------------------------------
 # identity / composition plumbing
-
-def test_identity():
-    r = Identity(ITEMSET)
-    p = Itemset({1, 2})
-    assert r.forward(p) == p
-    assert r.inverse(p) == p
-    assert r.preimage_closed
-
 
 def test_composed_checks_domains():
     with pytest.raises(DomainMismatchError):
