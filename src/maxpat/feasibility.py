@@ -22,9 +22,18 @@ A predicate may also name a ``step_reduction``: a reduction among whose
 images lies every set the predicate accepts.  Every preimage predicate
 names its reduction, and the miner then climbs through the images of
 source patterns grown one element at a time.
+
+The join climb asks ``merge_hint(labels, a, b)`` once per level, for all
+pairs of surviving sets at once: ``labels`` holds each survivor's plain
+labels as a row of uint64 bitset words, and survivor ``a[i]`` pairs with
+``b[i]``.  The answer is a boolean per pair, or True for every pair; a
+False must mean that the union of the pair is infeasible.
 """
 
 from dataclasses import dataclass
+from functools import reduce
+
+import numpy as np
 
 from .domains import (
     Itemset, connected_components, item_labels, pattern_domain,
@@ -37,7 +46,7 @@ class AlwaysTrue:
     split_stable = True
     step_reduction = None
 
-    def merge_hint(self, labels_a, labels_b):
+    def merge_hint(self, labels, a, b):
         return True
 
 
@@ -46,10 +55,10 @@ class ConnectedEdgeItemset:
     split_stable = True
     step_reduction = None
 
-    def merge_hint(self, labels_a, labels_b):
+    def merge_hint(self, labels, a, b):
         # the union of two connected edge sets is connected iff their label
         # sets intersect, so disjoint pairs can be skipped wholesale
-        return not labels_a.isdisjoint(labels_b)
+        return (labels[a] & labels[b]).any(axis=1)
 
 
 @dataclass(frozen=True)
@@ -64,7 +73,7 @@ class PreimageExistsAnd:
         # everything accepted is an image of the reduction
         return self.reduction
 
-    def merge_hint(self, labels_a, labels_b):
+    def merge_hint(self, labels, a, b):
         return True
 
 
@@ -85,8 +94,9 @@ class And:
         return next((p.step_reduction for p in self.parts
                      if p.step_reduction is not None), None)
 
-    def merge_hint(self, labels_a, labels_b):
-        return all(p.merge_hint(labels_a, labels_b) for p in self.parts)
+    def merge_hint(self, labels, a, b):
+        return reduce(np.logical_and,
+                      (p.merge_hint(labels, a, b) for p in self.parts), True)
 
 
 ALWAYS = AlwaysTrue()

@@ -38,22 +38,29 @@ source labels a climb grows from are read off the items by the reduction
 (``source_labels``), since a link may relabel.
 
 Candidates of the join climb at level k are unions of two surviving
-(k-1)-sets sharing k-2 items.  Pairs are found by bucketing each survivor
-under its (k-2)-subsets, so a union is attempted once per shared subset and
-deduplicated.  The lexicographic prefix join familiar from unconstrained
-mining would be incomplete here: the two connected (k-1)-subsets that
-witness a connected k-set need not share a prefix (a three-edge path is the
-union of its two overlapping two-edge halves, which differ in their first
-item).  For the connectivity predicate a pair is skipped when the label
-sets are disjoint, which is exactly the cheap merge test that makes the
-union disconnected.
+(k-1)-sets sharing k-2 items, built a whole level at a time in numpy.  Each
+survivor enters once per column, as that column's item keyed by its other
+k-2 items; sorting the entries brings equal keys together in runs, and each
+pair of entries in a run is one union, the survivor of the first with the
+item of the second.  A k-set is built once per pair of its surviving
+(k-1)-subsets, so the unions are deduplicated as sorted rows, packed into
+int64 words several item indices to a word: first within each block of
+pairs, which keeps only its distinct unions and so bounds the memory, then
+across the level.  The lexicographic prefix join familiar from
+unconstrained mining would be incomplete here: the two connected
+(k-1)-subsets that witness a connected k-set need not share a prefix (a
+three-edge path is the union of its two overlapping two-edge halves, which
+differ in their first item).  The predicate's merge hint judges all pairs
+at once from bitsets of the survivors' labels; for connectivity a pair is
+skipped when the bitsets share no label, which is exactly when the union is
+disconnected.
 
 The climb runs on item indices.  Items are numbered once, in label order,
-so a candidate is a sorted tuple of ints that sorts exactly like the
-itemset it names, and the tidsets are packed in numpy from flat index
+so a candidate is a sorted row of ints, rows sort exactly like the
+itemsets they name, and the tidsets are packed in numpy from flat index
 arrays.  Labels are validated once, where the database is built; a labelled
-``Itemset`` is made, without checking its labels again, only where a
-predicate or the caller needs one.
+``Itemset`` is made, without checking its labels again, only for a frequent
+set, where a predicate or the caller needs one.
 
 Other domains are mined by encoding into itemsets through a reduction and
 lifting the results back; the empty itemset / sequence, which some chains
@@ -62,7 +69,7 @@ source level when nothing else is frequent.
 """
 
 from dataclasses import dataclass
-from itertools import chain, combinations, compress
+from itertools import chain, compress
 
 import numpy as np
 
@@ -114,22 +121,112 @@ def _tidsets(rows, n_items):
     return _kernels.pack_rows(items, rids, n_items, len(rows))
 
 
-def _generate(survivors, labels_of, phi):
-    """Next-level candidates: unions of survivor pairs sharing all but one
-    item, as sorted index tuples in ascending order."""
-    buckets = {}
-    for i, s in enumerate(survivors):
-        for j, x in enumerate(s):
-            buckets.setdefault(s[:j] + s[j + 1:], []).append((x, i))
-    out = set()
-    for shared, entries in buckets.items():
-        if len(entries) < 2:
-            continue
-        for (xa, ia), (xb, ib) in combinations(entries, 2):
-            if not phi.merge_hint(labels_of[ia], labels_of[ib]):
-                continue
-            out.add(tuple(sorted(shared + (xa, xb))))
-    return sorted(out)
+def _label_bitsets(items):
+    """One row of bitset words per item over the plain labels it touches.
+    The labels are numbered densely, in sorted order, so sparse labels cost
+    no more words than dense ones."""
+    per_item = [item_labels((x,)) for x in items]
+    code = {x: i for i, x in enumerate(sorted(frozenset().union(*per_item)))}
+    bits = [code[x] for labels in per_item for x in labels]
+    owners = np.repeat(np.arange(len(items), dtype=np.intp),
+                       [len(labels) for labels in per_item])
+    return _kernels.pack_rows(owners, bits, len(items), len(code))
+
+
+def _packing(n_items):
+    """Bits per item index below ``n_items``, and indices per int64 word."""
+    width = max(1, (n_items - 1).bit_length())
+    return width, 63 // width
+
+
+def _row_words(rows, n_items):
+    """The rows of an index matrix with entries below ``n_items``, packed
+    into int64 words, as many columns to a word as fit, first column
+    highest: equal rows pack equal, and sorting by the words in turn sorts
+    the rows lexicographically.  A matrix without columns packs to one
+    word of zeros."""
+    width, per_word = _packing(n_items)
+    words = []
+    for lo in range(0, max(1, rows.shape[1]), per_word):
+        w = np.zeros(len(rows), dtype=np.int64)
+        for col in rows.T[lo:lo + per_word]:
+            w <<= width
+            w |= col
+        words.append(w)
+    return words
+
+
+def _word_rows(words, k, n_items):
+    """The k-column index matrix that ``_row_words`` packed into
+    ``words``."""
+    width, per_word = _packing(n_items)
+    rows = np.empty((len(words[0]), k), dtype=np.intp)
+    for j in range(k):
+        w, c = divmod(j, per_word)
+        shift = width * (min(per_word, k - w * per_word) - 1 - c)
+        rows[:, j] = (words[w] >> shift) & ((1 << width) - 1)
+    return rows
+
+
+def _sort_words(words):
+    """The order that sorts rows packed by ``_row_words``, and for each
+    sorted position whether its row differs from the one before."""
+    order = np.lexsort(words[::-1])
+    ranked = [w[order] for w in words]
+    fresh = np.ones(len(order), dtype=bool)
+    fresh[1:] = ~np.logical_and.reduce([w[1:] == w[:-1] for w in ranked])
+    return order, fresh
+
+
+def _unique_words(words):
+    """The distinct packed rows, in ascending order."""
+    order, fresh = _sort_words(words)
+    return [w[order[fresh]] for w in words]
+
+
+def _generate(survivors, item_bits, phi):
+    """Next-level candidates: the sorted unions of survivor pairs sharing
+    all but one item, as the rows of an index matrix in ascending order.
+    ``survivors`` holds distinct sorted rows of item indices and
+    ``item_bits`` each item's labels (``_label_bitsets``)."""
+    n, m = survivors.shape
+    if n < 2:
+        return np.empty((0, m + 1), dtype=np.intp)
+    n_items = len(item_bits)
+    labels = np.bitwise_or.reduce(item_bits[survivors], axis=1)
+    # one entry per survivor and column: the column's item, keyed by the
+    # survivor's other items; equal keys sort into runs
+    keys = [np.concatenate(ws) for ws in zip(*(
+        _row_words(np.delete(survivors, j, axis=1), n_items)
+        for j in range(m)))]
+    order, fresh = _sort_words(keys)
+    owner = np.tile(np.arange(n, dtype=np.intp), m)[order]
+    dropped = survivors.T.ravel()[order]
+    # every entry pairs with each later entry of its run
+    starts = np.flatnonzero(fresh)
+    ends = np.append(starts[1:], len(order))
+    later = np.repeat(ends, ends - starts) - 1 - np.arange(len(order))
+    # blocks of entries whose unions fill about _BLOCK_BYTES each bound the
+    # intermediates; a block keeps only its distinct unions, packed
+    budget = max(1, _kernels._BLOCK_BYTES // (8 * (m + 1)))
+    pairs = np.cumsum(later)
+    cuts = np.unique(np.concatenate((
+        [0], np.searchsorted(pairs, np.arange(budget, pairs[-1], budget)),
+        [len(order)])))
+    blocks = []
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        count = later[lo:hi]
+        a = np.repeat(np.arange(lo, hi), count)
+        b = a + 1 + np.arange(len(a)) - np.repeat(np.cumsum(count) - count,
+                                                  count)
+        keep = phi.merge_hint(labels, owner[a], owner[b])
+        if not np.all(keep):
+            a, b = a[keep], b[keep]
+        cand = np.column_stack((survivors[owner[a]], dropped[b]))
+        cand.sort(axis=1)
+        blocks.append(_unique_words(_row_words(cand, n_items)))
+    words = _unique_words([np.concatenate(ws) for ws in zip(*blocks)])
+    return _word_rows(words, m + 1, n_items)
 
 
 def _grow_images(r, parents, labels, index):
@@ -212,29 +309,30 @@ def mine_max_ffis(db: Database, tau: int, phi=ALWAYS,
     index = {x: i for i, x in enumerate(items)}
     tidsets = _tidsets([[index[x] for x in t.items] for t in db.transactions],
                        len(items))
-    item_label_sets = [item_labels((x,)) for x in items]
 
     def itemset(s):
-        return Itemset._trusted(tuple(items[i] for i in s))
+        return Itemset._trusted(tuple(map(items.__getitem__, s)))
 
     if step is not None:
         labels = step.source_labels(item_labels(items))
         sources = _grow_images(step, [None], labels, index)
         current = list(sources)
     else:
-        current = [(i,) for i in range(len(items))]
+        item_bits = _label_bitsets(items)
+        current = np.arange(len(items), dtype=np.intp).reshape(-1, 1)
     stats = []
     collected = []
     level = 1
-    while current:
+    while len(current):
         if step is not None:
             # grown graphs image to sets of two sizes within a level
-            counts = _count_by_size(tidsets, current)
+            hit = _count_by_size(tidsets, current) >= tau
+            frequent = list(compress(current, hit))
         else:
-            counts = _kernels.count_supports(tidsets,
-                                             np.array(current, dtype=np.intp))
-        frequent = [current[i] for i in np.flatnonzero(counts >= tau)]
-        feasible = [s for s in frequent if evaluate(phi, itemset(s))]
+            hit = _kernels.count_supports(tidsets, current) >= tau
+            frequent = list(map(tuple, current[hit].tolist()))
+        ok = [evaluate(phi, itemset(s)) for s in frequent]
+        feasible = list(compress(frequent, ok))
         stats.append(LevelStats(level, len(current), len(frequent),
                                 len(feasible)))
         collected.extend(feasible)
@@ -248,10 +346,10 @@ def mine_max_ffis(db: Database, tau: int, phi=ALWAYS,
         # >= 2 keeps two one-smaller feasible subsets (drop a marker or a
         # leaf/cycle edge), so a climb through feasible sets never needs a
         # pruned join
-        survivors = feasible if prune else frequent
-        labels_of = [frozenset().union(*(item_label_sets[i] for i in s))
-                     for s in survivors]
-        current = _generate(survivors, labels_of, phi)
+        survivors = current[hit]
+        if prune:
+            survivors = survivors[np.array(ok, dtype=bool)]
+        current = _generate(survivors, item_bits, phi)
 
     if collected:
         maximal = [itemset(s) for s in _maximal_among(collected, len(items))]

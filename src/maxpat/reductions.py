@@ -120,7 +120,8 @@ class ItemsetToStar(Reduction):
             return None
         if q.edges != frozenset((x, self.root) for x in leaves):
             return None
-        return Itemset(leaves)
+        # the graph validated its labels, and these are ints below the root
+        return Itemset._trusted(tuple(sorted(leaves)))
 
 
 @dataclass(frozen=True)
@@ -134,13 +135,15 @@ class ItemsetToSequence(Reduction):
 
     def forward(self, p: Itemset) -> Sequence:
         self._check_source(p)
-        return Sequence(p.items)
+        # the items are distinct valid labels of one kind
+        return Sequence._trusted(p.items)
 
     def inverse(self, q: Sequence):
         self._check_target(q)
         ev = q.events
         if all(ev[i] < ev[i + 1] for i in range(len(ev) - 1)):
-            return Itemset(ev)
+            # distinct valid labels of one kind, and sorted
+            return Itemset._trusted(ev)
         return None
 
 
@@ -183,7 +186,10 @@ class GraphToBoundedDegree(Reduction):
                  for v in p.vertices for i in range(1, self.n)}
         for a, b in p.edges:
             edges.add((self._stop(a, b), self._stop(b, a)))
-        return LabelledGraph(frozenset(vertices), frozenset(edges))
+        # stops are positive ints, and every edge joins two of them smaller
+        # first: a path runs upwards, and for a < b the cross edge's stop
+        # (a-1)n + b lies below (b-1)n + a
+        return LabelledGraph._trusted(frozenset(vertices), frozenset(edges))
 
     def source_labels(self, labels):
         # each stop names the vertex whose path it lies on
@@ -216,7 +222,9 @@ class GraphToBoundedDegree(Reduction):
                       for a in groups for i in range(1, self.n)}
         if path_edges != want_paths:
             return None
-        g = LabelledGraph(frozenset(groups), frozenset(cross))
+        # the groups are positive ints, and every cross edge joins two of
+        # them, smaller first
+        g = LabelledGraph._trusted(frozenset(groups), frozenset(cross))
         return g if is_connected(g) else None
 
 

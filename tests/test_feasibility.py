@@ -1,5 +1,6 @@
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -52,16 +53,24 @@ def test_split_stability_is_real_not_just_a_flag():
 
 
 def test_mergeable_soundness_exhaustive():
-    """The connectivity merge hint, called on label sets as the miner calls
-    it, may only reject a pair whose union really is infeasible; checked
-    exhaustively for all pairs of connected sets over 4 labels."""
+    """The connectivity merge hint, asked as the join climb asks it (every
+    pair at once, over label bitsets), may only reject a pair whose union
+    really is infeasible, and accepts only pairs whose label sets
+    intersect; checked exhaustively for all pairs of connected sets over 4
+    labels."""
     pool = [(a, b) for a in range(1, 5) for b in range(a, 5)]
     sets = [frozenset(c) for k in (1, 2) for c in combinations(pool, k)
             if connected_edge_itemset(c)]
-    for a in sets:
-        for b in sets:
-            if not CONNECTED_EDGES.merge_hint(item_labels(a), item_labels(b)):
-                assert not connected_edge_itemset(a | b), (a, b)
+    labels = np.array([[sum(1 << (x - 1) for x in item_labels(s))]
+                       for s in sets], dtype=np.uint64)
+    a, b = (ix.ravel() for ix in np.indices((len(sets), len(sets))))
+    hint = CONNECTED_EDGES.merge_hint(labels, a, b)
+    assert hint.shape == a.shape
+    for i, j, ok in zip(a, b, hint):
+        if ok:
+            assert item_labels(sets[i]) & item_labels(sets[j]), (i, j)
+        else:
+            assert not connected_edge_itemset(sets[i] | sets[j]), (i, j)
 
 
 def test_item_labels():

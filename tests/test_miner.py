@@ -11,12 +11,12 @@ from hypothesis import given, settings, strategies as st
 from maxpat import _kernels, miner
 from maxpat.core import Database, graph_db, itemset_db, sequence_db, support
 from maxpat.domains import (
-    DIGRAPH, ITEMSET, Itemset, LabelledGraph, Sequence, pattern_leq,
-    pattern_size,
+    DIGRAPH, ITEMSET, Itemset, LabelledGraph, Sequence, item_labels,
+    pattern_leq, pattern_size,
 )
 from maxpat.errors import DomainMismatchError, ExtendError, PatternError
 from maxpat.feasibility import (
-    ALWAYS, CONNECTED_EDGES, PreimageExistsAnd, evaluate,
+    ALWAYS, CONNECTED_EDGES, And, PreimageExistsAnd, evaluate,
 )
 from maxpat.io import render_pattern
 from maxpat.miner import (
@@ -217,6 +217,88 @@ def test_step_climb_on_pair_itemsets_that_are_not_images():
                       PreimageExistsAnd(SequenceToDag(), ALWAYS))
 
 
+def _bucket_join(survivors, labels_of, hint):
+    """The join step as a per-pair loop, the reference for
+    ``miner._generate``: bucket each survivor under its (k-2)-subsets and
+    keep the sorted union of every pair in a bucket that ``hint`` passes."""
+    buckets = {}
+    for i, s in enumerate(survivors):
+        for j, x in enumerate(s):
+            buckets.setdefault(s[:j] + s[j + 1:], []).append((x, i))
+    out = set()
+    for shared, entries in buckets.items():
+        for (xa, ia), (xb, ib) in combinations(entries, 2):
+            if hint(labels_of[ia], labels_of[ib]):
+                out.add(tuple(sorted(shared + (xa, xb))))
+    return sorted(out)
+
+
+def _labels_meet(a, b):
+    return not a.isdisjoint(b)
+
+
+_HINTS = [(ALWAYS, lambda a, b: True),
+          (CONNECTED_EDGES, _labels_meet),
+          (And((ALWAYS, CONNECTED_EDGES)), _labels_meet)]
+
+
+def _join_families(rng):
+    """Item universes with families of distinct sorted index tuples of one
+    size: random subfamilies of sizes 1 to 6, which a pruned climb leaves
+    without some (k-1)-subsets of the sets they join into, edge cases, and
+    sizes 12 to 14 whose rows pack into two words."""
+    pairs = sorted({tuple(sorted(p)) for p in combinations(range(1, 8), 2)}
+                   | {(a, a) for a in range(1, 8)})
+    universes = [lambda n: sorted(rng.sample(range(1, 40), n)),
+                 lambda n: sorted(rng.sample(range(10**9 - 40, 10**9), n)),
+                 lambda n: sorted(rng.sample(pairs, n))]
+    for _ in range(240):
+        m = rng.randint(1, 6)
+        n_items = rng.randint(m + 1, m + 5)
+        keep = rng.choice((0.3, 0.6, 0.9))
+        fam = [c for c in combinations(range(n_items), m)
+               if rng.random() < keep]
+        yield rng.choice(universes)(n_items), m, fam
+    plain = list(range(1, 7))
+    for m in (1, 2, 3):
+        yield plain, m, []                                  # no survivor
+        yield plain, m, [tuple(range(m))]                   # one survivor
+    yield plain, 3, [(0, 1, 2), (3, 4, 5)]                  # runs of one
+    yield plain, 2, [(0, 1), (0, 2), (3, 4), (1, 5)]        # some of one
+    yield [(1, 2), (3, 4), (5, 6), (2, 3)], 1, [(0,), (1,), (2,), (3,)]
+    yield [10**9 - 1, 10**9, 10**9 + 1], 1, [(0,), (1,), (2,)]
+    # 20 items pack 12 to a word, so these keys or unions take two words
+    for m in (12, 13, 14):
+        pick = sorted(rng.sample(range(20), 15))
+        yield list(range(1, 21)), m, [c for c in combinations(pick, m)
+                                      if rng.random() < 0.6]
+
+
+@pytest.mark.parametrize("block_bytes", [None, 512])
+def test_generate_matches_bucket_join(block_bytes, monkeypatch):
+    """The array join builds the same candidate list as the per-pair
+    bucket join, order included, under every merge hint; with a tiny block
+    size every level is split into many blocks of a few pairs."""
+    if block_bytes is not None:
+        monkeypatch.setattr(_kernels, "_BLOCK_BYTES", block_bytes)
+    rng = random.Random(59)
+    unclosed = families = 0
+    for labels, m, fam in _join_families(rng):
+        survivors = np.array(fam, dtype=np.intp).reshape(-1, m)
+        item_bits = miner._label_bitsets(labels)
+        labels_of = [item_labels(labels[i] for i in s) for s in fam]
+        wants = [_bucket_join(fam, labels_of, hint) for _, hint in _HINTS]
+        for (phi, _), want in zip(_HINTS, wants):
+            got = miner._generate(survivors, item_bits, phi)
+            assert got.dtype == np.intp and got.shape[1] == m + 1
+            assert list(map(tuple, got.tolist())) == want, (labels, fam, phi)
+        members = set(fam)
+        families += 1
+        unclosed += any(c[:j] + c[j + 1:] not in members
+                        for c in wants[0] for j in range(m + 1))
+    assert unclosed > families // 2
+
+
 def test_constrained_candidates_never_exceed_unconstrained():
     rng = random.Random(29)
     for _ in range(25):
@@ -357,7 +439,10 @@ def test_miner_output_supports_match_definition(data):
 def pinned_instances():
     """Seeded small instances, one per mining path: plain itemsets, pair
     itemsets under connectivity, sequences through the order-dag chain and
-    graphs through the edge-itemset encoding."""
+    graphs through the edge-itemset encoding.  The trap instance is where
+    an Apriori check on the join climb would make the unconstrained climb
+    count fewer candidates at level 3 than the connectivity one, so its
+    rows fail loudly on any change to the candidate set."""
     rng = random.Random(3)
     items = itemset_db([rng.sample(range(1, 9), rng.randint(2, 6))
                         for _ in range(14)])
@@ -376,10 +461,15 @@ def pinned_instances():
               for i in range(1, len(vs))}
         es.add(tuple(sorted(rng.sample(vs, 2))))
         graphs.append(LabelledGraph(frozenset(vs), frozenset(es)))
-    return {"itemsets": (items, 3, ALWAYS),
-            "pairs": (pairs, 2, CONNECTED_EDGES),
-            "sequences": (seqs, 2, ALWAYS),
-            "graphs": (graph_db(graphs), 2, ALWAYS)}
+    trap = itemset_db([{(1, 3), (2, 3), (3, 4)}, {(1, 2), (2, 3)},
+                       {(1, 4), (3, 4)}, set()])
+    return {"itemsets": (items, 3, ALWAYS, "auto"),
+            "pairs": (pairs, 2, CONNECTED_EDGES, "auto"),
+            "sequences": (seqs, 2, ALWAYS, "auto"),
+            "graphs": (graph_db(graphs), 2, ALWAYS, "auto"),
+            "trap": (trap, 1, ALWAYS, "auto"),
+            "trap-levelwise": (trap, 1, CONNECTED_EDGES, "levelwise"),
+            "trap-postfilter": (trap, 1, CONNECTED_EDGES, "postfilter")}
 
 
 # (level, candidates, frequent, feasible) rows and rendered answers of the
@@ -406,13 +496,22 @@ PINNED = {
          (5, 8, 0, 0)],
         ["1 2 | 1~2", "1 3 5 6 | 1~5 3~6 5~6", "2 4 | 2~4", "2 5 | 2~5",
          "3 4 | 3~4", "4 6 | 4~6"]),
+    "trap": (
+        [(1, 5, 5, 5), (2, 10, 5, 5), (3, 5, 1, 1)],
+        ["{1,2 2,3}", "{1,3 2,3 3,4}", "{1,4 3,4}"]),
+    "trap-levelwise": (
+        [(1, 5, 5, 5), (2, 8, 5, 5), (3, 5, 1, 1)],
+        ["{1,2 2,3}", "{1,3 2,3 3,4}", "{1,4 3,4}"]),
+    "trap-postfilter": (
+        [(1, 5, 5, 5), (2, 8, 5, 5), (3, 5, 1, 1)],
+        ["{1,2 2,3}", "{1,3 2,3 3,4}", "{1,4 3,4}"]),
 }
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_level_tables_and_answers_are_pinned(name):
-    db, tau, phi = pinned_instances()[name]
-    res = mine(db, tau, phi)
+    db, tau, phi, mode = pinned_instances()[name]
+    res = mine(db, tau, phi, mode=mode)
     assert [(s.level, s.candidates, s.frequent, s.feasible_frequent)
             for s in res.stats] == PINNED[name][0]
     assert [render_pattern(p) for p in res.maximal] == PINNED[name][1]
@@ -452,29 +551,43 @@ print(json.dumps([sorted(p.items) for p in res.maximal]))
 '''
 
 
-def test_dense_maximality_filter_fits_in_memory():
-    # tens of thousands of frequent sets used to make the maximality filter
-    # broadcast them against each other and ask for gigabytes
+def _capped_mine(txns, tau):
     pytest.importorskip("resource")
-    rng = random.Random(7)
-    txns = [rng.sample(range(1, 19), 14) for _ in range(150)]
-    tau = 30
     proc = subprocess.run(
         [sys.executable, "-c", _CAPPED_MINE, json.dumps(txns), str(tau)],
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    got = sorted(json.loads(proc.stdout))
+    return sorted(json.loads(proc.stdout))
 
-    # exhaustive reference over all 2^18 subsets as bitmasks
-    masks = np.arange(1 << 18)
-    sup = np.zeros(1 << 18, dtype=np.int64)
+
+def _exhaustive_maximal(txns, n_labels, tau):
+    """The maximal frequent itemsets over labels 1..n_labels, from all
+    2^n_labels subsets as bitmasks."""
+    masks = np.arange(1 << n_labels)
+    sup = np.zeros(1 << n_labels, dtype=np.int64)
     for t in txns:
         tm = sum(1 << (x - 1) for x in t)
         sup += (masks & tm) == masks
     frequent = sup >= tau
     maximal = frequent.copy()
-    for b in range(18):
+    for b in range(n_labels):
         maximal &= ~(frequent[masks | (1 << b)] & (masks >> b & 1 == 0))
-    want = sorted([b + 1 for b in range(18) if m >> b & 1]
+    return sorted([b + 1 for b in range(n_labels) if m >> b & 1]
                   for m in np.flatnonzero(maximal))
-    assert got == want
+
+
+def test_dense_maximality_filter_fits_in_memory():
+    # tens of thousands of frequent sets used to make the maximality filter
+    # broadcast them against each other and ask for gigabytes
+    rng = random.Random(7)
+    txns = [rng.sample(range(1, 19), 14) for _ in range(150)]
+    assert _capped_mine(txns, 30) == _exhaustive_maximal(txns, 18, 30)
+
+
+def test_dense_join_climb_fits_in_memory():
+    # the itemsets-dense shape: the join climb builds about 1.2 million
+    # unions for 111 thousand candidates, so it has to expand its pairs a
+    # block at a time
+    rng = random.Random(11)
+    txns = [rng.sample(range(1, 21), 15) for _ in range(300)]
+    assert _capped_mine(txns, 40) == _exhaustive_maximal(txns, 20, 40)

@@ -381,6 +381,38 @@ def test_inverse_is_none_off_the_image(rid):
     assert decoded and refused
 
 
+def _revalidated(p):
+    """``p`` built again from its fields by the validating constructor."""
+    if isinstance(p, Itemset):
+        return Itemset(p.items)
+    if isinstance(p, Sequence):
+        return Sequence(p.events)
+    return LabelledGraph(p.vertices, p.edges, p.directed)
+
+
+@pytest.mark.parametrize("rid", ["fis2tree", "fis2seq", "g2bdg3"])
+def test_unvalidated_results_equal_validated_construction(rid):
+    """These maps build their results without validating them again, from
+    patterns that were validated: every image, and every preimage of a
+    pattern one edit away from an image, must equal its validating
+    construction, with equal hash and repr."""
+    rng = random.Random(rid)
+    checked = 0
+    for _ in range(12):
+        db = random_db(rng, bind_reduction(rid).source_domain)
+        r = bind_reduction(rid, db)
+        for t in db.transactions:
+            image = r.forward(t)
+            for x in [image, *map(r.inverse, _near(rng, image))]:
+                if x is None:
+                    continue
+                want = _revalidated(x)
+                assert x == want and hash(x) == hash(want), x
+                assert repr(x) == repr(want)
+                checked += 1
+    assert checked > 50
+
+
 def test_forward_rejects_wrong_domain():
     with pytest.raises(DomainMismatchError):
         ItemsetToSequence().forward(Sequence([1]))
