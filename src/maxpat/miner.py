@@ -56,11 +56,15 @@ skipped when the bitsets share no label, which is exactly when the union is
 disconnected.
 
 The climb runs on item indices.  Items are numbered once, in label order,
-so a candidate is a sorted row of ints, rows sort exactly like the
-itemsets they name, and the tidsets are packed in numpy from flat index
-arrays.  Labels are validated once, where the database is built; a labelled
-``Itemset`` is made, without checking its labels again, only for a frequent
-set, where a predicate or the caller needs one.
+so a candidate is a sorted row of ints and rows sort exactly like the
+itemsets they name.  Numbering and packing are one flat pass over the
+transactions: their items are chained into one list, the distinct items
+sorted, every entry of the list mapped to its index into one array, and
+that array packed into tidsets with the row ids repeated along it.  The
+maximality filter packs the collected sets with the same helper.  Labels
+are validated once, where the database is built; a labelled ``Itemset`` is
+made, without checking its labels again, only for a frequent set, where a
+predicate or the caller needs one.
 
 Other domains are mined by encoding into itemsets through a reduction and
 lifting the results back; the empty itemset / sequence, which some chains
@@ -111,14 +115,13 @@ class MiningResult:
     phi: str
 
 
-def _tidsets(rows, n_items):
-    """One bitset per item index over ``rows``, each a run of item indices:
-    bit r of item i is set when row r contains i."""
+def _tidsets(rows, flat, n_items):
+    """One bitset per item index over ``rows``, runs of items whose indices
+    ``flat`` lists end to end: bit r of item i is set when row r contains
+    i."""
     lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
-    items = np.fromiter(chain.from_iterable(rows), dtype=np.intp,
-                        count=int(lengths.sum()))
     rids = np.repeat(np.arange(len(rows), dtype=np.intp), lengths)
-    return _kernels.pack_rows(items, rids, n_items, len(rows))
+    return _kernels.pack_rows(flat, rids, n_items, len(rows))
 
 
 def _label_bitsets(items):
@@ -262,7 +265,8 @@ def _maximal_among(collected, n_items):
     sets are distinct, so a set is maximal iff the only collected set
     containing it is itself; containment is counted like support, with the
     collected sets in place of the transactions."""
-    counts = _count_by_size(_tidsets(collected, n_items), collected)
+    flat = np.fromiter(chain.from_iterable(collected), dtype=np.intp)
+    counts = _count_by_size(_tidsets(collected, flat, n_items), collected)
     return list(compress(collected, counts == 1))
 
 
@@ -304,10 +308,14 @@ def mine_max_ffis(db: Database, tau: int, phi=ALWAYS,
         step = None  # accepts no itemset at all, which evaluate reports
     prune = phi.split_stable if mode == "auto" else (mode == "levelwise")
 
-    # index order is label order, so index tuples sort like their itemsets
-    items = sorted({x for t in db.transactions for x in t.items})
+    # one flat pass numbers the items and packs their tidsets; index order
+    # is label order, so index tuples sort like their itemsets
+    rows = [t.items for t in db.transactions]
+    flat = list(chain.from_iterable(rows))
+    items = sorted(set(flat))
     index = {x: i for i, x in enumerate(items)}
-    tidsets = _tidsets([[index[x] for x in t.items] for t in db.transactions],
+    tidsets = _tidsets(rows, np.fromiter(map(index.__getitem__, flat),
+                                         dtype=np.intp, count=len(flat)),
                        len(items))
 
     def itemset(s):

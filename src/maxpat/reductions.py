@@ -228,6 +228,24 @@ class GraphToBoundedDegree(Reduction):
         return g if is_connected(g) else None
 
 
+class _Markers(dict):
+    """The marker pair (v, v) of each label, made once and then shared by
+    every edge itemset that holds it.  A fresh pair for each vertex of each
+    graph would be most of the objects that encoding a graph database
+    allocates, and so most of what sets off the garbage collector.  The
+    pairs are immutable, so sharing them changes no result; the table is
+    emptied when it reaches 2**16 labels, so it stays small."""
+
+    def __missing__(self, v):
+        if len(self) >= 1 << 16:
+            self.clear()
+        self[v] = marker = (v, v)
+        return marker
+
+
+_MARKERS = _Markers()
+
+
 @dataclass(frozen=True)
 class GraphToEdgeItemset(Reduction):
     """Graph -> itemset of label pairs: one reflexive marker pair (v, v) per
@@ -263,8 +281,8 @@ class GraphToEdgeItemset(Reduction):
                 raise PatternError(f"{self.id} needs plain int labels, got {v!r}")
         # the graph validated its labels and edges, and markers never
         # collide with edges since self-loops are rejected
-        return Itemset._trusted(
-            tuple(sorted([(v, v) for v in p.vertices] + list(p.edges))))
+        return Itemset._trusted(tuple(sorted(
+            [*map(_MARKERS.__getitem__, p.vertices), *p.edges])))
 
     def inverse(self, q: Itemset):
         self._check_target(q)
@@ -384,18 +402,24 @@ class Composed(Reduction):
 # database-level application
 
 def reduce_database(r: Reduction, db: Database) -> Database:
-    """Apply ``r`` to every transaction.  A transaction the map rejects
-    (wrong labels, empty sequence, ...) raises with its index."""
+    """Apply ``r`` to every transaction.  Each distinct transaction is
+    mapped once, and equal transactions share its one (immutable) image.  A
+    transaction the map rejects (wrong labels, empty sequence, ...) raises
+    with the index where it first occurs."""
     if db.domain != r.source_domain:
         raise DomainMismatchError(
             f"{r.id} reduces {r.source_domain} databases, got {db.domain}")
-    images = []
+    images = {}
+    out = []
     for i, t in enumerate(db.transactions):
-        try:
-            images.append(r.forward(t))
-        except (PatternError, DomainMismatchError) as e:
-            raise DatabaseError(f"cannot reduce: {e}", i) from e
-    return Database(r.target_domain, tuple(images), r.target_class)
+        q = images.get(t)
+        if q is None:
+            try:
+                q = images[t] = r.forward(t)
+            except (PatternError, DomainMismatchError) as e:
+                raise DatabaseError(f"cannot reduce: {e}", i) from e
+        out.append(q)
+    return Database(r.target_domain, tuple(out), r.target_class)
 
 
 def lift_results(r: Reduction, results) -> tuple:

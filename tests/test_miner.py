@@ -2,7 +2,7 @@ import json
 import random
 import subprocess
 import sys
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 import pytest
@@ -25,8 +25,8 @@ from maxpat.miner import (
 )
 from maxpat.oracle import oracle_max
 from maxpat.reductions import (
-    ItemsetToSequence, ItemsetToStar, SequenceToDag, bind_reduction,
-    lift_results, reduce_database,
+    GraphToEdgeItemset, ItemsetToSequence, ItemsetToStar, SequenceToDag,
+    bind_reduction, lift_results, reduce_database,
 )
 from maxpat.synth import (
     random_graph_db, random_itemset_db, random_sequence_db,
@@ -533,6 +533,63 @@ def test_benchmark_wrap_points_are_called(monkeypatch):
                                  frozenset({(1, 2), (2, 3)}))] * 2)
     assert mine(db, 2).maximal == db.transactions[:1]
     assert calls == {name for _, name in targets}
+
+    # perfbench reads Σ len(image) over the reduced transactions as the
+    # encoded size; equal graphs share one image but still count once each
+    reduced = []
+
+    def recorded(*args, _fn=miner.reduce_database):
+        reduced.append(_fn(*args))
+        return reduced[-1]
+    monkeypatch.setattr(miner, "reduce_database", recorded)
+    rng = random.Random(4)
+    pool = random_graph_db(rng, n_txns=4).transactions
+    dup = graph_db([LabelledGraph(g.vertices, g.edges)
+                    for g in rng.choices(pool, k=30)])
+    mine(dup, 3)
+    r = GraphToEdgeItemset()
+    assert len(set(dup)) < len(reduced[0]) == len(dup)
+    assert (sum(len(t) for t in reduced[0].transactions)
+            == sum(len(r.forward(t)) for t in dup))
+
+
+def _nested_tidsets(db):
+    """The tidsets as the miner packed them before the flat pass, the
+    reference for it: items numbered in label order, a nested list of
+    index lists per transaction, flattened again."""
+    items = sorted({x for t in db.transactions for x in t.items})
+    index = {x: i for i, x in enumerate(items)}
+    rows = [[index[x] for x in t.items] for t in db.transactions]
+    lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+    flat = np.fromiter(chain.from_iterable(rows), dtype=np.intp,
+                       count=int(lengths.sum()))
+    rids = np.repeat(np.arange(len(rows), dtype=np.intp), lengths)
+    return _kernels.pack_rows(flat, rids, len(items), len(rows))
+
+
+_WIDE = random.Random(11)
+
+
+@pytest.mark.parametrize("txns", [
+    [{1, 5, 9}, {5}, {2, 9}, {1, 2, 5, 9}],
+    [{(1, 1), (1, 2), (2, 2)}, {(2, 2)}, {(1, 2), (2, 3)}, {(3, 3)}],
+    [{3, 4}, set(), {4}],
+    [],
+    # 70 transactions over up to 100 labels: two words per tidset
+    [_WIDE.sample(range(1, 101), _WIDE.randint(0, 5)) for _ in range(70)],
+], ids=["plain", "pairs", "empty-transaction", "empty-database", "wide"])
+def test_flat_packing_matches_nested_construction(txns, monkeypatch):
+    packed = []
+
+    def recorded(*args, _fn=miner._tidsets):
+        packed.append(_fn(*args))
+        return packed[-1]
+    monkeypatch.setattr(miner, "_tidsets", recorded)
+    db = itemset_db(txns)
+    mine_max_ffis(db, 1)
+    want = _nested_tidsets(db)
+    assert packed[0].dtype == want.dtype
+    assert packed[0].shape == want.shape and np.array_equal(packed[0], want)
 
 
 _CAPPED_MINE = r'''

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from maxpat.core import graph_db, itemset_db
+from maxpat.core import Database, graph_db, itemset_db
 from maxpat.domains import (
     DIGRAPH, ITEMSET, SEQUENCE, DAG, TREE,
     Itemset, LabelledGraph, Sequence, item_labels, pattern_leq,
@@ -256,6 +256,53 @@ def test_reduce_database_wraps_transaction_errors():
     assert "transaction 1" in str(ei.value)
 
 
+def _with_repeats(rng, db, n_txns=40):
+    """``n_txns`` transactions drawn from ``db`` with replacement, each one
+    rebuilt so that equal transactions are distinct objects."""
+    return Database(db.domain, tuple(_revalidated(rng.choice(db.transactions))
+                                     for _ in range(n_txns)))
+
+
+@pytest.mark.parametrize("rid", ["g2fis", "dirg2fis", "seq2dag",
+                                 "compose:seq2dag,dirg2fis", "fis2tree"])
+def test_reduce_database_maps_each_distinct_transaction_once(rid):
+    """The image database equals the validating per-transaction
+    construction, and equal transactions share one image."""
+    rng = random.Random(rid)
+    domain = bind_reduction(rid).source_domain
+    kw = {"allow_empty": False} if domain == SEQUENCE else {}
+    shared = 0
+    for _ in range(8):
+        db = _with_repeats(rng, random_db(rng, domain, n_txns=6, **kw))
+        r = bind_reduction(rid, db)
+        got = reduce_database(r, db)
+        want = Database(r.target_domain,
+                        tuple(r.forward(t) for t in db), r.target_class)
+        assert got == want
+        first = {}
+        for t, image in zip(db, got.transactions):
+            assert first.setdefault(t, image) is image
+        assert len({id(x) for x in got.transactions}) == len(set(db))
+        shared += len(db) - len(set(db))
+    assert shared > 100
+
+
+@pytest.mark.parametrize("rid, txns, first", [
+    ("g2fis", [graph({(1, 2)}, set()), graph({(1, 2), (2, 3)},
+                                             {((1, 2), (2, 3))}),
+               graph({(1, 2)}, set())], 0),
+    ("seq2dag", [Sequence([1, 2]), Sequence(), Sequence([2]), Sequence(),
+                 Sequence()], 1),
+])
+def test_reduce_database_reports_a_repeated_rejection_at_its_first_index(
+        rid, txns, first):
+    r = bind_reduction(rid)
+    db = Database(r.source_domain, tuple(txns))
+    with pytest.raises(DatabaseError) as ei:
+        reduce_database(r, db)
+    assert ei.value.index == first
+
+
 def test_reduce_database_tags_target_class():
     r = ItemsetToStar(5)
     enc = reduce_database(r, itemset_db([{1, 2}]))
@@ -481,6 +528,33 @@ def test_edge_itemset_forward_equals_validated_construction(pyr, directed):
     got = r.forward(g)
     assert got == want and got.items == want.items
     assert hash(got) == hash(want)
+
+
+@pytest.mark.parametrize("g, items", [
+    (graph({4, 1, 3, 2}, {(1, 2), (2, 3), (1, 3), (3, 4)}),
+     ((1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3), (3, 4), (4, 4))),
+    # both arcs of a pair
+    (graph({1, 2, 3}, {(1, 2), (2, 1), (2, 3)}, directed=True),
+     ((1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 3))),
+    # arcs into smaller labels sort before their source's own marker
+    (graph({1, 2, 3}, {(3, 1), (3, 2), (2, 1)}, directed=True),
+     ((1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3))),
+    (graph({5, 9}, {(9, 5), (5, 9)}, directed=True),
+     ((5, 5), (5, 9), (9, 5), (9, 9))),
+])
+def test_edge_itemset_forward_frozen_against_validated_construction(g, items):
+    r = GraphToEdgeItemset(directed=g.directed)
+    got = r.forward(g)
+    want = Itemset([(v, v) for v in g.vertices] + list(g.edges))
+    assert got.items == want.items == items
+    assert got == want and hash(got) == hash(want)
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_edge_itemset_forward_rejects_pair_labels(directed):
+    g = graph({(1, 2), (2, 3)}, {((1, 2), (2, 3))}, directed=directed)
+    with pytest.raises(PatternError):
+        GraphToEdgeItemset(directed=directed).forward(g)
 
 
 # support transfer: supp(p, db) == supp(f(p), f(db)) for every reduction,
