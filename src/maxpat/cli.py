@@ -18,7 +18,7 @@ import re
 import sys
 
 from . import io as mio
-from .core import Database, check_tau, support
+from .core import Database, support
 from .domains import (
     BOUNDED_DEGREE, DAG, DIGRAPH, DIRECTED, GENERAL, GRAPH, ITEMSET,
     SEQUENCE, TREE, GraphClass, pattern_leq, validate_class,
@@ -64,14 +64,8 @@ _DOMAINS = (ITEMSET, SEQUENCE, GRAPH, DIGRAPH)
 
 
 def parse_graph_class(s: str) -> GraphClass:
-    if s == "tree":
-        return GraphClass(TREE)
-    if s == "general":
-        return GraphClass(GENERAL)
-    if s == "dag":
-        return GraphClass(DAG)
-    if s == "directed":
-        return GraphClass(DIRECTED)
+    if s in (TREE, GENERAL, DAG, DIRECTED):
+        return GraphClass(s)
     m = re.fullmatch(r"bdg:(\d+)", s)
     if m and int(m.group(1)) >= 1:
         return GraphClass(BOUNDED_DEGREE, int(m.group(1)))
@@ -105,7 +99,9 @@ def _resolve_tau(args, db: Database) -> int:
     if args.tau is not None and args.tau_frac is not None:
         raise _usage("--tau and --tau-frac are mutually exclusive")
     if args.tau is not None:
-        return check_tau(args.tau)
+        if args.tau < 1:
+            raise _usage(f"--tau must be a positive integer, got {args.tau}")
+        return args.tau
     if args.tau_frac is not None:
         if not 0 < args.tau_frac <= 1:
             raise _usage("--tau-frac must be in (0, 1]")
@@ -117,6 +113,9 @@ def _load(args) -> Database:
     if not args.input:
         raise _usage("--input is required")
     gc = parse_graph_class(args.graph_class) if args.graph_class else None
+    if gc is not None and args.domain != (DIGRAPH if gc.directed else GRAPH):
+        raise _usage(f"--class {gc} needs --domain "
+                     f"{DIGRAPH if gc.directed else GRAPH}")
     if args.format == "edges":
         if args.domain not in (GRAPH, DIGRAPH):
             raise _usage("--format edges needs --domain graph or digraph")
@@ -259,6 +258,18 @@ def _check_reduction_properties(chain, db: Database, rng, out,
     return True
 
 
+def _bind_chain(args, db: Database):
+    """The ``--reduce`` chain bound to ``db``, or None without one; a chain
+    that starts from another domain is a usage error."""
+    if not args.reduce:
+        return None
+    chain = bind_reduction(args.reduce, db)
+    if chain.source_domain != db.domain:
+        raise _usage(f"--reduce {args.reduce} starts from "
+                     f"{chain.source_domain}, not {db.domain}")
+    return chain
+
+
 def cmd_verify(args) -> int:
     import random
 
@@ -278,15 +289,11 @@ def cmd_verify(args) -> int:
             db = random_db(rng, args.domain, **kw)
             if not db.transactions:
                 continue
-            chain = bind_reduction(args.reduce, db) if args.reduce else None
-            if chain is not None:
-                if chain.source_domain != db.domain:
-                    raise _usage(f"--reduce {args.reduce} starts from "
-                                 f"{chain.source_domain}, not {db.domain}")
-                if not _check_reduction_properties(chain, db, rng,
-                                                   sys.stdout):
-                    _print_instance(n, args, db, 1, args.phi, sys.stdout)
-                    return 4
+            chain = _bind_chain(args, db)
+            if chain is not None and not _check_reduction_properties(
+                    chain, db, rng, sys.stdout):
+                _print_instance(n, args, db, 1, args.phi, sys.stdout)
+                return 4
             for tau in range(1, len(db.transactions) + 1):
                 phis = [ALWAYS]
                 if args.phi != "always":
@@ -305,13 +312,10 @@ def cmd_verify(args) -> int:
     db = _load(args)
     tau = _resolve_tau(args, db)
     phi = parse_phi(args.phi, db)
-    chain = bind_reduction(args.reduce, db) if args.reduce else None
-    if chain is not None:
-        if chain.source_domain != db.domain:
-            raise _usage(f"--reduce {args.reduce} starts from "
-                         f"{chain.source_domain}, not {db.domain}")
-        if not _check_reduction_properties(chain, db, rng, sys.stdout):
-            return 4
+    chain = _bind_chain(args, db)
+    if chain is not None and not _check_reduction_properties(
+            chain, db, rng, sys.stdout):
+        return 4
     if not _check_one(db, tau, phi, sys.stdout, chain):
         return 4
     print(f"ok: miner matches oracle (tau={tau})")

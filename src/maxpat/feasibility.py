@@ -9,19 +9,19 @@ describable in constant space:
                                 predicate holds on it
 * ``And``                    -- finite conjunction of the above
 
-Each predicate carries a ``split_stable`` flag.  Split-stability means every
-feasible set of size m has feasible subsets of every smaller positive size,
-which is what licenses levelwise pruning even though connectivity is not
-anti-monotone.  The flag is conservative: a conjunction claims it only when
-every constituent does, and a preimage predicate never does, since an
-encoding skips over sizes (a graph's image gains a marker and an edge at
-once).  Forced levelwise pruning is refused on a predicate without the
-flag; post-filtering is always sound.
+Each predicate carries its own behaviour: ``evaluate(p)``, ``describe()``,
+``merge_hint`` and ``step_reduction``.  The module functions ``evaluate``
+and ``describe`` are the entry points and refuse anything else.
 
-A predicate may also name a ``step_reduction``: a reduction among whose
-images lies every set the predicate accepts.  Every preimage predicate
-names its reduction, and the miner then climbs through the images of
-source patterns grown one element at a time.
+A predicate may name a ``step_reduction``: a reduction among whose images
+lies every set the predicate accepts.  Every preimage predicate names its
+reduction, and the miner then climbs through the images of source
+patterns grown one element at a time.  A predicate without a step
+reduction prunes the join climb, so it must be split-stable: every
+feasible set of size m has feasible subsets of every smaller positive
+size, which licenses levelwise pruning even though connectivity is not
+anti-monotone.  ``AlwaysTrue``, ``ConnectedEdgeItemset`` and conjunctions
+of them are the predicates without one, and all of them are.
 
 The join climb asks ``merge_hint(labels, a, b)`` once per level, for all
 pairs of surviving sets at once: ``labels`` holds each survivor's plain
@@ -35,15 +35,13 @@ from functools import reduce
 
 import numpy as np
 
-from .domains import (
-    Itemset, connected_components, item_labels, pattern_domain,
-)
+from .domains import Itemset, connected_components, item_labels, pattern_domain
 from .errors import DomainMismatchError
 
 
-@dataclass(frozen=True)
-class AlwaysTrue:
-    split_stable = True
+class Predicate:
+    """What the predicates share: no step reduction and no merge hint."""
+
     step_reduction = None
 
     def merge_hint(self, labels, a, b):
@@ -51,9 +49,27 @@ class AlwaysTrue:
 
 
 @dataclass(frozen=True)
-class ConnectedEdgeItemset:
-    split_stable = True
-    step_reduction = None
+class AlwaysTrue(Predicate):
+    def evaluate(self, p):
+        return True
+
+    def describe(self):
+        return "always"
+
+
+@dataclass(frozen=True)
+class ConnectedEdgeItemset(Predicate):
+    def evaluate(self, p):
+        if not isinstance(p, Itemset):
+            raise DomainMismatchError("connectivity feasibility expects an "
+                                      f"itemset, got {pattern_domain(p)}")
+        if p.items and not isinstance(p.items[0], tuple):
+            raise DomainMismatchError(
+                "connectivity feasibility expects label-pair items")
+        return connected_edge_itemset(p.items)
+
+    def describe(self):
+        return "connected-edges"
 
     def merge_hint(self, labels, a, b):
         # the union of two connected edge sets is connected iff their label
@@ -62,37 +78,47 @@ class ConnectedEdgeItemset:
 
 
 @dataclass(frozen=True)
-class PreimageExistsAnd:
+class PreimageExistsAnd(Predicate):
     reduction: object  # any Reduction; duck-typed to avoid an import cycle
     inner: object
-
-    split_stable = False
 
     @property
     def step_reduction(self):
         # everything accepted is an image of the reduction
         return self.reduction
 
-    def merge_hint(self, labels, a, b):
-        return True
+    def evaluate(self, p):
+        if pattern_domain(p) != self.reduction.target_domain:
+            raise DomainMismatchError(
+                f"predicate expects {self.reduction.target_domain} patterns, "
+                f"got {pattern_domain(p)}")
+        q = self.reduction.inverse(p)
+        return q is not None and evaluate(self.inner, q)
+
+    def describe(self):
+        if self.inner == ALWAYS:
+            return f"preimage({self.reduction.id})"
+        return f"preimage({self.reduction.id}, {describe(self.inner)})"
 
 
 @dataclass(frozen=True)
-class And:
+class And(Predicate):
     parts: tuple
 
     def __post_init__(self):
         object.__setattr__(self, "parts", tuple(self.parts))
 
     @property
-    def split_stable(self):
-        return all(p.split_stable for p in self.parts)
-
-    @property
     def step_reduction(self):
         # a conjunct's images enclose everything the conjunction accepts
         return next((p.step_reduction for p in self.parts
                      if p.step_reduction is not None), None)
+
+    def evaluate(self, p):
+        return all(evaluate(part, p) for part in self.parts)
+
+    def describe(self):
+        return "∧".join(describe(part) for part in self.parts)
 
     def merge_hint(self, labels, a, b):
         return reduce(np.logical_and,
@@ -116,44 +142,17 @@ def connected_edge_itemset(items) -> bool:
     return len(next(connected_components(labels, items))) == len(labels)
 
 
-def _require_pair_itemset(p):
-    if not isinstance(p, Itemset):
-        raise DomainMismatchError(
-            f"connectivity feasibility expects an itemset, got {pattern_domain(p)}")
-    if p.items and not isinstance(p.items[0], tuple):
-        raise DomainMismatchError(
-            "connectivity feasibility expects label-pair items")
+def _check(phi):
+    if not isinstance(phi, Predicate):
+        raise TypeError(f"not a feasibility predicate: {phi!r}")
+    return phi
 
 
 def evaluate(phi, p) -> bool:
     """Evaluate a feasibility predicate on a pattern of the matching domain."""
-    if isinstance(phi, AlwaysTrue):
-        return True
-    if isinstance(phi, ConnectedEdgeItemset):
-        _require_pair_itemset(p)
-        return connected_edge_itemset(p.items)
-    if isinstance(phi, PreimageExistsAnd):
-        if pattern_domain(p) != phi.reduction.target_domain:
-            raise DomainMismatchError(
-                f"predicate expects {phi.reduction.target_domain} patterns, "
-                f"got {pattern_domain(p)}")
-        q = phi.reduction.inverse(p)
-        return q is not None and evaluate(phi.inner, q)
-    if isinstance(phi, And):
-        return all(evaluate(part, p) for part in phi.parts)
-    raise TypeError(f"not a feasibility predicate: {phi!r}")
+    return _check(phi).evaluate(p)
 
 
 def describe(phi) -> str:
     """Render the textual descriptor used in CLI flags and mining results."""
-    if isinstance(phi, AlwaysTrue):
-        return "always"
-    if isinstance(phi, ConnectedEdgeItemset):
-        return "connected-edges"
-    if isinstance(phi, PreimageExistsAnd):
-        if isinstance(phi.inner, AlwaysTrue):
-            return f"preimage({phi.reduction.id})"
-        return f"preimage({phi.reduction.id}, {describe(phi.inner)})"
-    if isinstance(phi, And):
-        return "∧".join(describe(part) for part in phi.parts)
-    raise TypeError(f"not a feasibility predicate: {phi!r}")
+    return _check(phi).describe()

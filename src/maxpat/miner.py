@@ -1,19 +1,21 @@
 """Levelwise mining of maximal feasible frequent patterns.
 
 The itemset miner is a classic candidate-generate-and-count loop with
-vertical (tidset) support counting.  Feasibility is folded in one of three
-ways:
+vertical (tidset) support counting.  The predicate alone chooses the
+climb, by whether it names a ``step_reduction``:
 
-* step: a predicate that only accepts images of a reduction
-  (``step_reduction``, which every preimage predicate names) is climbed in
-  the reduction's source domain: the step climb below;
-* levelwise: split-stable predicates prune the join climb: only feasible
-  frequent sets survive a level and seed the next one, which can only
-  shrink the per-level candidate counts relative to an unconstrained run;
-* postfilter: the join climb runs frequency-only and the predicate filters
-  the frequent sets before maximality extraction, which is always sound
-  because the frequent sets are downward-closed and fully enumerated.  It
-  is chosen explicitly, as the reference the other two are checked against.
+* step: a predicate that only accepts images of a reduction (every
+  preimage predicate names its reduction) is climbed in the reduction's
+  source domain: the step climb below;
+* join: any other predicate is split-stable (see ``feasibility``) and
+  prunes the join climb: only feasible frequent sets survive a level and
+  seed the next one, which can only shrink the per-level candidate counts
+  relative to an unconstrained run.
+
+Mode "postfilter" is the reference the two are checked against: the join
+climb runs frequency-only and the predicate filters the frequent sets
+before maximality extraction, which is always sound because the frequent
+sets are downward-closed and fully enumerated.
 
 The step climb counts images only.  Level 1 holds the images of the
 one-element source patterns, and level k+1 the images of every pattern
@@ -86,11 +88,10 @@ from .domains import (
 from .errors import DomainMismatchError, ExtendError, PatternError
 from .feasibility import ALWAYS, describe, evaluate
 from .reductions import (
-    Composed, GraphToEdgeItemset, Reduction, SequenceToDag,
-    lift_results, reduce_database,
+    Reduction, bind_reduction, lift_results, reduce_database,
 )
 
-MODES = ("auto", "levelwise", "postfilter")
+MODES = ("auto", "postfilter")
 
 
 @dataclass(frozen=True)
@@ -286,12 +287,11 @@ def mine_max_ffis(db: Database, tau: int, phi=ALWAYS,
                   mode: str = "auto") -> MiningResult:
     """Mine an itemset database for its maximal feasible frequent itemsets.
 
-    ``mode`` selects the feasibility strategy: "auto" climbs through the
-    images of a reduction when the predicate names a ``step_reduction`` and
-    otherwise prunes levelwise when the predicate declares itself
-    split-stable; the explicit modes exist so the strategies can be compared.
-    Forcing "levelwise" on a predicate that does not claim split-stability
-    is refused, since the climb could then miss feasible sets.
+    In ``mode`` "auto" a predicate that names a ``step_reduction`` climbs
+    through the images of that reduction, and any other predicate prunes
+    the join climb.  "postfilter" runs the join climb on frequency alone
+    and filters at the end; it is the reference the climbs are checked
+    against.
     """
     check_tau(tau)
     if db.domain != ITEMSET:
@@ -299,14 +299,10 @@ def mine_max_ffis(db: Database, tau: int, phi=ALWAYS,
             f"the levelwise miner works on itemset databases, got {db.domain}")
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    if mode == "levelwise" and not phi.split_stable:
-        raise ValueError(
-            "levelwise pruning requires a split-stable predicate; "
-            "use mode='postfilter'")
-    step = phi.step_reduction if mode == "auto" else None
+    prune = mode == "auto"
+    step = phi.step_reduction if prune else None
     if step is not None and step.target_domain != ITEMSET:
         step = None  # accepts no itemset at all, which evaluate reports
-    prune = phi.split_stable if mode == "auto" else (mode == "levelwise")
 
     # one flat pass numbers the items and packs their tidsets; index order
     # is label order, so index tuples sort like their itemsets
@@ -414,9 +410,9 @@ def _empty_pattern(domain):
 
 #: the encoding ``mine`` climbs through, per non-itemset domain
 _ENCODINGS = {
-    GRAPH: GraphToEdgeItemset(directed=False),
-    DIGRAPH: GraphToEdgeItemset(directed=True),
-    SEQUENCE: Composed(SequenceToDag(), GraphToEdgeItemset(directed=True)),
+    GRAPH: bind_reduction("g2fis"),
+    DIGRAPH: bind_reduction("dirg2fis"),
+    SEQUENCE: bind_reduction("compose:seq2dag,dirg2fis"),
 }
 
 
@@ -430,17 +426,16 @@ def mine(db: Database, tau: int, phi=ALWAYS,
     return mine_via_reduction(_ENCODINGS[db.domain], db, tau, phi, mode=mode)
 
 
-def count_maximal(db: Database, tau: int, phi=ALWAYS,
-                  mode: str = "auto") -> int:
-    return len(mine(db, tau, phi, mode=mode).maximal)
+def count_maximal(db: Database, tau: int, phi=ALWAYS) -> int:
+    return len(mine(db, tau, phi).maximal)
 
 
-def extend(db: Database, tau: int, phi, known, mode: str = "auto"):
+def extend(db: Database, tau: int, phi, known):
     """The canonically smallest maximal pattern outside ``known``, or None
     once ``known`` covers everything.  ``known`` must consist of maximal
     patterns of this instance; anything else is the caller holding the API
     wrong and raises."""
-    result = mine(db, tau, phi, mode=mode)
+    result = mine(db, tau, phi)
     maximal = set(result.maximal)
     known = set(known)
     bad = known - maximal
@@ -451,15 +446,14 @@ def extend(db: Database, tau: int, phi, known, mode: str = "auto"):
     return rest[0] if rest else None
 
 
-def extendible(db: Database, tau: int, phi, known, mode: str = "auto") -> bool:
-    return extend(db, tau, phi, known, mode=mode) is not None
+def extendible(db: Database, tau: int, phi, known) -> bool:
+    return extend(db, tau, phi, known) is not None
 
 
-def extendible_k(db: Database, tau: int, phi, known, k: int,
-                 mode: str = "auto") -> bool:
+def extendible_k(db: Database, tau: int, phi, known, k: int) -> bool:
     """Bounded variant: only meaningful while fewer than ``k`` maximal
     patterns are known."""
     known = tuple(known)
     if len(known) >= k:
         raise ExtendError(f"extendible_k needs |known| < k, got {len(known)} >= {k}")
-    return extendible(db, tau, phi, known, mode=mode)
+    return extendible(db, tau, phi, known)

@@ -270,7 +270,7 @@ def test_criterion_4_pruning_guarantees(capfd):
                                n_txns=rng.randint(1, 6), max_items=4,
                                pair_items=True)
         for tau in range(1, len(db.transactions) + 1):
-            pruned = mine_max_ffis(db, tau, CONNECTED_EDGES, mode="levelwise")
+            pruned = mine_max_ffis(db, tau, CONNECTED_EDGES, mode="auto")
             plain = mine_max_ffis(db, tau, ALWAYS)
             for s_con, s_unc in zip(pruned.stats, plain.stats):
                 assert s_con.candidates <= s_unc.candidates, (db, tau)
@@ -425,7 +425,7 @@ def transcript(batch):
             out.append(f"== pair {i} tau {tau}")
             out.append(render_result(res))
             out.append(render_result(mine(db, tau, CONNECTED_EDGES,
-                                          mode="levelwise")))
+                                          mode="auto")))
     for rid in RIDS:
         src = srcs[rid]
         r = bind_reduction(rid, src)

@@ -272,11 +272,24 @@ def test_exit_code_parse_error(capsys, tmp_path):
     assert err.startswith("error:parse:")
 
 
-def test_exit_code_missing_tau(capsys, items_file):
-    code, _, err = run(capsys, ["mine", "--input", items_file,
-                                "--domain", "itemset"])
+@pytest.mark.parametrize("cmd", ["mine", "oracle", "stats", "verify"])
+@pytest.mark.parametrize("extra", [
+    [],
+    ["--tau", "0"],
+    ["--tau", "-2"],
+    ["--tau", "1", "--domain", "graph", "--class", "dag"],
+    ["--tau", "1", "--domain", "digraph", "--class", "tree"],
+    ["--tau", "1", "--domain", "itemset", "--class", "tree"],
+], ids=["no-tau", "tau-0", "tau-negative", "graph-class-dag",
+        "digraph-class-tree", "itemset-class-tree"])
+def test_exit_code_missing_tau(capsys, items_file, cmd, extra):
+    argv = [cmd, "--input", items_file, "--domain", "itemset", *extra]
+    if cmd == "stats":
+        argv += ["--phi", "connected-edges"]
+    code, out, err = run(capsys, argv)
     assert code == 1
-    assert "error:usage" in err
+    assert err.startswith("error:usage"), err
+    assert "Traceback" not in out + err
 
 
 def test_exit_code_missing_file(capsys):
@@ -327,9 +340,13 @@ def test_verify_collapse_chain_fits_in_memory():
     assert proc.stdout.splitlines()[-1].startswith("ok:")
 
 
-def test_bad_flag_exits_one(capsys):
+def test_bad_flag_exits_one(capsys, items_file):
     code, _, _ = run(capsys, ["mine", "--nope"])
     assert code == 1
+    code, _, err = run(capsys, ["mine", "--input", items_file, "--tau", "1",
+                                "--mode", "levelwise"])
+    assert code == 1
+    assert "error:usage" in err and "Traceback" not in err
 
 
 def test_parse_graph_class():

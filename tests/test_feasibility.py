@@ -16,7 +16,6 @@ from maxpat.reductions import GraphToEdgeItemset, ItemsetToSequence
 def test_always():
     assert evaluate(ALWAYS, Itemset())
     assert evaluate(ALWAYS, Sequence([1, 2]))
-    assert ALWAYS.split_stable
 
 
 def test_connected_examples():
@@ -28,8 +27,26 @@ def test_connected_examples():
     assert not connected_edge_itemset([])            # empty is infeasible
 
 
-def test_connected_edges_split_stable_flag():
-    assert CONNECTED_EDGES.split_stable
+def test_pruned_predicates_have_no_step_reduction():
+    """The predicates that prune the join climb are the split-stable ones;
+    every preimage predicate, alone or in a conjunction, names its
+    reduction instead."""
+    for phi in (ALWAYS, CONNECTED_EDGES, And((ALWAYS, CONNECTED_EDGES)),
+                And((CONNECTED_EDGES, And((ALWAYS, CONNECTED_EDGES))))):
+        assert phi.step_reduction is None, phi
+    r = GraphToEdgeItemset()
+    pre = PreimageExistsAnd(r, ALWAYS)
+    assert pre.step_reduction is r
+    assert And((CONNECTED_EDGES, pre)).step_reduction is r
+    assert And((ALWAYS, And((pre, CONNECTED_EDGES)))).step_reduction is r
+
+
+def test_non_predicates_are_refused():
+    for bad in (None, "always", (ALWAYS,), lambda p: True):
+        with pytest.raises(TypeError):
+            evaluate(bad, Itemset())
+        with pytest.raises(TypeError):
+            describe(bad)
 
 
 def test_connected_edges_wants_pair_items():
@@ -85,7 +102,6 @@ def test_preimage_predicate():
     assert evaluate(phi, Itemset([(1, 1), (2, 2), (1, 2)]))
     assert not evaluate(phi, Itemset([(1, 2)]))       # markers missing
     assert not evaluate(phi, Itemset([(1, 1), (2, 2)]))  # decodes disconnected
-    assert not phi.split_stable  # the encoding skips over sizes
     # the induced predicate is the bare preimage test, accepting exactly
     # the images
     seq = ItemsetToSequence().induced_feasibility(ALWAYS)
@@ -104,7 +120,6 @@ def test_and_combination():
     phi = And((CONNECTED_EDGES, PreimageExistsAnd(GraphToEdgeItemset(), ALWAYS)))
     assert evaluate(phi, Itemset([(1, 1), (2, 2), (1, 2)]))
     assert not evaluate(phi, Itemset([(1, 1), (2, 2)]))
-    assert not phi.split_stable
 
 
 def test_prune_proxy_encloses_the_decodable_family():

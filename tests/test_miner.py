@@ -53,15 +53,11 @@ def test_empty_itemset_is_the_answer_when_nothing_overlaps():
     assert mine(db, 2, ALWAYS).maximal == (Itemset(),)
 
 
-def test_levelwise_mode_requires_split_stable():
+def test_unknown_mode_is_refused():
     db = itemset_db([{(1, 2)}])
-    phi = bind_reduction("g2fis", graph_db(
-        [LabelledGraph(frozenset({1, 2}), frozenset({(1, 2)}))],
-    )).induced_feasibility(ALWAYS)
-    with pytest.raises(ValueError):
-        mine_max_ffis(db, 1, phi, mode="levelwise")
-    with pytest.raises(ValueError):
-        mine_max_ffis(db, 1, ALWAYS, mode="sideways")
+    for mode in ("levelwise", "sideways"):
+        with pytest.raises(ValueError):
+            mine_max_ffis(db, 1, ALWAYS, mode=mode)
 
 
 def test_modes_agree_on_connectivity():
@@ -70,7 +66,7 @@ def test_modes_agree_on_connectivity():
         db = random_itemset_db(rng, n_labels=5, n_txns=5, max_items=4,
                                pair_items=True)
         for tau in range(1, len(db.transactions) + 1):
-            a = mine_max_ffis(db, tau, CONNECTED_EDGES, mode="levelwise")
+            a = mine_max_ffis(db, tau, CONNECTED_EDGES, mode="auto")
             b = mine_max_ffis(db, tau, CONNECTED_EDGES, mode="postfilter")
             assert a.maximal == b.maximal
             # same generator in both modes, so the level tables line up too
@@ -468,7 +464,7 @@ def pinned_instances():
             "sequences": (seqs, 2, ALWAYS, "auto"),
             "graphs": (graph_db(graphs), 2, ALWAYS, "auto"),
             "trap": (trap, 1, ALWAYS, "auto"),
-            "trap-levelwise": (trap, 1, CONNECTED_EDGES, "levelwise"),
+            "trap-pruned": (trap, 1, CONNECTED_EDGES, "auto"),
             "trap-postfilter": (trap, 1, CONNECTED_EDGES, "postfilter")}
 
 
@@ -499,7 +495,7 @@ PINNED = {
     "trap": (
         [(1, 5, 5, 5), (2, 10, 5, 5), (3, 5, 1, 1)],
         ["{1,2 2,3}", "{1,3 2,3 3,4}", "{1,4 3,4}"]),
-    "trap-levelwise": (
+    "trap-pruned": (
         [(1, 5, 5, 5), (2, 8, 5, 5), (3, 5, 1, 1)],
         ["{1,2 2,3}", "{1,3 2,3 3,4}", "{1,4 3,4}"]),
     "trap-postfilter": (

@@ -189,7 +189,6 @@ def test_g2fis_induced_feasibility_carries_connectivity():
     phi = r.induced_feasibility(ALWAYS)
     assert phi == PreimageExistsAnd(r, ALWAYS)
     assert phi.step_reduction is r
-    assert not phi.split_stable
 
 
 # ---------------------------------------------------------------------------
