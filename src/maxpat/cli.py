@@ -144,8 +144,8 @@ def cmd_mine(args) -> int:
     db = _load(args)
     tau = _resolve_tau(args, db)
     phi = parse_phi(args.phi, db)
-    if args.reduce:
-        chain = bind_reduction(args.reduce, db)
+    chain = _bind_chain(args, db)
+    if chain is not None:
         res = mine_via_reduction(chain, db, tau, phi, mode=args.mode)
     else:
         res = mine(db, tau, phi, mode=args.mode)
@@ -158,7 +158,7 @@ def cmd_reduce(args) -> int:
     if args.invert:
         out = invert_database(args.reduce, db)
     else:
-        out = reduce_database(bind_reduction(args.reduce, db), db)
+        out = reduce_database(_bind_chain(args, db), db)
     _emit(mio.write_database(out), args.output)
     return 0
 
@@ -260,14 +260,15 @@ def _check_reduction_properties(chain, db: Database, rng, out,
 
 def _bind_chain(args, db: Database):
     """The ``--reduce`` chain bound to ``db``, or None without one; a chain
-    that starts from another domain is a usage error."""
+    that starts from another domain is a usage error, found before any
+    link reads the database."""
     if not args.reduce:
         return None
-    chain = bind_reduction(args.reduce, db)
-    if chain.source_domain != db.domain:
-        raise _usage(f"--reduce {args.reduce} starts from "
-                     f"{chain.source_domain}, not {db.domain}")
-    return chain
+    source = bind_reduction(args.reduce).source_domain
+    if source != db.domain:
+        raise _usage(f"--reduce {args.reduce} starts from {source}, "
+                     f"not {db.domain}")
+    return bind_reduction(args.reduce, db)
 
 
 def cmd_verify(args) -> int:
@@ -277,6 +278,9 @@ def cmd_verify(args) -> int:
     if args.random is not None:
         if args.input:
             raise _usage("--random and --input are mutually exclusive")
+        if args.graph_class:
+            raise _usage("--class applies to --input databases; --random "
+                         "draws its own")
         with_connectivity = "connected-edges" in args.phi
         if with_connectivity and args.domain != ITEMSET:
             raise _usage("connected-edges applies to itemset databases")
@@ -324,8 +328,12 @@ def cmd_verify(args) -> int:
 
 def cmd_stats(args) -> int:
     db = _load(args)
-    if args.reduce:
-        chain = bind_reduction(args.reduce, db)
+    chain = _bind_chain(args, db)
+    if chain is not None:
+        if chain.target_domain != ITEMSET:
+            raise _usage(f"stats works on itemset databases, and --reduce "
+                         f"{args.reduce} ends in {chain.target_domain}; "
+                         f"compose it down to itemsets")
         db = reduce_database(chain, db)
     if db.domain != ITEMSET:
         raise _usage("stats works on itemset databases; add --reduce to "

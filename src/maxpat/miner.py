@@ -39,6 +39,22 @@ k-itemset is (k+1)(2r-1) + k items, r being the star's root label.  The
 source labels a climb grows from are read off the items by the reduction
 (``source_labels``), since a link may relabel.
 
+Itemsets and sequences also get the Apriori check: from level 2 on, a
+grown pattern is counted only when every one-smaller sub-pattern of it
+(drop an item, or drop an event) is among the level's frequent patterns.
+That is sound because the climb counts every source pattern with a
+frequent image, as above, so a sub-pattern missing from the frequent level
+has an infrequent image, and containment makes the grown pattern's image
+infrequent too.  A survivor without its largest item, or without its last
+event, is a frequent pattern, so growing past the largest item or at the
+end reaches every survivor once.  ``grow`` checks the raw tuples and
+builds a pattern only for a survivor, so only survivors are encoded and
+counted: on the sequences-dag benchmark (seed 1) the climb counts 822
+candidates instead of 2 483.  Graphs grow without the check.  Dropping a
+leaf or non-bridge edge is the graph form of it, but on graphs-wide every
+connected two-edge pattern is frequent, so it would prune none of the
+1 176 level-4 candidates while costing time on each.
+
 Candidates of the join climb at level k are unions of two surviving
 (k-1)-sets sharing k-2 items, built a whole level at a time in numpy.  Each
 survivor enters once per column, as that column's item keyed by its other
@@ -233,15 +249,14 @@ def _generate(survivors, item_bits, phi):
     return _word_rows(words, m + 1, n_items)
 
 
-def _grow_images(r, parents, labels, index):
+def _grow_images(r, level, labels, index):
     """The step climb's next level: the images, as index tuples in sorted
-    order, of the source patterns that ``grow`` makes from ``parents`` (a
-    parent None grows the one-element patterns), each mapped to the pattern
-    it images.  An image with an item the database lacks has support 0, so
-    it is dropped before counting."""
-    grown = {q for p in parents for q in grow(r.source_domain, p, labels)}
+    order, of the source patterns that ``grow`` makes from the frequent
+    ``level`` (None grows the one-element patterns), each mapped to the
+    pattern it images.  An image with an item the database lacks has
+    support 0, so it is dropped before counting."""
     out = {}
-    for q in grown:
+    for q in grow(r.source_domain, level, labels):
         # image items are sorted by label, so their indices come sorted
         s = tuple(map(index.get, r.forward(q).items))
         if None not in s:
@@ -319,7 +334,7 @@ def mine_max_ffis(db: Database, tau: int, phi=ALWAYS,
 
     if step is not None:
         labels = step.source_labels(item_labels(items))
-        sources = _grow_images(step, [None], labels, index)
+        sources = _grow_images(step, None, labels, index)
         current = list(sources)
     else:
         item_bits = _label_bitsets(items)

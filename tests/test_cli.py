@@ -242,6 +242,47 @@ def test_verify_reduce_domain_mismatch_is_usage_error(capsys):
     assert err.startswith("error:usage:")
 
 
+_FLAGS = {"mine": ["--tau", "1"], "reduce": [], "verify": ["--tau", "1"],
+          "stats": ["--tau", "1", "--phi", "connected-edges"]}
+
+
+@pytest.mark.parametrize("cmd", sorted(_FLAGS))
+@pytest.mark.parametrize("domain,rid", [
+    ("itemset", "g2fis"), ("graph", "compose:fis2tree,g2bdg3,g2fis")],
+    ids=["g2fis-on-itemsets", "star-chain-on-graphs"])
+def test_reduce_from_another_domain_is_a_usage_error(
+        capsys, items_file, graphs_file, cmd, domain, rid):
+    # the star chain reads the database to bind, and used to fail there
+    path = items_file if domain == "itemset" else graphs_file
+    code, out, err = run(capsys, [cmd, "--input", path, "--domain", domain,
+                                  "--reduce", rid, *_FLAGS[cmd]])
+    assert code == 1, err
+    source = "graph" if domain == "itemset" else "itemset"
+    assert err == f"error:usage: --reduce {rid} starts from {source}, " \
+                  f"not {domain}\n"
+    assert "Traceback" not in out + err
+
+
+@pytest.mark.parametrize("domain", ["itemset", "graph"])
+def test_verify_random_refuses_class(capsys, domain):
+    code, out, err = run(capsys, ["verify", "--random", "2", "--domain",
+                                  domain, "--class", "tree"])
+    assert code == 1
+    assert err.startswith("error:usage: --class")
+    assert "checks passed" not in out
+
+
+def test_stats_names_the_target_of_a_chain_off_itemsets(capsys, items_file):
+    code, _, err = run(capsys, ["stats", "--input", items_file, "--tau", "1",
+                                "--phi", "connected-edges",
+                                "--reduce", "fis2seq"])
+    assert code == 1
+    assert err.startswith("error:usage:")
+    assert "fis2seq ends in sequence" in err
+    assert "compose it down to itemsets" in err
+    assert "add --reduce" not in err
+
+
 def test_stats_shows_constrained_exceeding_unconstrained(capsys, graphs_file):
     code, out, _ = run(capsys, ["stats", "--input", graphs_file,
                                 "--domain", "graph", "--reduce", "g2fis",

@@ -288,18 +288,70 @@ def _validated(q):
     return LabelledGraph(q.vertices, q.edges, q.directed)
 
 
+def _one_smaller(q):
+    """The sub-patterns of an itemset or a sequence with one element
+    dropped."""
+    t = q.items if isinstance(q, Itemset) else q.events
+    return {type(q)(t[:i] + t[i + 1:]) for i in range(len(t))}
+
+
+def _random_level(rng, domain, alphabet):
+    """Distinct itemsets or sequences of one size over ``alphabet``, a
+    random share of all of them, every one when the share is 1."""
+    k = rng.randint(1, min(3, len(alphabet)))
+    make = Itemset if domain == ITEMSET else Sequence
+    pick = combinations if domain == ITEMSET else permutations
+    keep = rng.choice((0.4, 0.7, 1.0))
+    return [make(t) for t in pick(sorted(alphabet), k) if rng.random() < keep]
+
+
+def _check_grown(grown, want):
+    assert len(grown) == len(set(grown))
+    assert set(grown) == want
+    for q in grown:
+        v = _validated(q)
+        assert q == v and repr(q) == repr(v)
+
+
 @pytest.mark.parametrize("domain", [ITEMSET, SEQUENCE, GRAPH, DIGRAPH])
 def test_grow_yields_every_pattern_one_element_larger(domain):
+    """``grow`` takes a whole level.  A graph level grows every pattern by
+    one element; an itemset or a sequence one element larger is grown iff
+    it is one larger than a pattern of the level and every one-smaller
+    sub-pattern of it is in the level, so a level holding every pattern of
+    its size grows every pattern one larger."""
     rng = random.Random(17)
     kw = {"acyclic": False} if domain == DIGRAPH else {}  # antiparallel arcs
+    tuples = domain in (ITEMSET, SEQUENCE)
     for _ in range(30):
-        db = random_db(rng, domain, n_labels=5, n_txns=3, **kw)
         alphabet = rng.sample(range(1, 6), rng.randint(0, 5))
-        for p in (None,) + db.transactions:
-            grown = list(grow(domain, p, alphabet))
-            assert len(grown) == len(set(grown)), (p, alphabet)
-            assert set(grown) == _one_larger(domain, p, alphabet), \
-                (p, alphabet)
-            for q in grown:
-                want = _validated(q)
-                assert q == want and repr(q) == repr(want)
+        _check_grown(grow(domain, None, alphabet),
+                     _one_larger(domain, None, alphabet))
+        if tuples:
+            level = _random_level(rng, domain, alphabet) if alphabet else []
+        else:
+            level = random_db(rng, domain, n_labels=5, n_txns=3,
+                              **kw).transactions
+            for p in level:
+                _check_grown(grow(domain, [p], alphabet),
+                             _one_larger(domain, p, alphabet))
+        want = {q for p in level for q in _one_larger(domain, p, alphabet)
+                if not tuples or _one_smaller(q) <= set(level)}
+        _check_grown(grow(domain, level, alphabet), want)
+
+
+@pytest.mark.parametrize("domain", [ITEMSET, SEQUENCE])
+def test_grow_needs_every_one_smaller_sub_pattern(domain):
+    """A pattern is grown from the level of its one-smaller sub-patterns,
+    and from no level that lacks any one of them."""
+    rng = random.Random(19)
+    for _ in range(30):
+        for q in random_db(rng, domain, n_labels=6, n_txns=3).transactions:
+            if len(q) < 2:
+                continue
+            alphabet = sorted(item_labels(q))
+            level = sorted(_one_smaller(q), key=canonical_key)
+            assert q in grow(domain, level, alphabet)
+            for missing in level:
+                rest = [p for p in level if p != missing]
+                assert q not in grow(domain, rest, alphabet), (q, missing)
