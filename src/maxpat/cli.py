@@ -140,12 +140,21 @@ def _emit(text: str, path):
 # ---------------------------------------------------------------------------
 # subcommands
 
+def _check_itemset_chain(args, chain, what: str):
+    """Refuse, as a usage error, a --reduce chain that does not end in
+    itemsets, which ``what`` needs."""
+    if chain.target_domain != ITEMSET:
+        raise _usage(f"{what}, and --reduce {args.reduce} ends in "
+                     f"{chain.target_domain}; compose it down to itemsets")
+
+
 def cmd_mine(args) -> int:
     db = _load(args)
     tau = _resolve_tau(args, db)
     phi = parse_phi(args.phi, db)
     chain = _bind_chain(args, db)
     if chain is not None:
+        _check_itemset_chain(args, chain, "mine climbs through itemsets")
         res = mine_via_reduction(chain, db, tau, phi, mode=args.mode)
     else:
         res = mine(db, tau, phi, mode=args.mode)
@@ -330,10 +339,7 @@ def cmd_stats(args) -> int:
     db = _load(args)
     chain = _bind_chain(args, db)
     if chain is not None:
-        if chain.target_domain != ITEMSET:
-            raise _usage(f"stats works on itemset databases, and --reduce "
-                         f"{args.reduce} ends in {chain.target_domain}; "
-                         f"compose it down to itemsets")
+        _check_itemset_chain(args, chain, "stats works on itemset databases")
         db = reduce_database(chain, db)
     if db.domain != ITEMSET:
         raise _usage("stats works on itemset databases; add --reduce to "

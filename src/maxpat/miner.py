@@ -73,38 +73,47 @@ at once from bitsets of the survivors' labels; for connectivity a pair is
 skipped when the bitsets share no label, which is exactly when the union is
 disconnected.
 
-The climb runs on item indices.  Items are numbered once, in label order,
-so a candidate is a sorted row of ints and rows sort exactly like the
-itemsets they name.  Numbering and packing are one flat pass over the
-transactions: their items are chained into one list, the distinct items
-sorted, every entry of the list mapped to its index into one array, and
-that array packed into tidsets with the row ids repeated along it.  The
-maximality filter packs the collected sets with the same helper.  Labels
-are validated once, where the database is built; a labelled ``Itemset`` is
-made, without checking its labels again, only for a frequent set, where a
-predicate or the caller needs one.
+The climb runs on item indices (``climb_rows``).  Items are numbered once,
+in label order, so a candidate is a sorted row of ints and rows sort
+exactly like the itemsets they name.  Numbering and packing are one flat
+pass over the transactions' item rows: their items are chained into one
+list, the distinct items sorted, every entry of the list mapped to its
+index into one array, and that array packed into tidsets with the row ids
+repeated along it.  The maximality filter packs the collected sets with
+the same helper.  Labels are validated once, where the database is built;
+a labelled ``Itemset`` is made, without checking its labels again, only for
+a frequent set, where a predicate or the caller needs one.
 
 Other domains are mined by encoding into itemsets through a reduction and
-lifting the results back; the empty itemset / sequence, which some chains
-cannot represent, is left out of the reduction and reported directly at the
-source level when nothing else is frequent.
+lifting the results back.  The encoding happens in index space: each
+source transaction goes straight to the items of its image
+(``encode_rows`` over ``Reduction.image_items``), and the step climb maps a
+grown pattern's image items to indices and sorts the ints, so no image
+``Itemset`` and no image ``Database`` is built or validated on the mine
+path.  The empty itemset / sequence, which some chains cannot represent, is
+left out of the encoding and reported directly at the source level when
+nothing else is frequent.  ``MiningResult.seconds`` splits a call into
+encoding, packing, the climb, the maximality filter and lifting.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, compress
+from time import perf_counter
 
 import numpy as np
 
 from . import _kernels
-from .core import Database, check_tau, support
+from .core import Database, check_tau
 from .domains import (
     DIGRAPH, GRAPH, ITEMSET, SEQUENCE,
     Itemset, Sequence, canonical_key, grow, item_labels,
 )
 from .errors import DomainMismatchError, ExtendError, PatternError
 from .feasibility import ALWAYS, describe, evaluate
-from .reductions import (
-    Reduction, bind_reduction, lift_results, reduce_database,
+# the mine path encodes with encode_rows; reduce_database stays a module
+# attribute because perfbench's tracer wraps it here by name
+from .reductions import (  # noqa: F401
+    Reduction, bind_reduction, encode_rows, lift_results, reduce_database,
 )
 
 MODES = ("auto", "postfilter")
@@ -126,10 +135,17 @@ class LevelStats:
 
 @dataclass(frozen=True)
 class MiningResult:
+    """The maximal patterns, the level table, and the seconds each phase
+    took: ``encode`` (source transactions to item rows), ``pack`` (rows to
+    tidsets), ``climb``, ``maximal`` (the maximality filter) and ``lift``
+    (results back to the source domain).  Timings take no part in
+    equality."""
+
     maximal: tuple
     stats: tuple
     tau: int
     phi: str
+    seconds: dict = field(default_factory=dict, compare=False)
 
 
 def _tidsets(rows, flat, n_items):
@@ -250,17 +266,17 @@ def _generate(survivors, item_bits, phi):
 
 
 def _grow_images(r, level, labels, index):
-    """The step climb's next level: the images, as index tuples in sorted
-    order, of the source patterns that ``grow`` makes from the frequent
-    ``level`` (None grows the one-element patterns), each mapped to the
-    pattern it images.  An image with an item the database lacks has
+    """The step climb's next level: the images, as sorted index tuples in
+    sorted order, of the source patterns that ``grow`` makes from the
+    frequent ``level`` (None grows the one-element patterns), each mapped
+    to the pattern it images.  An image with an item the database lacks has
     support 0, so it is dropped before counting."""
     out = {}
     for q in grow(r.source_domain, level, labels):
-        # image items are sorted by label, so their indices come sorted
-        s = tuple(map(index.get, r.forward(q).items))
+        s = list(map(index.get, r.image_items(q)))
         if None not in s:
-            out[s] = q
+            s.sort()
+            out[tuple(s)] = q
     return dict(sorted(out.items()))
 
 
@@ -312,6 +328,15 @@ def mine_max_ffis(db: Database, tau: int, phi=ALWAYS,
     if db.domain != ITEMSET:
         raise DomainMismatchError(
             f"the levelwise miner works on itemset databases, got {db.domain}")
+    return climb_rows([t.items for t in db.transactions], tau, phi, mode)
+
+
+def climb_rows(rows, tau: int, phi=ALWAYS,
+               mode: str = "auto") -> MiningResult:
+    """The levelwise climb of ``mine_max_ffis`` on item rows: each entry of
+    ``rows`` lists one transaction's items, in any order, and all items are
+    valid labels of one kind.  ``tau`` was checked by the caller.  The
+    result's seconds cover packing, the climb and the maximality filter."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     prune = mode == "auto"
@@ -320,14 +345,15 @@ def mine_max_ffis(db: Database, tau: int, phi=ALWAYS,
         step = None  # accepts no itemset at all, which evaluate reports
 
     # one flat pass numbers the items and packs their tidsets; index order
-    # is label order, so index tuples sort like their itemsets
-    rows = [t.items for t in db.transactions]
+    # is label order, so sorted index tuples sort like their itemsets
+    start = perf_counter()
     flat = list(chain.from_iterable(rows))
     items = sorted(set(flat))
     index = {x: i for i, x in enumerate(items)}
     tidsets = _tidsets(rows, np.fromiter(map(index.__getitem__, flat),
                                          dtype=np.intp, count=len(flat)),
                        len(items))
+    packed = perf_counter()
 
     def itemset(s):
         return Itemset._trusted(tuple(map(items.__getitem__, s)))
@@ -369,6 +395,7 @@ def mine_max_ffis(db: Database, tau: int, phi=ALWAYS,
         if prune:
             survivors = survivors[np.array(ok, dtype=bool)]
         current = _generate(survivors, item_bits, phi)
+    climbed = perf_counter()
 
     if collected:
         maximal = [itemset(s) for s in _maximal_among(collected, len(items))]
@@ -376,22 +403,39 @@ def mine_max_ffis(db: Database, tau: int, phi=ALWAYS,
         # the one set the climb never counts: the empty itemset, or under
         # the step climb the image of the empty source pattern
         bottom = Itemset() if step is None else _empty_image(step)
-        maximal = [bottom] if (bottom is not None
-                               and support(bottom, db) >= tau
-                               and evaluate(phi, bottom)) else []
-    return MiningResult(tuple(sorted(maximal, key=canonical_key)),
-                        tuple(stats), tau, describe(phi))
+        maximal = [bottom] if (
+            bottom is not None
+            and _support_on(tidsets, index, len(rows), bottom.items) >= tau
+            and evaluate(phi, bottom)) else []
+    maximal = tuple(sorted(maximal, key=canonical_key))
+    seconds = {"encode": 0.0, "pack": packed - start,
+               "climb": climbed - packed,
+               "maximal": perf_counter() - climbed, "lift": 0.0}
+    return MiningResult(maximal, tuple(stats), tau, describe(phi), seconds)
+
+
+def _support_on(tidsets, index, n_rows, items):
+    """Support of the itemset ``items`` among the ``n_rows`` rows that
+    ``tidsets`` packs: every row for the empty itemset, none for one with
+    an item the rows lack."""
+    if not items:
+        return n_rows
+    s = [index.get(x) for x in items]
+    if None in s:
+        return 0
+    return int(_kernels.count_supports(tidsets, np.array([s], dtype=np.intp))[0])
 
 
 def mine_via_reduction(r: Reduction, db: Database, tau: int, phi=ALWAYS,
                        mode: str = "auto") -> MiningResult:
-    """Reduce, mine with the induced predicate, lift the results back.
+    """Encode, mine with the induced predicate, lift the results back.
 
     The chain must end in the itemset domain (compose with an edge-itemset
-    encoding if it does not).  Transactions equal to the empty source
-    pattern support nothing else, so they are left out of the reduction;
-    when nothing else is frequent, the empty pattern is reported directly
-    at the source level.
+    encoding if it does not).  The transactions are encoded straight to
+    item rows (``encode_rows``), with no image database.  Transactions
+    equal to the empty source pattern support nothing else, so they are
+    left out of the encoding; when nothing else is frequent, the empty
+    pattern is reported directly at the source level.
     """
     check_tau(tau)
     if db.domain != r.source_domain:
@@ -402,17 +446,18 @@ def mine_via_reduction(r: Reduction, db: Database, tau: int, phi=ALWAYS,
             f"{r.id} ends in {r.target_domain}; compose it down to itemsets "
             f"to mine through it")
     empty = _empty_pattern(r.source_domain)
-    source = db
-    if empty is not None and empty in db.transactions:
-        source = Database(db.domain,
-                          tuple(t for t in db.transactions if t != empty))
-    reduced = reduce_database(r, source)
-    res = mine_max_ffis(reduced, tau, r.induced_feasibility(phi), mode=mode)
+    start = perf_counter()
+    rows = encode_rows(r, db, skip=empty)
+    encoded = perf_counter()
+    res = climb_rows(rows, tau, r.induced_feasibility(phi), mode)
+    lifting = perf_counter()
     lifted = lift_results(r, res.maximal)
     if not lifted and empty is not None and tau <= len(db) \
             and evaluate(phi, empty):
         lifted = (empty,)
-    return MiningResult(lifted, res.stats, tau, describe(phi))
+    seconds = dict(res.seconds, encode=encoded - start,
+                   lift=perf_counter() - lifting)
+    return MiningResult(lifted, res.stats, tau, describe(phi), seconds)
 
 
 def _empty_pattern(domain):

@@ -57,6 +57,12 @@ class Reduction:
     def inverse(self, q):
         raise NotImplementedError
 
+    def image_items(self, p):
+        """The items of the itemset image of the source pattern ``p``, in
+        any order, for a reduction into itemsets: what the miner numbers
+        and packs, without building the image itself."""
+        return self.forward(p).items
+
     def induced_feasibility(self, phi_source):
         return PreimageExistsAnd(self, phi_source)
 
@@ -276,13 +282,18 @@ class GraphToEdgeItemset(Reduction):
 
     def forward(self, p: LabelledGraph) -> Itemset:
         self._check_source(p)
-        for v in p.vertices:
-            if not isinstance(v, int):
-                raise PatternError(f"{self.id} needs plain int labels, got {v!r}")
         # the graph validated its labels and edges, and markers never
         # collide with edges since self-loops are rejected
-        return Itemset._trusted(tuple(sorted(
-            [*map(_MARKERS.__getitem__, p.vertices), *p.edges])))
+        return Itemset._trusted(tuple(sorted(self.image_items(p))))
+
+    def image_items(self, p: LabelledGraph):
+        items = [*map(_MARKERS.__getitem__, p.vertices), *p.edges]
+        # a graph has a vertex, and its labels are of one kind, so the
+        # first marker's label shows whether they are plain ints
+        v = items[0][0]
+        if not isinstance(v, int):
+            raise PatternError(f"{self.id} needs plain int labels, got {v!r}")
+        return items
 
     def inverse(self, q: Itemset):
         self._check_target(q)
@@ -391,6 +402,9 @@ class Composed(Reduction):
     def forward(self, p):
         return self.second.forward(self.first.forward(p))
 
+    def image_items(self, p):
+        return self.second.image_items(self.first.forward(p))
+
     def inverse(self, q):
         mid = self.second.inverse(q)
         if mid is None:
@@ -420,6 +434,41 @@ def reduce_database(r: Reduction, db: Database) -> Database:
                 raise DatabaseError(f"cannot reduce: {e}", i) from e
         out.append(q)
     return Database(r.target_domain, tuple(out), r.target_class)
+
+
+def encode_rows(r: Reduction, db: Database, skip=None) -> list:
+    """The item rows of ``db`` under ``r``, a reduction into itemsets: for
+    each transaction other than those equal to ``skip``, the items of its
+    image in any order (``image_items``).  No image is built or validated.
+    A single link lists every transaction's items, which costs less than
+    hashing the transaction; a chain encodes each distinct transaction
+    once, and equal transactions share its row.  A transaction the map
+    rejects raises with the index where it first occurs."""
+    if db.domain != r.source_domain:
+        raise DomainMismatchError(
+            f"{r.id} reduces {r.source_domain} databases, got {db.domain}")
+    encode = r.image_items
+    if not isinstance(r, Composed):
+        txns = db.transactions
+        if skip is not None:
+            txns = [t for t in txns if t != skip]
+        try:
+            return list(map(encode, txns))
+        except (PatternError, DomainMismatchError):
+            pass  # the loop below finds the transaction and its index
+    rows = []
+    seen = {skip: None}
+    for i, t in enumerate(db.transactions):
+        row = seen.get(t)
+        if row is None:
+            if t in seen:
+                continue
+            try:
+                row = seen[t] = encode(t)
+            except (PatternError, DomainMismatchError) as e:
+                raise DatabaseError(f"cannot reduce: {e}", i) from e
+        rows.append(row)
+    return rows
 
 
 def lift_results(r: Reduction, results) -> tuple:

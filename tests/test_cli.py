@@ -272,6 +272,15 @@ def test_verify_random_refuses_class(capsys, domain):
     assert "checks passed" not in out
 
 
+def test_mine_refuses_a_chain_off_itemsets_as_usage(capsys, items_file):
+    code, out, err = run(capsys, ["mine", "--input", items_file, "--tau", "1",
+                                  "--reduce", "fis2seq"])
+    assert code == 1 and out == ""
+    assert err.startswith("error:usage:")
+    assert "fis2seq ends in sequence" in err
+    assert "Traceback" not in err
+
+
 def test_stats_names_the_target_of_a_chain_off_itemsets(capsys, items_file):
     code, _, err = run(capsys, ["stats", "--input", items_file, "--tau", "1",
                                 "--phi", "connected-edges",

@@ -2,6 +2,7 @@ import json
 import random
 import subprocess
 import sys
+import time
 from itertools import chain, combinations
 
 import numpy as np
@@ -11,10 +12,12 @@ from hypothesis import given, settings, strategies as st
 from maxpat import _kernels, domains, miner
 from maxpat.core import Database, graph_db, itemset_db, sequence_db, support
 from maxpat.domains import (
-    DIGRAPH, ITEMSET, SEQUENCE, Itemset, LabelledGraph, Sequence, item_labels,
-    pattern_leq, pattern_size,
+    DIGRAPH, GRAPH, ITEMSET, SEQUENCE, Itemset, LabelledGraph, Sequence,
+    item_labels, pattern_leq, pattern_size,
 )
-from maxpat.errors import DomainMismatchError, ExtendError, PatternError
+from maxpat.errors import (
+    DatabaseError, DomainMismatchError, ExtendError, PatternError,
+)
 from maxpat.feasibility import (
     ALWAYS, CONNECTED_EDGES, And, PreimageExistsAnd, evaluate,
 )
@@ -25,11 +28,11 @@ from maxpat.miner import (
 )
 from maxpat.oracle import enumerate_patterns, oracle_max
 from maxpat.reductions import (
-    GraphToEdgeItemset, ItemsetToSequence, ItemsetToStar, SequenceToDag,
-    bind_reduction, lift_results, reduce_database,
+    REDUCTION_IDS, GraphToEdgeItemset, ItemsetToSequence, ItemsetToStar,
+    SequenceToDag, bind_reduction, lift_results, reduce_database,
 )
 from maxpat.synth import (
-    random_graph_db, random_itemset_db, random_sequence_db,
+    random_db, random_graph_db, random_itemset_db, random_sequence_db,
 )
 
 
@@ -595,8 +598,8 @@ def test_benchmark_wrap_points_are_called(monkeypatch):
     """perfbench times the layers by replacing these module attributes, so
     the miner has to look each one up there, or that layer reads zero."""
     targets = [(_kernels, "count_supports"), (_kernels, "pack_rows"),
-               (miner, "evaluate"), (miner, "reduce_database"),
-               (miner, "lift_results"), (miner, "mine_max_ffis")]
+               (miner, "evaluate"), (miner, "encode_rows"),
+               (miner, "lift_results"), (miner, "climb_rows")]
     calls = set()
     for mod, name in targets:
         def counted(*args, _fn=getattr(mod, name), _name=name, **kwargs):
@@ -608,23 +611,88 @@ def test_benchmark_wrap_points_are_called(monkeypatch):
     assert mine(db, 2).maximal == db.transactions[:1]
     assert calls == {name for _, name in targets}
 
-    # perfbench reads Σ len(image) over the reduced transactions as the
-    # encoded size; equal graphs share one image but still count once each
-    reduced = []
+    # the encoded size is Σ len(image) over the encoded transactions: equal
+    # graphs still count once each
+    climbed = []
 
-    def recorded(*args, _fn=miner.reduce_database):
-        reduced.append(_fn(*args))
-        return reduced[-1]
-    monkeypatch.setattr(miner, "reduce_database", recorded)
+    def recorded(rows, *args, _fn=miner.climb_rows):
+        climbed.append(rows)
+        return _fn(rows, *args)
+    monkeypatch.setattr(miner, "climb_rows", recorded)
     rng = random.Random(4)
     pool = random_graph_db(rng, n_txns=4).transactions
     dup = graph_db([LabelledGraph(g.vertices, g.edges)
                     for g in rng.choices(pool, k=30)])
     mine(dup, 3)
     r = GraphToEdgeItemset()
-    assert len(set(dup)) < len(reduced[0]) == len(dup)
-    assert (sum(len(t) for t in reduced[0].transactions)
+    assert len(set(dup)) < len(climbed[0]) == len(dup)
+    assert (sum(map(len, climbed[0]))
             == sum(len(r.forward(t)) for t in dup))
+
+
+#: every registered id that reaches itemsets, and two chains that do
+_ITEMSET_ENCODINGS = tuple(
+    rid for rid in REDUCTION_IDS
+    if bind_reduction(rid).target_domain == ITEMSET) + (
+    "compose:fis2tree,g2bdg3,g2fis", "compose:fis2seq,seq2dag,dirg2fis")
+
+
+@pytest.mark.parametrize("rid", _ITEMSET_ENCODINGS)
+def test_climb_packs_the_rows_of_the_image_database(rid, monkeypatch):
+    """``mine_via_reduction`` packs, row for row, the items of the validated
+    image database of the transactions other than the empty one, with
+    repeats kept."""
+    packed = []
+
+    def recorded(rows, *args, _fn=miner._tidsets):
+        if not packed:  # the first packing is the transactions'
+            packed.append([sorted(row) for row in rows])
+        return _fn(rows, *args)
+    monkeypatch.setattr(miner, "_tidsets", recorded)
+    rng = random.Random(rid)
+    domain = bind_reduction(rid).source_domain
+    empty = Itemset() if domain == ITEMSET else None
+    repeats = empties = 0
+    for _ in range(6):
+        pool = random_db(rng, domain, n_txns=5).transactions
+        db = Database(domain, tuple(rng.choices(pool, k=20)))
+        r = bind_reduction(rid, db)
+        kept = Database(domain, tuple(t for t in db if t != empty))
+        packed.clear()
+        mine_via_reduction(r, db, 3)
+        assert packed[0] == [list(q.items)
+                             for q in reduce_database(r, kept).transactions]
+        repeats += len(db) - len(set(db))
+        empties += len(db) - len(kept)
+    assert repeats > 50
+    assert bool(empties) == (domain == ITEMSET)
+
+
+@pytest.mark.parametrize("db, first", [
+    (graph_db([LabelledGraph(frozenset({(1, 2), (2, 3)}),
+                             frozenset({((1, 2), (2, 3))}))] * 2), 0),
+    (sequence_db([(), ((1, 2),), (), ((2, 3), (1, 2))]), 1),
+], ids=["g2fis", "seq2dag-dirg2fis"])
+def test_mine_reports_a_rejected_transaction_at_its_first_index(db, first):
+    with pytest.raises(DatabaseError) as ei:
+        mine(db, 1)
+    assert ei.value.index == first
+
+
+def test_mining_result_reports_seconds_per_phase():
+    rng = random.Random(12)
+    for domain in (ITEMSET, SEQUENCE, GRAPH, DIGRAPH):
+        db = random_db(rng, domain, n_txns=20)
+        start = time.perf_counter()
+        res = mine(db, 3)
+        wall = time.perf_counter() - start
+        assert set(res.seconds) == {"encode", "pack", "climb", "maximal",
+                                    "lift"}
+        assert all(s >= 0 for s in res.seconds.values())
+        assert sum(res.seconds.values()) <= wall
+        if domain == ITEMSET:
+            assert res.seconds["encode"] == 0
+        assert res == mine(db, 3)  # timings take no part in equality
 
 
 def _nested_tidsets(db):

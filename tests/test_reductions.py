@@ -21,7 +21,7 @@ from maxpat.reductions import (
     bind_from_target, bind_reduction, invert_database, lift_results,
     reduce_database,
 )
-from maxpat.synth import random_connected_graph, random_db
+from maxpat.synth import random_connected_graph, random_db, random_subpattern
 
 
 def graph(vs, es, directed=False):
@@ -554,6 +554,55 @@ def test_edge_itemset_forward_rejects_pair_labels(directed):
     g = graph({(1, 2), (2, 3)}, {((1, 2), (2, 3))}, directed=directed)
     with pytest.raises(PatternError):
         GraphToEdgeItemset(directed=directed).forward(g)
+
+
+#: every registered id that reaches itemsets, and two chains that do
+_ITEMSET_ENCODINGS = tuple(
+    rid for rid in REDUCTION_IDS
+    if bind_reduction(rid).target_domain == ITEMSET) + (
+    "compose:fis2tree,g2bdg3,g2fis", "compose:fis2seq,seq2dag,dirg2fis")
+
+
+def _edge_itemset(r, p):
+    """The image of ``p`` under ``r``, a reduction ending in an edge-itemset
+    link, with that link spelled out through the validating constructor:
+    a marker pair per vertex and one pair per edge."""
+    g = r.first.forward(p) if isinstance(r, Composed) else p
+    return Itemset([(v, v) for v in g.vertices] + list(g.edges))
+
+
+@pytest.mark.parametrize("rid", _ITEMSET_ENCODINGS)
+def test_image_items_list_the_forward_image(rid):
+    """``image_items`` lists exactly the items of ``forward``, for seeded
+    transactions and sub-patterns of them, and rejects what ``forward``
+    rejects."""
+    rng = random.Random(rid)
+    domain = bind_reduction(rid).source_domain
+    listed = rejected = 0
+    for _ in range(10):
+        db = random_db(rng, domain, n_txns=6)
+        r = bind_reduction(rid, db)
+        for p in [*db, *(random_subpattern(rng, t) for t in db)]:
+            try:
+                want = r.forward(p).items
+            except PatternError:
+                with pytest.raises(PatternError):
+                    r.image_items(p)
+                rejected += 1
+                continue
+            assert tuple(sorted(r.image_items(p))) == want
+            assert want == _edge_itemset(r, p).items
+            listed += 1
+    assert listed > 50
+    # only the sequence chain has a pattern without an image: <>
+    assert bool(rejected) == rid.startswith("compose:fis2seq")
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_edge_itemset_image_items_reject_pair_labels(directed):
+    g = graph({(1, 2), (2, 3)}, {((1, 2), (2, 3))}, directed=directed)
+    with pytest.raises(PatternError):
+        GraphToEdgeItemset(directed=directed).image_items(g)
 
 
 # support transfer: supp(p, db) == supp(f(p), f(db)) for every reduction,
