@@ -61,7 +61,7 @@ class Reduction:
         """The items of the itemset image of the source pattern ``p``, in
         any order, for a reduction into itemsets: what the miner numbers
         and packs, without building the image itself."""
-        return self.forward(p).items
+        raise NotImplementedError
 
     def induced_feasibility(self, phi_source):
         return PreimageExistsAnd(self, phi_source)
@@ -281,19 +281,21 @@ class GraphToEdgeItemset(Reduction):
                            DIGRAPH if self.directed else GRAPH)
 
     def forward(self, p: LabelledGraph) -> Itemset:
-        self._check_source(p)
         # the graph validated its labels and edges, and markers never
         # collide with edges since self-loops are rejected
         return Itemset._trusted(tuple(sorted(self.image_items(p))))
 
     def image_items(self, p: LabelledGraph):
-        items = [*map(_MARKERS.__getitem__, p.vertices), *p.edges]
-        # a graph has a vertex, and its labels are of one kind, so the
-        # first marker's label shows whether they are plain ints
-        v = items[0][0]
+        # only a graph has a direction: anything else, or a graph of the
+        # other direction, fails the source check
+        if getattr(p, "directed", None) != self.directed:
+            self._check_source(p)
+        # a graph has a vertex, and its labels are of one kind, so any one
+        # label shows whether they are plain ints (before it gets a marker)
+        v = next(iter(p.vertices))
         if not isinstance(v, int):
             raise PatternError(f"{self.id} needs plain int labels, got {v!r}")
-        return items
+        return [*map(_MARKERS.__getitem__, p.vertices), *p.edges]
 
     def inverse(self, q: Itemset):
         self._check_target(q)
@@ -439,36 +441,27 @@ def reduce_database(r: Reduction, db: Database) -> Database:
 def encode_rows(r: Reduction, db: Database, skip=None) -> list:
     """The item rows of ``db`` under ``r``, a reduction into itemsets: for
     each transaction other than those equal to ``skip``, the items of its
-    image in any order (``image_items``).  No image is built or validated.
-    A single link lists every transaction's items, which costs less than
-    hashing the transaction; a chain encodes each distinct transaction
-    once, and equal transactions share its row.  A transaction the map
+    image in any order (``image_items``).  No image is built or validated,
+    and every transaction is encoded, repeats included: listing a
+    transaction's items costs less than hashing it.  A transaction the map
     rejects raises with the index where it first occurs."""
     if db.domain != r.source_domain:
         raise DomainMismatchError(
             f"{r.id} reduces {r.source_domain} databases, got {db.domain}")
-    encode = r.image_items
-    if not isinstance(r, Composed):
-        txns = db.transactions
-        if skip is not None:
-            txns = [t for t in txns if t != skip]
-        try:
-            return list(map(encode, txns))
-        except (PatternError, DomainMismatchError):
-            pass  # the loop below finds the transaction and its index
-    rows = []
-    seen = {skip: None}
-    for i, t in enumerate(db.transactions):
-        row = seen.get(t)
-        if row is None:
-            if t in seen:
-                continue
-            try:
-                row = seen[t] = encode(t)
-            except (PatternError, DomainMismatchError) as e:
-                raise DatabaseError(f"cannot reduce: {e}", i) from e
-        rows.append(row)
-    return rows
+    txns = db.transactions
+    if skip is not None:
+        txns = [t for t in txns if t != skip]
+    try:
+        return list(map(r.image_items, txns))
+    except (PatternError, DomainMismatchError) as e:
+        # the map stopped at the first transaction rejected: find its index
+        for i, t in enumerate(db.transactions):
+            if t != skip:
+                try:
+                    r.image_items(t)
+                except (PatternError, DomainMismatchError):
+                    raise DatabaseError(f"cannot reduce: {e}", i) from e
+        raise
 
 
 def lift_results(r: Reduction, results) -> tuple:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import ITEMSET_ENCODINGS
 from maxpat import _kernels, domains, miner
 from maxpat.core import Database, graph_db, itemset_db, sequence_db, support
 from maxpat.domains import (
@@ -28,8 +29,8 @@ from maxpat.miner import (
 )
 from maxpat.oracle import enumerate_patterns, oracle_max
 from maxpat.reductions import (
-    REDUCTION_IDS, GraphToEdgeItemset, ItemsetToSequence, ItemsetToStar,
-    SequenceToDag, bind_reduction, lift_results, reduce_database,
+    GraphToEdgeItemset, ItemsetToSequence, ItemsetToStar, SequenceToDag,
+    bind_reduction, lift_results, reduce_database,
 )
 from maxpat.synth import (
     random_db, random_graph_db, random_itemset_db, random_sequence_db,
@@ -630,14 +631,7 @@ def test_benchmark_wrap_points_are_called(monkeypatch):
             == sum(len(r.forward(t)) for t in dup))
 
 
-#: every registered id that reaches itemsets, and two chains that do
-_ITEMSET_ENCODINGS = tuple(
-    rid for rid in REDUCTION_IDS
-    if bind_reduction(rid).target_domain == ITEMSET) + (
-    "compose:fis2tree,g2bdg3,g2fis", "compose:fis2seq,seq2dag,dirg2fis")
-
-
-@pytest.mark.parametrize("rid", _ITEMSET_ENCODINGS)
+@pytest.mark.parametrize("rid", ITEMSET_ENCODINGS)
 def test_climb_packs_the_rows_of_the_image_database(rid, monkeypatch):
     """``mine_via_reduction`` packs, row for row, the items of the validated
     image database of the transactions other than the empty one, with

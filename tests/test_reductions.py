@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import ITEMSET_ENCODINGS
 from maxpat.core import Database, graph_db, itemset_db
 from maxpat.domains import (
     DIGRAPH, ITEMSET, SEQUENCE, DAG, TREE,
@@ -16,8 +17,8 @@ from maxpat.feasibility import ALWAYS, PreimageExistsAnd
 from maxpat.miner import mine_max_ffis
 from maxpat.oracle import oracle_max
 from maxpat.reductions import (
-    REDUCTION_IDS, Composed, GraphToBoundedDegree, GraphToEdgeItemset,
-    ItemsetToSequence, ItemsetToStar, SequenceToDag,
+    _MARKERS, REDUCTION_IDS, Composed, GraphToBoundedDegree,
+    GraphToEdgeItemset, ItemsetToSequence, ItemsetToStar, SequenceToDag,
     bind_from_target, bind_reduction, invert_database, lift_results,
     reduce_database,
 )
@@ -462,8 +463,14 @@ def test_unvalidated_results_equal_validated_construction(rid):
 def test_forward_rejects_wrong_domain():
     with pytest.raises(DomainMismatchError):
         ItemsetToSequence().forward(Sequence([1]))
-    with pytest.raises(DomainMismatchError):
-        GraphToEdgeItemset().forward(graph({1}, set(), directed=True))
+    # the edge-itemset link's image_items does its source check
+    for directed in (False, True):
+        r = GraphToEdgeItemset(directed=directed)
+        for p in (graph({1, 2}, {(1, 2)}, directed=not directed),
+                  Itemset([1, 2]), Sequence([1, 2])):
+            for encode in (r.forward, r.image_items):
+                with pytest.raises(DomainMismatchError):
+                    encode(p)
 
 
 # ---------------------------------------------------------------------------
@@ -556,13 +563,6 @@ def test_edge_itemset_forward_rejects_pair_labels(directed):
         GraphToEdgeItemset(directed=directed).forward(g)
 
 
-#: every registered id that reaches itemsets, and two chains that do
-_ITEMSET_ENCODINGS = tuple(
-    rid for rid in REDUCTION_IDS
-    if bind_reduction(rid).target_domain == ITEMSET) + (
-    "compose:fis2tree,g2bdg3,g2fis", "compose:fis2seq,seq2dag,dirg2fis")
-
-
 def _edge_itemset(r, p):
     """The image of ``p`` under ``r``, a reduction ending in an edge-itemset
     link, with that link spelled out through the validating constructor:
@@ -571,7 +571,7 @@ def _edge_itemset(r, p):
     return Itemset([(v, v) for v in g.vertices] + list(g.edges))
 
 
-@pytest.mark.parametrize("rid", _ITEMSET_ENCODINGS)
+@pytest.mark.parametrize("rid", ITEMSET_ENCODINGS)
 def test_image_items_list_the_forward_image(rid):
     """``image_items`` lists exactly the items of ``forward``, for seeded
     transactions and sub-patterns of them, and rejects what ``forward``
@@ -601,8 +601,10 @@ def test_image_items_list_the_forward_image(rid):
 @pytest.mark.parametrize("directed", [False, True])
 def test_edge_itemset_image_items_reject_pair_labels(directed):
     g = graph({(1, 2), (2, 3)}, {((1, 2), (2, 3))}, directed=directed)
+    markers = dict(_MARKERS)
     with pytest.raises(PatternError):
         GraphToEdgeItemset(directed=directed).image_items(g)
+    assert _MARKERS == markers  # rejected before any label got a marker
 
 
 # support transfer: supp(p, db) == supp(f(p), f(db)) for every reduction,
