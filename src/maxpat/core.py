@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from .domains import (
     DIGRAPH, GRAPH, ITEMSET, SEQUENCE,
     GraphClass, Itemset, LabelledGraph, Sequence,
-    element_kind, is_connected, item_labels, pattern_domain, pattern_leq,
-    validate_class,
+    element_kind, has_class_shape, is_connected, item_labels, pattern_domain,
+    pattern_leq,
 )
 from .errors import DatabaseError, DomainMismatchError
 
@@ -33,7 +33,8 @@ def _check_transaction(t, domain, graph_class, index):
     if domain in (GRAPH, DIGRAPH):
         if not is_connected(t):
             raise DatabaseError("graph transactions must be connected", index)
-        if graph_class is not None and not validate_class(t, graph_class):
+        # the domain fixes the directedness the class asks for
+        if graph_class is not None and not has_class_shape(t, graph_class):
             raise DatabaseError(
                 f"transaction is not in class {graph_class}", index)
 
@@ -61,9 +62,11 @@ class Database:
             if self.graph_class.directed != (self.domain == DIGRAPH):
                 raise ValueError(
                     f"class {self.graph_class} does not match domain {self.domain}")
+        kinds = set()
         for i, t in enumerate(txns):
             _check_transaction(t, self.domain, self.graph_class, i)
-        kinds = {element_kind(t) for t in txns} - {None}
+            kinds.add(element_kind(t))
+        kinds.discard(None)
         if len(kinds) > 1:
             raise DatabaseError("transactions mix plain and pair labels")
         object.__setattr__(self, "transactions", txns)

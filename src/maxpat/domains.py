@@ -42,13 +42,25 @@ def _label_kind(x):
     return "pair" if isinstance(x, tuple) else "int"
 
 
-def _canonical_items(items):
-    out = set(items)
-    for x in out:
-        _check_label(x)
-    if len({_label_kind(x) for x in out}) > 1:
-        raise PatternError("itemset mixes plain labels and label pairs")
-    return tuple(sorted(out))
+_PLAIN = frozenset((int,))  # exactly int: a bool is not a label
+
+
+def _check_labels(labels, what, distinct=False):
+    """Raise PatternError unless ``labels`` (a set, or a tuple when
+    ``distinct``) are valid labels of one kind, pairwise distinct when
+    ``distinct``.  The errors come in this order: a bad label, a repeated
+    label, labels of two kinds.  Plain ints, the common input, are
+    confirmed by one scan of their types and their minimum; any other
+    input gets the full check of every label."""
+    plain = _PLAIN.issuperset(map(type, labels)) \
+        and (not labels or min(labels) >= 1)
+    if not plain:
+        for x in labels:
+            _check_label(x)
+    if distinct and len(set(labels)) != len(labels):
+        raise PatternError(f"{what} repeats a label: {labels}")
+    if not plain and len({_label_kind(x) for x in labels}) > 1:
+        raise PatternError(f"{what} mixes plain labels and label pairs")
 
 
 @dataclass(frozen=True, repr=False)
@@ -58,7 +70,9 @@ class Itemset:
     items: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "items", _canonical_items(self.items))
+        items = set(self.items)
+        _check_labels(items, "itemset")
+        object.__setattr__(self, "items", tuple(sorted(items)))
 
     @classmethod
     def _trusted(cls, items: tuple):
@@ -93,12 +107,7 @@ class Sequence:
 
     def __post_init__(self):
         events = tuple(self.events)
-        for x in events:
-            _check_label(x)
-        if len(set(events)) != len(events):
-            raise PatternError(f"sequence repeats a label: {events}")
-        if len({_label_kind(x) for x in events}) > 1:
-            raise PatternError("sequence mixes plain labels and label pairs")
+        _check_labels(events, "sequence", distinct=True)
         object.__setattr__(self, "events", events)
 
     @classmethod
@@ -141,6 +150,22 @@ def _normalize_edge(e, vertices, directed):
     return (u, v)
 
 
+def _in_stored_form(edges, vertices, directed):
+    """Whether ``edges`` is already a frozenset of edges as a graph on the
+    plain-int ``vertices`` stores them: pairs of distinct vertices, smaller
+    first unless ``directed``."""
+    if type(edges) is not frozenset:
+        return False
+    for e in edges:
+        if type(e) is not tuple or len(e) != 2:
+            return False
+        u, v = e
+        if not (type(u) is int and type(v) is int and u in vertices
+                and v in vertices and (u < v or directed and u != v)):
+            return False
+    return True
+
+
 @dataclass(frozen=True, repr=False)
 class LabelledGraph:
     """A graph whose vertices are identified by their (unique) labels.
@@ -160,12 +185,11 @@ class LabelledGraph:
         vertices = frozenset(self.vertices)
         if not vertices:
             raise PatternError("the empty graph is not a pattern")
-        for v in vertices:
-            _check_label(v)
-        if len({_label_kind(v) for v in vertices}) > 1:
-            raise PatternError("graph mixes plain labels and label pairs")
-        edges = frozenset(_normalize_edge(e, vertices, self.directed)
-                          for e in self.edges)
+        _check_labels(vertices, "graph")
+        edges = self.edges
+        if not _in_stored_form(edges, vertices, self.directed):
+            edges = frozenset(_normalize_edge(e, vertices, self.directed)
+                              for e in edges)
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "edges", edges)
 
@@ -250,7 +274,8 @@ def _grow_graph(p, labels, directed):
 
 def connected_components(vertices, edges):
     """The connected components of the undirected view of ``edges`` over
-    ``vertices``, as sets, found one at a time."""
+    ``vertices``, as sets, found one at a time.  They split an edge list
+    into graphs; whether a graph is connected is for ``spans`` to say."""
     adj = {v: [] for v in vertices}
     for u, v in edges:
         adj[u].append(v)
@@ -270,10 +295,33 @@ def connected_components(vertices, edges):
         seen |= comp
 
 
+def spans(vertices, edges) -> bool:
+    """Whether the undirected view of ``edges`` joins ``vertices``, which
+    hold every endpoint, into one component (no vertices make none); an
+    edge (a, a) adds nothing.  Union-find with path halving and no
+    recursion, which answers early when there are fewer than n - 1 edges
+    or once one component is left."""
+    n = len(vertices)
+    if len(edges) < n - 1:
+        return False
+    parent = dict(zip(vertices, vertices))
+    for u, v in edges:
+        # path halving: point each node met at its grandparent, and go there
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u != v:
+            parent[u] = v
+            n -= 1
+            if n == 1:
+                return True
+    return n == 1
+
+
 def is_connected(g: LabelledGraph) -> bool:
     """Connectivity of the undirected view; a single vertex counts."""
-    n = len(g.vertices)
-    return n == 1 or len(next(connected_components(g.vertices, g.edges))) == n
+    return spans(g.vertices, g.edges)
 
 
 def undirected_degrees(g: LabelledGraph):
@@ -339,10 +387,13 @@ class GraphClass:
 
 def validate_class(g: LabelledGraph, cls: GraphClass) -> bool:
     """Membership test: directedness, connectivity and the class shape."""
-    if g.directed != cls.directed:
-        return False
-    if not is_connected(g):
-        return False
+    return g.directed == cls.directed and is_connected(g) \
+        and has_class_shape(g, cls)
+
+
+def has_class_shape(g: LabelledGraph, cls: GraphClass) -> bool:
+    """The part of class membership beyond directedness and connectivity,
+    for a connected graph ``g`` as directed as ``cls``."""
     if cls.kind == TREE:
         return len(g.edges) == len(g.vertices) - 1
     if cls.kind == BOUNDED_DEGREE:
@@ -426,10 +477,10 @@ def element_kind(p):
     elif isinstance(p, Sequence):
         xs = p.events
     elif isinstance(p, LabelledGraph):
-        xs = tuple(p.vertices)
+        xs = p.vertices
     else:
         raise DomainMismatchError(f"not a pattern: {p!r}")
-    return _label_kind(xs[0]) if xs else None
+    return _label_kind(next(iter(xs))) if xs else None
 
 
 def pattern_size(p) -> int:

@@ -35,7 +35,7 @@ from functools import reduce
 
 import numpy as np
 
-from .domains import Itemset, connected_components, item_labels, pattern_domain
+from .domains import Itemset, item_labels, pattern_domain, spans
 from .errors import DomainMismatchError
 
 
@@ -136,10 +136,7 @@ def connected_edge_itemset(items) -> bool:
     a--b.  The empty itemset is deemed infeasible so that the empty pattern
     never shadows real connected patterns.
     """
-    labels = item_labels(items)
-    if not labels:
-        return False
-    return len(next(connected_components(labels, items))) == len(labels)
+    return spans(item_labels(items), items)
 
 
 def _check(phi):

@@ -9,7 +9,9 @@
 * edge lists: one file per transaction, ``src dst`` per line; self-loops
   are skipped with a warning.
 
-Label tokens are plain ints ("7") or pairs ("3,1").  Writers emit canonical
+Label tokens are plain ints ("7") or pairs ("3,1").  The parsers read a
+token as a plain int first and fall back to ``parse_label_token``, which
+reads a pair or raises, only when that fails.  Writers emit canonical
 order (sorted items, vertex and edge lists) so write-then-parse round-trips
 byte-identically for canonical inputs.
 """
@@ -38,6 +40,15 @@ def parse_label_token(tok: str, line=None):
         raise ParseError(f"bad label token {tok!r}", line) from None
 
 
+def _label_tokens(toks, line):
+    """``toks`` as labels: plain ints first, anything else through
+    ``parse_label_token``."""
+    try:
+        return list(map(int, toks))
+    except ValueError:
+        return [parse_label_token(t, line) for t in toks]
+
+
 def label_token(x) -> str:
     return f"{x[0]},{x[1]}" if isinstance(x, tuple) else str(x)
 
@@ -48,8 +59,7 @@ def label_token(x) -> str:
 def parse_itemset_db(text: str) -> Database:
     txns = []
     for lineno, line in enumerate(text.splitlines(), 1):
-        toks = line.split()
-        items = [parse_label_token(t, lineno) for t in toks]
+        items = _label_tokens(line.split(), lineno)
         try:
             txns.append(Itemset(items))
         except PatternError as e:
@@ -60,7 +70,7 @@ def parse_itemset_db(text: str) -> Database:
 def parse_sequence_db(text: str) -> Database:
     txns = []
     for lineno, line in enumerate(text.splitlines(), 1):
-        events = [parse_label_token(t, lineno) for t in line.split()]
+        events = _label_tokens(line.split(), lineno)
         try:
             txns.append(Sequence(events))
         except PatternError as e:
@@ -84,43 +94,53 @@ def write_sequence_db(db: Database) -> str:
 def parse_graph_db(text: str, graph_class=None) -> Database:
     directed = False
     txns = []
-    block = None  # (start_line, vertices, edges)
+    start = None  # the current block's "t" line
+    vertices, edges = [], []
+    # equal vertex sets share one frozenset, so that the garbage collector
+    # has fewer objects to scan; few labels make few distinct vertex sets
+    vertex_sets = {}
 
     def flush():
-        if block is None:
-            return
-        start, vertices, edges = block
+        vs = frozenset(vertices)
         try:
-            txns.append(LabelledGraph(frozenset(vertices), frozenset(edges),
-                                      directed=directed))
+            txns.append(LabelledGraph(vertex_sets.setdefault(vs, vs),
+                                      frozenset(edges), directed=directed))
         except PatternError as e:
             raise ParseError(str(e), start) from e
 
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line:
+        toks = raw.split()
+        if not toks:
             continue
-        toks = line.split()
-        if toks[0] == "d":
-            if txns or block is not None:
+        head = toks[0]
+        if head == "e":
+            if start is None or len(toks) != 3:
+                raise ParseError(f"bad edge line {raw!r}", lineno)
+            try:
+                edges.append((int(toks[1]), int(toks[2])))
+            except ValueError:
+                edges.append((parse_label_token(toks[1], lineno),
+                              parse_label_token(toks[2], lineno)))
+        elif head == "v":
+            if start is None or len(toks) != 2:
+                raise ParseError(f"bad vertex line {raw!r}", lineno)
+            try:
+                vertices.append(int(toks[1]))
+            except ValueError:
+                vertices.append(parse_label_token(toks[1], lineno))
+        elif head == "t":
+            if start is not None:
+                flush()
+            start, vertices, edges = lineno, [], []
+        elif head == "d":
+            if start is not None:
                 raise ParseError("the 'd' flag must precede the first block",
                                  lineno)
             directed = True
-        elif toks[0] == "t":
-            flush()
-            block = (lineno, [], [])
-        elif toks[0] == "v":
-            if block is None or len(toks) != 2:
-                raise ParseError(f"bad vertex line {raw!r}", lineno)
-            block[1].append(parse_label_token(toks[1], lineno))
-        elif toks[0] == "e":
-            if block is None or len(toks) != 3:
-                raise ParseError(f"bad edge line {raw!r}", lineno)
-            block[2].append((parse_label_token(toks[1], lineno),
-                             parse_label_token(toks[2], lineno)))
         else:
             raise ParseError(f"unrecognized line {raw!r}", lineno)
-    flush()
+    if start is not None:
+        flush()
     return Database(DIGRAPH if directed else GRAPH, tuple(txns), graph_class)
 
 
@@ -158,8 +178,7 @@ def ingest_edge_lists(paths, components="keep", directed=False,
                 continue
             if len(toks) != 2:
                 raise ParseError(f"{path}: expected 'src dst'", lineno)
-            u = parse_label_token(toks[0], lineno)
-            v = parse_label_token(toks[1], lineno)
+            u, v = _label_tokens(toks, lineno)
             if u == v:
                 warn(f"{path}:{lineno}: skipping self-loop on {u}")
                 continue
@@ -169,12 +188,14 @@ def ingest_edge_lists(paths, components="keep", directed=False,
             continue
         vertices = {x for e in edges for x in e}
         if components == "split":
-            comps = connected_components(vertices, edges)
-            for comp in sorted(comps, key=sorted):
-                txns.append(LabelledGraph(
-                    frozenset(comp),
-                    frozenset(e for e in edges if e[0] in comp),
-                    directed=directed))
+            comps = sorted(connected_components(vertices, edges), key=sorted)
+            where = {v: i for i, comp in enumerate(comps) for v in comp}
+            parts = [[] for _ in comps]
+            for e in edges:
+                parts[where[e[0]]].append(e)
+            for comp, part in zip(comps, parts):
+                txns.append(LabelledGraph(frozenset(comp), frozenset(part),
+                                          directed=directed))
         else:
             txns.append(LabelledGraph(frozenset(vertices), frozenset(edges),
                                       directed=directed))

@@ -8,12 +8,12 @@ from maxpat.domains import (
     DIGRAPH, GRAPH, ITEMSET, SEQUENCE,
     BOUNDED_DEGREE, DAG, DIRECTED, GENERAL, TREE,
     GraphClass, Itemset, LabelledGraph, Sequence,
-    canonical_key, grow, is_acyclic, is_connected, item_labels,
-    pattern_domain,
-    pattern_leq, pattern_size, undirected_degrees,
-    validate_class,
+    canonical_key, connected_components, grow, is_acyclic, is_connected,
+    item_labels, pattern_domain, pattern_leq, pattern_size, spans,
+    undirected_degrees, validate_class,
 )
 from maxpat.errors import DomainMismatchError, PatternError
+from maxpat.feasibility import connected_edge_itemset
 from maxpat.synth import random_db
 
 ints = st.integers(min_value=1, max_value=9)
@@ -135,6 +135,53 @@ def test_connectivity_and_degrees():
     path = LabelledGraph(frozenset({1, 2, 3}), frozenset({(1, 2), (2, 3)}))
     assert is_connected(path)
     assert undirected_degrees(path) == {1: 1, 2: 2, 3: 1}
+
+
+def _bfs_connected(vertices, edges):
+    # the reference: one breadth-first component that holds every vertex
+    return bool(vertices) and \
+        len(next(connected_components(vertices, edges))) == len(vertices)
+
+
+def test_connectivity_agrees_with_bfs():
+    rng = random.Random(7)
+    for trial in range(3000):
+        n = rng.randint(1, 8)
+        if trial % 3 == 0:
+            labels = rng.sample([(a, b) for a in range(1, 4)
+                                 for b in range(1, 4)], n)
+        else:
+            labels = rng.sample(range(1, 13), n)
+        directed = trial % 2 == 1
+        pairs = [(u, v) for u in labels for v in labels
+                 if u != v and (directed or u < v)]
+        p = rng.random()
+        edges = [e for e in pairs if rng.random() < p / 2]
+        g = LabelledGraph(frozenset(labels), frozenset(edges), directed)
+        assert is_connected(g) == _bfs_connected(g.vertices, g.edges), g
+
+        # pair items over plain labels, with markers (a, a)
+        items = {(rng.randint(1, 6), rng.randint(1, 6))
+                 for _ in range(rng.randint(0, 7))}
+        assert connected_edge_itemset(items) == _bfs_connected(
+            item_labels(items), [(a, b) for a, b in items if a != b]), items
+
+
+def test_connectivity_of_a_long_path():
+    # edges 2-3, 3-4, ... come first, so union-find grows one chain whose
+    # far end the last edge (1, 2) must climb: a recursive find would
+    # overflow.  A list keeps that order; a graph's frozenset would not.
+    n = 100_000
+    vertices = frozenset(range(1, n + 1))
+    links = [(i, i + 1) for i in range(2, n)]
+    assert spans(vertices, links + [(1, 2)])
+    assert connected_edge_itemset(links + [(1, 2)])
+    assert is_connected(LabelledGraph(vertices, frozenset(links + [(1, 2)])))
+    # n - 1 edges, one of them a chord, with vertex 1 left out
+    assert not spans(vertices, links + [(2, 4)])
+    assert not connected_edge_itemset(links + [(2, 4), (1, 1)])
+    assert not is_connected(LabelledGraph(vertices,
+                                          frozenset(links + [(2, 4)])))
 
 
 def test_acyclicity():
