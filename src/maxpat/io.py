@@ -186,19 +186,22 @@ def ingest_edge_lists(paths, components="keep", directed=False,
         if not edges:
             warn(f"{path}: no usable edges, skipping file")
             continue
-        vertices = {x for e in edges for x in e}
+        # the whole file is one graph first, so that its labels are checked
+        # (one kind, say) before components are sorted by them
+        g = LabelledGraph(frozenset(x for e in edges for x in e),
+                          frozenset(edges), directed=directed)
         if components == "split":
-            comps = sorted(connected_components(vertices, edges), key=sorted)
+            comps = sorted(connected_components(g.vertices, g.edges),
+                           key=sorted)
             where = {v: i for i, comp in enumerate(comps) for v in comp}
             parts = [[] for _ in comps]
-            for e in edges:
+            for e in g.edges:
                 parts[where[e[0]]].append(e)
             for comp, part in zip(comps, parts):
                 txns.append(LabelledGraph(frozenset(comp), frozenset(part),
                                           directed=directed))
         else:
-            txns.append(LabelledGraph(frozenset(vertices), frozenset(edges),
-                                      directed=directed))
+            txns.append(g)
     return Database(DIGRAPH if directed else GRAPH, tuple(txns))
 
 

@@ -18,6 +18,12 @@ that preimage.  ``induced_feasibility`` builds that predicate, for a single
 reduction and a composition alike: a whole-chain preimage implies every
 hop's, so the chain's inverse is the only preimage test needed.
 
+A composition is one flat chain of links.  A pattern's domain is checked
+once, where it enters through ``forward``, ``inverse`` or ``image_items``;
+past that, links and chains run unchecked maps (``_forward``, ``_inverse``,
+``_items``), as do ``reduce_database`` and ``encode_rows`` once they have
+checked the database's domain.
+
 Every reduction id lives in one table, which says how the reduction is
 bound from a database on its source side (``bind_reduction``, used to
 reduce and mine) and from one on its target side (``bind_from_target``,
@@ -26,7 +32,6 @@ used to invert and for ``preimage(<rid>)``).
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 from itertools import combinations
 
 from .core import Database
@@ -52,16 +57,22 @@ class Reduction:
     target_class: GraphClass | None = None
 
     def forward(self, p):
-        raise NotImplementedError
+        self._check_source(p)
+        return self._forward(p)
 
     def inverse(self, q):
-        raise NotImplementedError
+        self._check_target(q)
+        return self._inverse(q)
 
     def image_items(self, p):
         """The items of the itemset image of the source pattern ``p``, in
         any order, for a reduction into itemsets: what the miner numbers
         and packs, without building the image itself."""
-        raise NotImplementedError
+        self._check_source(p)
+        return self._items(p)
+
+    def _items(self, p):
+        raise NotImplementedError(f"{self.id} does not map into itemsets")
 
     def induced_feasibility(self, phi_source):
         return PreimageExistsAnd(self, phi_source)
@@ -101,8 +112,7 @@ class ItemsetToStar(Reduction):
     target_domain = GRAPH
     target_class = GraphClass(TREE)
 
-    def forward(self, p: Itemset) -> LabelledGraph:
-        self._check_source(p)
+    def _forward(self, p: Itemset) -> LabelledGraph:
         for x in p.items:
             if not isinstance(x, int):
                 raise PatternError(f"{self.id} needs plain int labels, got {x!r}")
@@ -115,8 +125,7 @@ class ItemsetToStar(Reduction):
     def source_labels(self, labels):
         return frozenset(x for x in labels if x < self.root)
 
-    def inverse(self, q: LabelledGraph):
-        self._check_target(q)
+    def _inverse(self, q: LabelledGraph):
         if q.vertices == {self.root} and not q.edges:
             return Itemset()
         if self.root not in q.vertices:
@@ -139,13 +148,11 @@ class ItemsetToSequence(Reduction):
     source_domain = ITEMSET
     target_domain = SEQUENCE
 
-    def forward(self, p: Itemset) -> Sequence:
-        self._check_source(p)
+    def _forward(self, p: Itemset) -> Sequence:
         # the items are distinct valid labels of one kind
         return Sequence._trusted(p.items)
 
-    def inverse(self, q: Sequence):
-        self._check_target(q)
+    def _inverse(self, q: Sequence):
         ev = q.events
         if all(ev[i] < ev[i + 1] for i in range(len(ev) - 1)):
             # distinct valid labels of one kind, and sorted
@@ -180,8 +187,7 @@ class GraphToBoundedDegree(Reduction):
     def _unstop(self, x):
         return (x - 1) // self.n + 1, (x - 1) % self.n + 1
 
-    def forward(self, p: LabelledGraph) -> LabelledGraph:
-        self._check_source(p)
+    def _forward(self, p: LabelledGraph) -> LabelledGraph:
         for v in p.vertices:
             if not isinstance(v, int) or v > self.n:
                 raise PatternError(
@@ -202,8 +208,7 @@ class GraphToBoundedDegree(Reduction):
         return frozenset(self._unstop(x)[0] for x in labels
                          if x <= self.n * self.n)
 
-    def inverse(self, q: LabelledGraph):
-        self._check_target(q)
+    def _inverse(self, q: LabelledGraph):
         groups = {}
         for x in q.vertices:
             if not isinstance(x, int) or x > self.n * self.n:
@@ -280,16 +285,12 @@ class GraphToEdgeItemset(Reduction):
         object.__setattr__(self, "source_domain",
                            DIGRAPH if self.directed else GRAPH)
 
-    def forward(self, p: LabelledGraph) -> Itemset:
+    def _forward(self, p: LabelledGraph) -> Itemset:
         # the graph validated its labels and edges, and markers never
         # collide with edges since self-loops are rejected
-        return Itemset._trusted(tuple(sorted(self.image_items(p))))
+        return Itemset._trusted(tuple(sorted(self._items(p))))
 
-    def image_items(self, p: LabelledGraph):
-        # only a graph has a direction: anything else, or a graph of the
-        # other direction, fails the source check
-        if getattr(p, "directed", None) != self.directed:
-            self._check_source(p)
+    def _items(self, p: LabelledGraph):
         # a graph has a vertex, and its labels are of one kind, so any one
         # label shows whether they are plain ints (before it gets a marker)
         v = next(iter(p.vertices))
@@ -297,8 +298,7 @@ class GraphToEdgeItemset(Reduction):
             raise PatternError(f"{self.id} needs plain int labels, got {v!r}")
         return [*map(_MARKERS.__getitem__, p.vertices), *p.edges]
 
-    def inverse(self, q: Itemset):
-        self._check_target(q)
+    def _inverse(self, q: Itemset):
         if not q.items:
             return None
         markers = set()
@@ -338,8 +338,7 @@ class SequenceToDag(Reduction):
     target_domain = DIGRAPH
     target_class = GraphClass(DAG)
 
-    def forward(self, p: Sequence) -> LabelledGraph:
-        self._check_source(p)
+    def _forward(self, p: Sequence) -> LabelledGraph:
         if not p.events:
             raise PatternError("the empty sequence has no graph image")
         # the events are distinct valid labels of one kind, so the
@@ -348,8 +347,7 @@ class SequenceToDag(Reduction):
                                       frozenset(combinations(p.events, 2)),
                                       directed=True)
 
-    def inverse(self, q: LabelledGraph):
-        self._check_target(q)
+    def _inverse(self, q: LabelledGraph):
         n = len(q.vertices)
         if len(q.edges) != n * (n - 1) // 2:
             return None
@@ -367,51 +365,53 @@ class SequenceToDag(Reduction):
         return Sequence._trusted(tuple(order))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Composed(Reduction):
-    """Left-to-right composition of two reductions."""
+    """Left-to-right composition of two or more reductions, held as one
+    flat chain: a composition given as a link contributes its own links, so
+    that the id of any chain parses back through ``bind_reduction``."""
 
-    first: Reduction
-    second: Reduction
+    links: tuple
 
-    def __post_init__(self):
-        if self.first.target_domain != self.second.source_domain:
-            raise DomainMismatchError(
-                f"cannot compose {self.first.id} ({self.first.target_domain} "
-                f"out) with {self.second.id} ({self.second.source_domain} in)")
-
-    @property
-    def id(self):
-        # flattened so that any chain id parses back through bind_reduction
-        return "compose:" + ",".join(r.id.removeprefix("compose:")
-                                     for r in (self.first, self.second))
-
-    @property
-    def source_domain(self):
-        return self.first.source_domain
-
-    @property
-    def target_domain(self):
-        return self.second.target_domain
-
-    @property
-    def target_class(self):
-        return self.second.target_class
+    def __init__(self, *links):
+        links = tuple(x for r in links
+                      for x in (r.links if isinstance(r, Composed) else (r,)))
+        if len(links) < 2:
+            raise ReductionIdError(
+                f"a composition needs at least two links, got {len(links)}")
+        for a, b in zip(links, links[1:]):
+            if a.target_domain != b.source_domain:
+                raise DomainMismatchError(
+                    f"cannot compose {a.id} ({a.target_domain} out) "
+                    f"with {b.id} ({b.source_domain} in)")
+        object.__setattr__(self, "links", links)
+        object.__setattr__(self, "id",
+                           "compose:" + ",".join(r.id for r in links))
+        object.__setattr__(self, "source_domain", links[0].source_domain)
+        object.__setattr__(self, "target_domain", links[-1].target_domain)
+        object.__setattr__(self, "target_class", links[-1].target_class)
 
     def source_labels(self, labels):
-        return self.first.source_labels(self.second.source_labels(labels))
+        for r in reversed(self.links):
+            labels = r.source_labels(labels)
+        return labels
 
-    def forward(self, p):
-        return self.second.forward(self.first.forward(p))
+    def _forward(self, p):
+        for r in self.links:
+            p = r._forward(p)
+        return p
 
-    def image_items(self, p):
-        return self.second.image_items(self.first.forward(p))
+    def _items(self, p):
+        for r in self.links[:-1]:
+            p = r._forward(p)
+        return self.links[-1]._items(p)
 
-    def inverse(self, q):
-        mid = self.second.inverse(q)
-        if mid is None:
-            return None
-        return self.first.inverse(mid)
+    def _inverse(self, q):
+        for r in reversed(self.links):
+            q = r._inverse(q)
+            if q is None:
+                return None
+        return q
 
 
 # ---------------------------------------------------------------------------
@@ -431,8 +431,8 @@ def reduce_database(r: Reduction, db: Database) -> Database:
         q = images.get(t)
         if q is None:
             try:
-                q = images[t] = r.forward(t)
-            except (PatternError, DomainMismatchError) as e:
+                q = images[t] = r._forward(t)
+            except PatternError as e:
                 raise DatabaseError(f"cannot reduce: {e}", i) from e
         out.append(q)
     return Database(r.target_domain, tuple(out), r.target_class)
@@ -441,10 +441,11 @@ def reduce_database(r: Reduction, db: Database) -> Database:
 def encode_rows(r: Reduction, db: Database, skip=None) -> list:
     """The item rows of ``db`` under ``r``, a reduction into itemsets: for
     each transaction other than those equal to ``skip``, the items of its
-    image in any order (``image_items``).  No image is built or validated,
-    and every transaction is encoded, repeats included: listing a
-    transaction's items costs less than hashing it.  A transaction the map
-    rejects raises with the index where it first occurs."""
+    image in any order (``image_items``, with the database's domain checked
+    in place of each transaction's).  No image is built or validated, and
+    every transaction is encoded, repeats included: listing a transaction's
+    items costs less than hashing it.  A transaction the map rejects raises
+    with the index where it first occurs."""
     if db.domain != r.source_domain:
         raise DomainMismatchError(
             f"{r.id} reduces {r.source_domain} databases, got {db.domain}")
@@ -452,14 +453,14 @@ def encode_rows(r: Reduction, db: Database, skip=None) -> list:
     if skip is not None:
         txns = [t for t in txns if t != skip]
     try:
-        return list(map(r.image_items, txns))
-    except (PatternError, DomainMismatchError) as e:
+        return list(map(r._items, txns))
+    except PatternError as e:
         # the map stopped at the first transaction rejected: find its index
         for i, t in enumerate(db.transactions):
             if t != skip:
                 try:
-                    r.image_items(t)
-                except (PatternError, DomainMismatchError):
+                    r._items(t)
+                except PatternError:
                     raise DatabaseError(f"cannot reduce: {e}", i) from e
         raise
 
@@ -565,7 +566,7 @@ def bind_reduction(rid: str, db: Database | None = None) -> Reduction:
         bound.append(_bind(link, _SOURCE, db))
         if db is not None and _reads_db(links[k + 1:]):
             db = reduce_database(bound[-1], db)
-    return reduce(Composed, bound)
+    return bound[0] if len(bound) == 1 else Composed(*bound)
 
 
 def bind_from_target(rid: str, db: Database) -> Reduction:
@@ -578,4 +579,4 @@ def bind_from_target(rid: str, db: Database) -> Reduction:
         bound.insert(0, _bind(links[k], _TARGET, db))
         if _reads_db(links[:k]):
             db = _undo(bound[0], db)
-    return reduce(Composed, bound)
+    return bound[0] if len(bound) == 1 else Composed(*bound)

@@ -7,6 +7,7 @@ from maxpat.domains import (
 )
 from maxpat.errors import DatabaseError, ParseError, PatternError
 from maxpat import io as mio
+from maxpat.cli import main
 
 
 def graph(vs, es, directed=False):
@@ -153,6 +154,22 @@ def test_edge_list_split_components(tmp_path):
         graph({1, 2, 3, 4}, {(1, 2), (2, 3), (3, 4)}),
         *(graph({u, v}, {(u, v)}) for u, v in pairs))
     assert warnings == []
+
+
+@pytest.mark.parametrize("components", ["keep", "split"])
+def test_edge_list_mixing_label_kinds_is_refused(tmp_path, capsys,
+                                                 components):
+    f = tmp_path / "mixed.edges"
+    f.write_text("1 2\n3,4 5,6\n")
+    with pytest.raises(PatternError, match="mixes plain labels and label pairs"):
+        mio.ingest_edge_lists([f], components=components)
+    code = main(["mine", "--input", str(f), "--format", "edges",
+                 "--components", components, "--domain", "graph",
+                 "--tau", "1"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error:validation:")
+    assert "Traceback" not in err
 
 
 def test_edge_list_empty_file_skipped(tmp_path):

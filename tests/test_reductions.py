@@ -7,11 +7,12 @@ from conftest import ITEMSET_ENCODINGS
 from maxpat.core import Database, graph_db, itemset_db
 from maxpat.domains import (
     DIGRAPH, ITEMSET, SEQUENCE, DAG, TREE,
-    Itemset, LabelledGraph, Sequence, item_labels, pattern_leq,
-    validate_class,
+    Itemset, LabelledGraph, Sequence, item_labels, pattern_domain,
+    pattern_leq, validate_class,
 )
 from maxpat.errors import (
     DatabaseError, DomainMismatchError, NoPreimageError, PatternError,
+    ReductionIdError,
 )
 from maxpat.feasibility import ALWAYS, PreimageExistsAnd
 from maxpat.miner import mine_max_ffis
@@ -19,8 +20,8 @@ from maxpat.oracle import oracle_max
 from maxpat.reductions import (
     _MARKERS, REDUCTION_IDS, Composed, GraphToBoundedDegree,
     GraphToEdgeItemset, ItemsetToSequence, ItemsetToStar, SequenceToDag,
-    bind_from_target, bind_reduction, invert_database, lift_results,
-    reduce_database,
+    bind_from_target, bind_reduction, encode_rows, invert_database,
+    lift_results, reduce_database,
 )
 from maxpat.synth import random_connected_graph, random_db, random_subpattern
 
@@ -236,6 +237,47 @@ def test_composed_roundtrip_and_metadata():
     assert chain.target_domain == DIGRAPH
     assert chain.target_class.kind == DAG
     assert chain.id == "compose:fis2seq,seq2dag"
+
+
+def test_composed_needs_two_links_and_stays_flat():
+    for links in [(), (ItemsetToSequence(),)]:
+        with pytest.raises(ReductionIdError):
+            Composed(*links)
+    chain = Composed(Composed(ItemsetToSequence(), SequenceToDag()),
+                     GraphToEdgeItemset(directed=True))
+    assert chain.links == (ItemsetToSequence(), SequenceToDag(),
+                           GraphToEdgeItemset(directed=True))
+    assert chain == bind_reduction(chain.id)
+
+
+def test_a_pattern_domain_is_checked_once(monkeypatch):
+    """A chain checks a pattern's domain where it enters, not once per
+    link, and the database-level maps check no transaction's domain; a
+    pattern of the wrong domain is still refused."""
+    checks = []
+
+    def counting(p):
+        checks.append(p)
+        return pattern_domain(p)
+
+    db = itemset_db([{1, 2}, {2, 3}, {1, 2}])
+    chain = bind_reduction("compose:fis2tree,g2bdg3,g2fis", db)
+    monkeypatch.setattr("maxpat.reductions.pattern_domain", counting)
+    image = chain.forward(Itemset({1, 2}))
+    assert len(checks) == 1
+    checks.clear()
+    assert chain.inverse(image) == Itemset({1, 2})
+    assert sorted(chain.image_items(Itemset({1, 2}))) == list(image.items)
+    assert len(checks) == 2
+    checks.clear()
+    reduce_database(chain, db)
+    encode_rows(chain, db)
+    assert checks == []
+    for call, wrong in [(chain.forward, Sequence([1, 2])),
+                        (chain.image_items, graph({1, 2}, {(1, 2)})),
+                        (chain.inverse, Sequence([1, 2]))]:
+        with pytest.raises(DomainMismatchError):
+            call(wrong)
 
 
 def test_reduce_database_and_lift():
@@ -463,7 +505,7 @@ def test_unvalidated_results_equal_validated_construction(rid):
 def test_forward_rejects_wrong_domain():
     with pytest.raises(DomainMismatchError):
         ItemsetToSequence().forward(Sequence([1]))
-    # the edge-itemset link's image_items does its source check
+    # image_items checks the source domain as forward does
     for directed in (False, True):
         r = GraphToEdgeItemset(directed=directed)
         for p in (graph({1, 2}, {(1, 2)}, directed=not directed),
@@ -567,8 +609,9 @@ def _edge_itemset(r, p):
     """The image of ``p`` under ``r``, a reduction ending in an edge-itemset
     link, with that link spelled out through the validating constructor:
     a marker pair per vertex and one pair per edge."""
-    g = r.first.forward(p) if isinstance(r, Composed) else p
-    return Itemset([(v, v) for v in g.vertices] + list(g.edges))
+    for link in r.links[:-1] if isinstance(r, Composed) else ():
+        p = link.forward(p)
+    return Itemset([(v, v) for v in p.vertices] + list(p.edges))
 
 
 @pytest.mark.parametrize("rid", ITEMSET_ENCODINGS)
