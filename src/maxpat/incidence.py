@@ -1,0 +1,99 @@
+"""Transactions as one flat incidence of items and rows, in numpy.
+
+An ``Incidence`` is what the miner numbers (``number``) and packs, with no
+Python list of items per transaction.  An itemset database gives one
+directly (``item_incidence``), and a reduction into itemsets gives the
+incidence of a database's images (``reductions.encode_rows``).
+"""
+
+from itertools import chain
+from typing import NamedTuple
+
+import numpy as np
+
+
+class Incidence(NamedTuple):
+    """Transactions as one flat incidence of items and rows: entry j says
+    that row ``rows[j]`` holds an item, whose label is entry j of the one
+    array in ``labels``, or a label pair, whose components are entry j of
+    the two arrays in ``labels``.  The arrays are int64, or object arrays
+    of Python ints when a label does not fit in 64 bits."""
+
+    labels: tuple
+    rows: np.ndarray
+    n_rows: int
+
+    @staticmethod
+    def joined(parts):
+        """One incidence holding the rows of ``parts`` in turn."""
+        if len(parts) == 1:
+            return parts[0]
+        offsets = np.cumsum([0] + [p.n_rows for p in parts])
+        return Incidence(
+            tuple(map(np.concatenate, zip(*(p.labels for p in parts)))),
+            np.concatenate([p.rows + o for p, o in zip(parts, offsets)]),
+            int(offsets[-1]))
+
+
+def label_array(make, count: int) -> np.ndarray:
+    """The ``count`` ints that ``make()`` iterates, as an int64 array, or
+    as an object array of Python ints when one of them is 2**63 or more."""
+    try:
+        return np.fromiter(make(), dtype=np.int64, count=count)
+    except OverflowError:
+        return np.fromiter(make(), dtype=object, count=count)
+
+
+def lengths(sized) -> np.ndarray:
+    """The length of each entry of the list ``sized``."""
+    return np.fromiter(map(len, sized), dtype=np.intp, count=len(sized))
+
+
+def item_incidence(rows) -> Incidence:
+    """The ``Incidence`` of ``rows``, a list of label tuples that are all
+    plain labels or all label pairs: an itemset database's own items."""
+    sizes = lengths(rows)
+    pairs = isinstance(next(chain.from_iterable(rows), None), tuple)
+
+    def flat():
+        items = chain.from_iterable(rows)
+        return chain.from_iterable(items) if pairs else items
+
+    labels = label_array(flat, (1 + pairs) * int(sizes.sum()))
+    return Incidence((labels[0::2], labels[1::2]) if pairs else (labels,),
+                     np.repeat(np.arange(len(rows), dtype=np.intp), sizes),
+                     len(rows))
+
+
+#: codes below this (or below the number of entries) are numbered through
+#: a lookup table of that length, larger ones by sorting
+_TABLE_CODES = 1 << 16
+
+
+def number(labels):
+    """Number the distinct labels of the columns ``labels``
+    (``Incidence.labels``) in label order: the sorted distinct labels, as
+    ints or pairs, and the index of each entry among them.  A pair (a, b)
+    is numbered by its code a*base + b, with base above every b, so the
+    codes sort the way the pairs do and no pair is built or hashed.  Codes
+    past int64 are Python ints in an object array."""
+    pairs = len(labels) == 2
+    codes = labels[0]
+    if pairs:
+        a, b = labels
+        base = int(b.max(initial=0)) + 1
+        if int(a.max(initial=0)) * base + base > 2**63:
+            a = a.astype(object)
+        codes = a * base + b
+    top = int(codes.max(initial=0))
+    if codes.dtype != object and top < max(_TABLE_CODES, len(codes)):
+        present = np.zeros(top + 1, dtype=bool)
+        present[codes] = True
+        distinct = np.flatnonzero(present)
+        index = (np.cumsum(present) - 1)[codes]
+    else:
+        distinct, index = np.unique(codes, return_inverse=True)
+    items = distinct.tolist()
+    if pairs:
+        items = [divmod(c, base) for c in items]
+    return items, index

@@ -75,20 +75,26 @@ disconnected.
 
 The climb runs on item indices (``climb_rows``).  Items are numbered once,
 in label order, so a candidate is a sorted row of ints and rows sort
-exactly like the itemsets they name.  Numbering and packing are one flat
-pass over the transactions' item rows: their items are chained into one
-list, the distinct items sorted, every entry of the list mapped to its
-index into one array, and that array packed into tidsets with the row ids
-repeated along it.  The maximality filter packs the collected sets with
-the same helper.  Labels are validated once, where the database is built;
+exactly like the itemsets they name.  Numbering and packing work on one
+flat incidence of the transactions (``incidence.Incidence``): numpy
+arrays of the labels, or of the two components of label pairs, beside an
+array of row ids, with no Python list of items per transaction.  A pair
+(a, b) is numbered by its code a*base + b, base being above every b, so
+the codes sort the way the pairs do and no tuple is built or hashed.
+Small codes are numbered through a lookup table and larger ones by
+``np.unique``; a label or code past int64 is kept as a Python int in an
+object array (``incidence.number``).  The
+indices are packed into tidsets against the row ids
+(``_kernels.pack_rows``), as are the collected sets in the maximality
+filter.  Labels are validated once, where the database is built;
 a labelled ``Itemset`` is made, without checking its labels again, only for
 a frequent set, where a predicate or the caller needs one.
 
 Other domains are mined by encoding into itemsets through a reduction and
-lifting the results back.  The encoding happens in index space: each
-source transaction goes straight to the items of its image
-(``encode_rows`` over ``Reduction.image_items``), and the step climb maps a
-grown pattern's image items to indices and sorts the ints, so no image
+lifting the results back.  The encoding happens in index space: the
+source transactions go straight to the incidence of their images
+(``encode_rows``), and the step climb maps a grown pattern's image items
+(``Reduction.image_items``) to indices and sorts the ints, so no image
 ``Itemset`` and no image ``Database`` is built or validated on the mine
 path.  The empty itemset / sequence, which some chains cannot represent, is
 left out of the encoding and reported directly at the source level when
@@ -97,7 +103,7 @@ encoding, packing, the climb, the maximality filter and lifting.
 """
 
 from dataclasses import dataclass, field
-from itertools import chain, compress
+from itertools import compress
 from time import perf_counter
 
 import numpy as np
@@ -110,6 +116,7 @@ from .domains import (
 )
 from .errors import DomainMismatchError, ExtendError, PatternError
 from .feasibility import ALWAYS, describe, evaluate
+from .incidence import Incidence, item_incidence, number
 # the mine path encodes with encode_rows; reduce_database stays a module
 # attribute because perfbench's tracer wraps it here by name
 from .reductions import (  # noqa: F401
@@ -148,13 +155,13 @@ class MiningResult:
     seconds: dict = field(default_factory=dict, compare=False)
 
 
-def _tidsets(rows, flat, n_items):
-    """One bitset per item index over ``rows``, runs of items whose indices
-    ``flat`` lists end to end: bit r of item i is set when row r contains
-    i."""
-    lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
-    rids = np.repeat(np.arange(len(rows), dtype=np.intp), lengths)
-    return _kernels.pack_rows(flat, rids, n_items, len(rows))
+def _pack(incidence: Incidence):
+    """The distinct items of ``incidence`` in label order, and one bitset
+    per item over its rows: bit r of item i is set when row r holds
+    item i."""
+    items, index = number(incidence.labels)
+    return items, _kernels.pack_rows(index, incidence.rows, len(items),
+                                     incidence.n_rows)
 
 
 def _label_bitsets(items):
@@ -297,8 +304,10 @@ def _maximal_among(collected, n_items):
     sets are distinct, so a set is maximal iff the only collected set
     containing it is itself; containment is counted like support, with the
     collected sets in place of the transactions."""
-    flat = np.fromiter(chain.from_iterable(collected), dtype=np.intp)
-    counts = _count_by_size(_tidsets(collected, flat, n_items), collected)
+    sets = item_incidence(collected)
+    tidsets = _kernels.pack_rows(sets.labels[0], sets.rows, n_items,
+                                 sets.n_rows)
+    counts = _count_by_size(tidsets, collected)
     return list(compress(collected, counts == 1))
 
 
@@ -328,15 +337,16 @@ def mine_max_ffis(db: Database, tau: int, phi=ALWAYS,
     if db.domain != ITEMSET:
         raise DomainMismatchError(
             f"the levelwise miner works on itemset databases, got {db.domain}")
-    return climb_rows([t.items for t in db.transactions], tau, phi, mode)
+    return climb_rows(item_incidence([t.items for t in db.transactions]),
+                      tau, phi, mode)
 
 
-def climb_rows(rows, tau: int, phi=ALWAYS,
+def climb_rows(incidence: Incidence, tau: int, phi=ALWAYS,
                mode: str = "auto") -> MiningResult:
-    """The levelwise climb of ``mine_max_ffis`` on item rows: each entry of
-    ``rows`` lists one transaction's items, in any order, and all items are
-    valid labels of one kind.  ``tau`` was checked by the caller.  The
-    result's seconds cover packing, the climb and the maximality filter."""
+    """The levelwise climb of ``mine_max_ffis`` on item rows: one row per
+    transaction, whose items ``incidence`` lists, all valid labels of one
+    kind.  ``tau`` was checked by the caller.  The result's seconds cover
+    packing, the climb and the maximality filter."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     prune = mode == "auto"
@@ -344,15 +354,14 @@ def climb_rows(rows, tau: int, phi=ALWAYS,
     if step is not None and step.target_domain != ITEMSET:
         step = None  # accepts no itemset at all, which evaluate reports
 
-    # one flat pass numbers the items and packs their tidsets; index order
-    # is label order, so sorted index tuples sort like their itemsets
+    # index order is label order, so sorted index tuples sort like their
+    # itemsets
     start = perf_counter()
-    flat = list(chain.from_iterable(rows))
-    items = sorted(set(flat))
+    items, tidsets = _pack(incidence)
+    n_rows = incidence.n_rows
+    # mine_max_ffis keeps no reference, so its incidence is freed here
+    del incidence
     index = {x: i for i, x in enumerate(items)}
-    tidsets = _tidsets(rows, np.fromiter(map(index.__getitem__, flat),
-                                         dtype=np.intp, count=len(flat)),
-                       len(items))
     packed = perf_counter()
 
     def itemset(s):
@@ -405,7 +414,7 @@ def climb_rows(rows, tau: int, phi=ALWAYS,
         bottom = Itemset() if step is None else _empty_image(step)
         maximal = [bottom] if (
             bottom is not None
-            and _support_on(tidsets, index, len(rows), bottom.items) >= tau
+            and _support_on(tidsets, index, n_rows, bottom.items) >= tau
             and evaluate(phi, bottom)) else []
     maximal = tuple(sorted(maximal, key=canonical_key))
     seconds = {"encode": 0.0, "pack": packed - start,
@@ -447,9 +456,9 @@ def mine_via_reduction(r: Reduction, db: Database, tau: int, phi=ALWAYS,
             f"to mine through it")
     empty = _empty_pattern(r.source_domain)
     start = perf_counter()
-    rows = encode_rows(r, db, skip=empty)
+    incidence = encode_rows(r, db, skip=empty)
     encoded = perf_counter()
-    res = climb_rows(rows, tau, r.induced_feasibility(phi), mode)
+    res = climb_rows(incidence, tau, r.induced_feasibility(phi), mode)
     lifting = perf_counter()
     lifted = lift_results(r, res.maximal)
     if not lifted and empty is not None and tau <= len(db) \

@@ -21,8 +21,9 @@ hop's, so the chain's inverse is the only preimage test needed.
 A composition is one flat chain of links.  A pattern's domain is checked
 once, where it enters through ``forward``, ``inverse`` or ``image_items``;
 past that, links and chains run unchecked maps (``_forward``, ``_inverse``,
-``_items``), as do ``reduce_database`` and ``encode_rows`` once they have
-checked the database's domain.
+``_items``, and ``_incidence`` for a whole list of patterns), as do
+``reduce_database`` and ``encode_rows`` once they have checked the
+database's domain.
 
 Every reduction id lives in one table, which says how the reduction is
 bound from a database on its source side (``bind_reduction``, used to
@@ -32,7 +33,10 @@ used to invert and for ``preimage(<rid>)``).
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
+from operator import attrgetter, itemgetter
+
+import numpy as np
 
 from .core import Database
 from .domains import (
@@ -45,6 +49,7 @@ from .errors import (
     ReductionIdError,
 )
 from .feasibility import PreimageExistsAnd
+from .incidence import Incidence, label_array, lengths
 
 
 class Reduction:
@@ -72,6 +77,12 @@ class Reduction:
         return self._items(p)
 
     def _items(self, p):
+        raise NotImplementedError(f"{self.id} does not map into itemsets")
+
+    def _incidence(self, patterns):
+        """The ``Incidence`` of the itemset images of the source patterns
+        in the list ``patterns``, one row each: ``_items`` for a whole
+        database at once."""
         raise NotImplementedError(f"{self.id} does not map into itemsets")
 
     def induced_feasibility(self, phi_source):
@@ -290,13 +301,40 @@ class GraphToEdgeItemset(Reduction):
         # collide with edges since self-loops are rejected
         return Itemset._trusted(tuple(sorted(self._items(p))))
 
-    def _items(self, p: LabelledGraph):
+    def _check_plain(self, p: LabelledGraph):
         # a graph has a vertex, and its labels are of one kind, so any one
         # label shows whether they are plain ints (before it gets a marker)
         v = next(iter(p.vertices))
         if not isinstance(v, int):
             raise PatternError(f"{self.id} needs plain int labels, got {v!r}")
+
+    def _items(self, p: LabelledGraph):
+        self._check_plain(p)
         return [*map(_MARKERS.__getitem__, p.vertices), *p.edges]
+
+    def _incidence(self, graphs):
+        # a database does not mix plain labels and pairs, nor does any link
+        # into a graph, so the first graph's labels show what all are
+        if graphs:
+            self._check_plain(graphs[0])
+        vertex_sets = list(map(attrgetter("vertices"), graphs))
+        edge_sets = list(map(attrgetter("edges"), graphs))
+        n_vertices = lengths(vertex_sets)
+        vertices = label_array(lambda: chain.from_iterable(vertex_sets),
+                               int(n_vertices.sum()))
+        # the edges' ends are read off by index: flattening each edge into
+        # its ends would allocate an iterator per edge
+        edges = list(chain.from_iterable(edge_sets))
+        heads, tails = (label_array(lambda: map(itemgetter(end), edges),
+                                     len(edges)) for end in (0, 1))
+        ids = np.arange(len(graphs), dtype=np.intp)
+        # a marker (v, v) per vertex, then the edges
+        return Incidence(
+            (np.concatenate((vertices, heads)),
+             np.concatenate((vertices, tails))),
+            np.concatenate((np.repeat(ids, n_vertices),
+                            np.repeat(ids, lengths(edge_sets)))),
+            len(graphs))
 
     def _inverse(self, q: Itemset):
         if not q.items:
@@ -365,6 +403,10 @@ class SequenceToDag(Reduction):
         return Sequence._trusted(tuple(order))
 
 
+#: patterns a chain carries through its middle links at a time
+_BLOCK = 128
+
+
 @dataclass(frozen=True, init=False)
 class Composed(Reduction):
     """Left-to-right composition of two or more reductions, held as one
@@ -406,6 +448,17 @@ class Composed(Reduction):
             p = r._forward(p)
         return self.links[-1]._items(p)
 
+    def _incidence(self, patterns):
+        # the patterns go through the middle links a block at a time, so
+        # that only one block of middle images is alive at once
+        parts = []
+        for lo in range(0, max(1, len(patterns)), _BLOCK):
+            block = patterns[lo:lo + _BLOCK]
+            for r in self.links[:-1]:
+                block = list(map(r._forward, block))
+            parts.append(self.links[-1]._incidence(block))
+        return Incidence.joined(parts)
+
     def _inverse(self, q):
         for r in reversed(self.links):
             q = r._inverse(q)
@@ -438,14 +491,18 @@ def reduce_database(r: Reduction, db: Database) -> Database:
     return Database(r.target_domain, tuple(out), r.target_class)
 
 
-def encode_rows(r: Reduction, db: Database, skip=None) -> list:
-    """The item rows of ``db`` under ``r``, a reduction into itemsets: for
-    each transaction other than those equal to ``skip``, the items of its
-    image in any order (``image_items``, with the database's domain checked
-    in place of each transaction's).  No image is built or validated, and
-    every transaction is encoded, repeats included: listing a transaction's
-    items costs less than hashing it.  A transaction the map rejects raises
-    with the index where it first occurs."""
+def encode_rows(r: Reduction, db: Database, skip=None) -> Incidence:
+    """The ``Incidence`` of ``db`` under ``r``, a reduction into itemsets:
+    one row per transaction other than those equal to ``skip``, holding
+    the items of its image.  ``_incidence`` builds it for the whole
+    database at once, with the database's domain checked in place of each
+    transaction's: the edge-itemset link gathers the label ints of all the
+    graphs in one pass, and a chain forwards through its other links, a
+    block of transactions at a time, and hands the graphs in between to
+    that link.  No image is built or
+    validated, no list of items is kept per transaction, and every
+    transaction is encoded, repeats included.  A transaction the map
+    rejects raises with the index where it first occurs."""
     if db.domain != r.source_domain:
         raise DomainMismatchError(
             f"{r.id} reduces {r.source_domain} databases, got {db.domain}")
@@ -453,14 +510,14 @@ def encode_rows(r: Reduction, db: Database, skip=None) -> list:
     if skip is not None:
         txns = [t for t in txns if t != skip]
     try:
-        return list(map(r._items, txns))
-    except PatternError as e:
-        # the map stopped at the first transaction rejected: find its index
+        return r._incidence(list(txns))
+    except PatternError:
+        # find the first transaction rejected, one at a time
         for i, t in enumerate(db.transactions):
             if t != skip:
                 try:
                     r._items(t)
-                except PatternError:
+                except PatternError as e:
                     raise DatabaseError(f"cannot reduce: {e}", i) from e
         raise
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import ITEMSET_ENCODINGS
-from maxpat import _kernels, domains, miner
+from maxpat import _kernels, domains, miner, reductions
 from maxpat.core import Database, graph_db, itemset_db, sequence_db, support
 from maxpat.domains import (
     DIGRAPH, GRAPH, ITEMSET, SEQUENCE, Itemset, LabelledGraph, Sequence,
@@ -616,9 +616,9 @@ def test_benchmark_wrap_points_are_called(monkeypatch):
     # graphs still count once each
     climbed = []
 
-    def recorded(rows, *args, _fn=miner.climb_rows):
-        climbed.append(rows)
-        return _fn(rows, *args)
+    def recorded(incidence, *args, _fn=miner.climb_rows):
+        climbed.append(incidence)
+        return _fn(incidence, *args)
     monkeypatch.setattr(miner, "climb_rows", recorded)
     rng = random.Random(4)
     pool = random_graph_db(rng, n_txns=4).transactions
@@ -626,9 +626,10 @@ def test_benchmark_wrap_points_are_called(monkeypatch):
                     for g in rng.choices(pool, k=30)])
     mine(dup, 3)
     r = GraphToEdgeItemset()
-    assert len(set(dup)) < len(climbed[0]) == len(dup)
-    assert (sum(map(len, climbed[0]))
-            == sum(len(r.forward(t)) for t in dup))
+    assert len(set(dup)) < climbed[0].n_rows == len(dup)
+    assert len(climbed[0].rows) == sum(len(r.forward(t)) for t in dup)
+    assert (np.bincount(climbed[0].rows, minlength=len(dup)).tolist()
+            == [len(r.forward(t)) for t in dup])
 
 
 @pytest.mark.parametrize("rid", ITEMSET_ENCODINGS)
@@ -638,11 +639,13 @@ def test_climb_packs_the_rows_of_the_image_database(rid, monkeypatch):
     repeats kept."""
     packed = []
 
-    def recorded(rows, *args, _fn=miner._tidsets):
-        if not packed:  # the first packing is the transactions'
-            packed.append([sorted(row) for row in rows])
-        return _fn(rows, *args)
-    monkeypatch.setattr(miner, "_tidsets", recorded)
+    def recorded(incidence, _fn=miner._pack):
+        items, tidsets = _fn(incidence)
+        packed.append((incidence, items, tidsets))
+        return items, tidsets
+    monkeypatch.setattr(miner, "_pack", recorded)
+    # chains encode in blocks: make the 20 transactions span three
+    monkeypatch.setattr(reductions, "_BLOCK", 7)
     rng = random.Random(rid)
     domain = bind_reduction(rid).source_domain
     empty = Itemset() if domain == ITEMSET else None
@@ -654,8 +657,14 @@ def test_climb_packs_the_rows_of_the_image_database(rid, monkeypatch):
         kept = Database(domain, tuple(t for t in db if t != empty))
         packed.clear()
         mine_via_reduction(r, db, 3)
-        assert packed[0] == [list(q.items)
-                             for q in reduce_database(r, kept).transactions]
+        image = reduce_database(r, kept)
+        (incidence, items, tidsets), = packed
+        assert incidence.n_rows == len(image)
+        assert (len(incidence.rows)
+                == sum(len(q) for q in image.transactions))
+        assert (_packed_rows(items, tidsets, incidence.n_rows)
+                == [list(q.items) for q in image.transactions])
+        assert np.array_equal(tidsets, _nested_tidsets(image))
         repeats += len(db) - len(set(db))
         empties += len(db) - len(kept)
     assert repeats > 50
@@ -665,12 +674,60 @@ def test_climb_packs_the_rows_of_the_image_database(rid, monkeypatch):
 @pytest.mark.parametrize("db, first", [
     (graph_db([LabelledGraph(frozenset({(1, 2), (2, 3)}),
                              frozenset({((1, 2), (2, 3))}))] * 2), 0),
+    (graph_db([LabelledGraph(frozenset({(1, 2), (2, 3)}),
+                             frozenset({((2, 3), (1, 2))}), directed=True),
+               LabelledGraph(frozenset({(1, 2)}), frozenset(),
+                             directed=True)], directed=True), 0),
     (sequence_db([(), ((1, 2),), (), ((2, 3), (1, 2))]), 1),
-], ids=["g2fis", "seq2dag-dirg2fis"])
+], ids=["g2fis", "dirg2fis", "seq2dag-dirg2fis"])
 def test_mine_reports_a_rejected_transaction_at_its_first_index(db, first):
     with pytest.raises(DatabaseError) as ei:
         mine(db, 1)
     assert ei.value.index == first
+    # the message is the one the transaction's own encoding raises
+    with pytest.raises(PatternError) as own:
+        miner._ENCODINGS[db.domain].image_items(db.transactions[first])
+    assert str(ei.value) == f"transaction {first}: cannot reduce: {own.value}"
+
+
+def _relabelled(db, f):
+    """``db`` with every plain label x, alone or in a pair, renamed f(x)."""
+    def label(x):
+        return tuple(map(f, x)) if isinstance(x, tuple) else f(x)
+
+    def renamed(t):
+        if isinstance(t, Itemset):
+            return Itemset(tuple(map(label, t.items)))
+        if isinstance(t, Sequence):
+            return Sequence(tuple(map(label, t.events)))
+        return LabelledGraph(frozenset(map(label, t.vertices)),
+                             frozenset((f(a), f(b)) for a, b in t.edges),
+                             directed=t.directed)
+    return Database(db.domain, tuple(map(renamed, db.transactions)))
+
+
+@pytest.mark.parametrize("rename", [
+    lambda x: 2**63 + 7 * x,        # labels past int64
+    lambda x: 2**64 - 3 * x,        # past int64, in reverse order
+    lambda x: 10**9 + 11 * x,       # pair codes fit int64, past any table
+    lambda x: 4 * 10**9 - x,        # labels fit int64, pair codes do not
+], ids=["2**63", "2**64-reversed", "1e9", "4e9-reversed"])
+def test_huge_labels_mine_to_the_oracle_answer(rename):
+    """Labels far above the item count are numbered exactly, on every
+    domain and for plain labels and pairs alike: an int64 numbering that
+    overflowed would mine a wrong answer without a word."""
+    rng = random.Random(29)
+    runs = 0
+    for domain, kw in [(ITEMSET, {}), (ITEMSET, {"pair_items": True}),
+                       (GRAPH, {}), (DIGRAPH, {}), (SEQUENCE, {})]:
+        for _ in range(3):
+            db = _relabelled(random_db(rng, domain, n_labels=5, n_txns=6,
+                                       **kw), rename)
+            for tau in (1, 2, 3):
+                assert mine(db, tau).maximal == oracle_max(db, tau, ALWAYS), (
+                    db, tau)
+                runs += 1
+    assert runs == 45
 
 
 def test_mining_result_reports_seconds_per_phase():
@@ -687,6 +744,14 @@ def test_mining_result_reports_seconds_per_phase():
         if domain == ITEMSET:
             assert res.seconds["encode"] == 0
         assert res == mine(db, 3)  # timings take no part in equality
+
+
+def _packed_rows(items, tidsets, n_rows):
+    """The rows that ``tidsets`` packs over the numbered ``items``, each as
+    the sorted list of the items whose bit it sets."""
+    r = np.arange(n_rows)
+    member = (tidsets[:, r >> 6] >> (r & 63).astype(np.uint64)) & np.uint64(1)
+    return [[items[i] for i in np.flatnonzero(col)] for col in member.T]
 
 
 def _nested_tidsets(db):
@@ -717,15 +782,17 @@ _WIDE = random.Random(11)
 def test_flat_packing_matches_nested_construction(txns, monkeypatch):
     packed = []
 
-    def recorded(*args, _fn=miner._tidsets):
-        packed.append(_fn(*args))
+    def recorded(incidence, _fn=miner._pack):
+        packed.append(_fn(incidence))
         return packed[-1]
-    monkeypatch.setattr(miner, "_tidsets", recorded)
+    monkeypatch.setattr(miner, "_pack", recorded)
     db = itemset_db(txns)
     mine_max_ffis(db, 1)
+    (items, tidsets), = packed
     want = _nested_tidsets(db)
-    assert packed[0].dtype == want.dtype
-    assert packed[0].shape == want.shape and np.array_equal(packed[0], want)
+    assert items == sorted({x for t in db.transactions for x in t.items})
+    assert tidsets.dtype == want.dtype
+    assert tidsets.shape == want.shape and np.array_equal(tidsets, want)
 
 
 _CAPPED_MINE = r'''
