@@ -3,7 +3,9 @@
 An ``Incidence`` is what the miner numbers (``number``) and packs, with no
 Python list of items per transaction.  An itemset database gives one
 directly (``item_incidence``), and a reduction into itemsets gives the
-incidence of a database's images (``reductions.encode_rows``).
+incidence of a database's images (``reductions.encode_rows``) and of a
+step climb's grown patterns, whose entries ``lookup`` finds among the
+numbered items.
 """
 
 from itertools import chain
@@ -97,3 +99,18 @@ def number(labels):
     if pairs:
         items = [divmod(c, base) for c in items]
     return items, index
+
+
+def lookup(items, labels) -> np.ndarray:
+    """The index among ``items``, the sorted distinct items that ``number``
+    returns, of each entry of the columns ``labels`` (``Incidence.labels``),
+    or -1 for an entry that is no item.  The items and the entries are
+    numbered together, so a pair is found by its code as ``number`` gives
+    it, past int64 too, with the base above every second label of both."""
+    known = item_incidence([items]).labels
+    if len(known) != len(labels):  # entries of the other kind
+        return np.full(len(labels[0]), -1)
+    distinct, index = number(tuple(map(np.concatenate, zip(known, labels))))
+    at = np.full(len(distinct), -1)
+    at[index[:len(items)]] = np.arange(len(items))
+    return at[index[len(items):]]

@@ -91,15 +91,16 @@ a labelled ``Itemset`` is made, without checking its labels again, only for
 a frequent set, where a predicate or the caller needs one.
 
 Other domains are mined by encoding into itemsets through a reduction and
-lifting the results back.  The encoding happens in index space: the
-source transactions go straight to the incidence of their images
-(``encode_rows``), and the step climb maps a grown pattern's image items
-(``Reduction.image_items``) to indices and sorts the ints, so no image
-``Itemset`` and no image ``Database`` is built or validated on the mine
-path.  The empty itemset / sequence, which some chains cannot represent, is
-left out of the encoding and reported directly at the source level when
-nothing else is frequent.  ``MiningResult.seconds`` splits a call into
-encoding, packing, the climb, the maximality filter and lifting.
+lifting the results back.  The encoding happens in index space, through
+one map into item rows (``Reduction._incidence``): the source transactions
+go straight to the incidence of their images (``encode_rows``), and so does
+each level the step climb grows, numbered among the packed items by
+``incidence.lookup``.  No image ``Itemset`` and no image ``Database`` is
+built or validated on the mine path.  The empty itemset / sequence, which
+some chains cannot represent, is left out of the encoding and reported
+directly at the source level when nothing else is frequent.
+``MiningResult.seconds`` splits a call into encoding, packing, the climb,
+the maximality filter and lifting.
 """
 
 from dataclasses import dataclass, field
@@ -116,7 +117,7 @@ from .domains import (
 )
 from .errors import DomainMismatchError, ExtendError, PatternError
 from .feasibility import ALWAYS, describe, evaluate
-from .incidence import Incidence, item_incidence, number
+from .incidence import Incidence, item_incidence, lookup, number
 # the mine path encodes with encode_rows; reduce_database stays a module
 # attribute because perfbench's tracer wraps it here by name
 from .reductions import (  # noqa: F401
@@ -272,19 +273,23 @@ def _generate(survivors, item_bits, phi):
     return _word_rows(words, m + 1, n_items)
 
 
-def _grow_images(r, level, labels, index):
+def _grow_images(r, level, labels, items):
     """The step climb's next level: the images, as sorted index tuples in
     sorted order, of the source patterns that ``grow`` makes from the
     frequent ``level`` (None grows the one-element patterns), each mapped
-    to the pattern it images.  An image with an item the database lacks has
+    to the pattern it images.  The images are encoded as the transactions
+    are (``Reduction._incidence``), and their entries are numbered among
+    the packed ``items``.  An image with an item the database lacks has
     support 0, so it is dropped before counting."""
-    out = {}
-    for q in grow(r.source_domain, level, labels):
-        s = list(map(index.get, r.image_items(q)))
-        if None not in s:
-            s.sort()
-            out[tuple(s)] = q
-    return dict(sorted(out.items()))
+    grown = grow(r.source_domain, level, labels)
+    images = r._incidence(grown)
+    index = lookup(items, images.labels)
+    flat = index[np.lexsort((index, images.rows))].tolist()
+    ends = np.cumsum(np.bincount(images.rows, minlength=len(grown))).tolist()
+    rows = [tuple(flat[lo:hi]) for lo, hi in zip([0, *ends], ends)]
+    # an image is never empty, and an absent item (-1) sorts first; no two
+    # images are equal, as grow's patterns are distinct and r is injective
+    return dict(sorted((s, q) for s, q in zip(rows, grown) if s[0] >= 0))
 
 
 def _count_by_size(tidsets, sets):
@@ -361,7 +366,6 @@ def climb_rows(incidence: Incidence, tau: int, phi=ALWAYS,
     n_rows = incidence.n_rows
     # mine_max_ffis keeps no reference, so its incidence is freed here
     del incidence
-    index = {x: i for i, x in enumerate(items)}
     packed = perf_counter()
 
     def itemset(s):
@@ -369,7 +373,7 @@ def climb_rows(incidence: Incidence, tau: int, phi=ALWAYS,
 
     if step is not None:
         labels = step.source_labels(item_labels(items))
-        sources = _grow_images(step, None, labels, index)
+        sources = _grow_images(step, None, labels, items)
         current = list(sources)
     else:
         item_bits = _label_bitsets(items)
@@ -393,7 +397,7 @@ def climb_rows(incidence: Incidence, tau: int, phi=ALWAYS,
         level += 1
         if step is not None:
             sources = _grow_images(step, [sources[s] for s in frequent],
-                                   labels, index)
+                                   labels, items)
             current = list(sources)
             continue
         # the merge hint is sound in both modes: any feasible set of size
@@ -414,7 +418,7 @@ def climb_rows(incidence: Incidence, tau: int, phi=ALWAYS,
         bottom = Itemset() if step is None else _empty_image(step)
         maximal = [bottom] if (
             bottom is not None
-            and _support_on(tidsets, index, n_rows, bottom.items) >= tau
+            and _support_on(tidsets, items, n_rows, bottom.items) >= tau
             and evaluate(phi, bottom)) else []
     maximal = tuple(sorted(maximal, key=canonical_key))
     seconds = {"encode": 0.0, "pack": packed - start,
@@ -423,16 +427,16 @@ def climb_rows(incidence: Incidence, tau: int, phi=ALWAYS,
     return MiningResult(maximal, tuple(stats), tau, describe(phi), seconds)
 
 
-def _support_on(tidsets, index, n_rows, items):
+def _support_on(tidsets, packed, n_rows, items):
     """Support of the itemset ``items`` among the ``n_rows`` rows that
-    ``tidsets`` packs: every row for the empty itemset, none for one with
-    an item the rows lack."""
+    ``tidsets`` packs over the items ``packed``: every row for the empty
+    itemset, none for one with an item the rows lack."""
     if not items:
         return n_rows
-    s = [index.get(x) for x in items]
-    if None in s:
+    s = lookup(packed, item_incidence([items]).labels)
+    if s.min() < 0:
         return 0
-    return int(_kernels.count_supports(tidsets, np.array([s], dtype=np.intp))[0])
+    return int(_kernels.count_supports(tidsets, s.reshape(1, -1))[0])
 
 
 def mine_via_reduction(r: Reduction, db: Database, tau: int, phi=ALWAYS,

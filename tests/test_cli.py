@@ -428,6 +428,25 @@ def test_preimage_binding_uses_target_universe():
     assert phi.reduction.root == 4  # the largest label doubles as the hub
 
 
+@pytest.mark.parametrize("rid", ["g2fis", "compose:fis2tree,g2fis"])
+def test_preimage_mines_a_database_that_is_not_all_images(capsys, tmp_path,
+                                                          rid):
+    """A chain binds its target-side parameter from the labels the
+    database can stand for, not by inverting every transaction, so its
+    preimage predicate mines a database that is not all images (two bare
+    markers are no graph's image) as the bare link does."""
+    p = tmp_path / "pairs.db"
+    p.write_text("1,1 2,2 1,2\n1,1 3,3\n")
+    argv = ["--input", str(p), "--domain", "itemset",
+            "--phi", f"preimage({rid})", "--tau", "1"]
+    code, mined, _ = run(capsys, ["mine", *argv])
+    assert code == 0
+    code, brute, _ = run(capsys, ["oracle", *argv])
+    assert code == 0
+    assert mined.split("# levels")[0] == brute
+    assert "{3,3}" in brute.splitlines()
+
+
 def test_output_flag_writes_file(capsys, items_file, tmp_path):
     out_path = tmp_path / "result.txt"
     code, out, _ = run(capsys, ["mine", "--input", items_file,

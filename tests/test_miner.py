@@ -3,7 +3,7 @@ import random
 import subprocess
 import sys
 import time
-from itertools import chain, combinations
+from itertools import chain, combinations, compress
 
 import numpy as np
 import pytest
@@ -22,6 +22,7 @@ from maxpat.errors import (
 from maxpat.feasibility import (
     ALWAYS, CONNECTED_EDGES, And, PreimageExistsAnd, evaluate,
 )
+from maxpat.incidence import lookup, number
 from maxpat.io import render_pattern
 from maxpat.miner import (
     count_maximal, extend, extendible, extendible_k, mine, mine_max_ffis,
@@ -30,7 +31,7 @@ from maxpat.miner import (
 from maxpat.oracle import enumerate_patterns, oracle_max
 from maxpat.reductions import (
     GraphToEdgeItemset, ItemsetToSequence, ItemsetToStar, SequenceToDag,
-    bind_reduction, lift_results, reduce_database,
+    Composed, bind_reduction, encode_rows, lift_results, reduce_database,
 )
 from maxpat.synth import (
     random_db, random_graph_db, random_itemset_db, random_sequence_db,
@@ -686,7 +687,7 @@ def test_mine_reports_a_rejected_transaction_at_its_first_index(db, first):
     assert ei.value.index == first
     # the message is the one the transaction's own encoding raises
     with pytest.raises(PatternError) as own:
-        miner._ENCODINGS[db.domain].image_items(db.transactions[first])
+        miner._ENCODINGS[db.domain].forward(db.transactions[first])
     assert str(ei.value) == f"transaction {first}: cannot reduce: {own.value}"
 
 
@@ -728,6 +729,90 @@ def test_huge_labels_mine_to_the_oracle_answer(rename):
                     db, tau)
                 runs += 1
     assert runs == 45
+
+
+def _edge_itemset(r, p):
+    """The image of ``p`` under ``r``, a reduction ending in an edge-itemset
+    link, with that link spelled out through the validating constructor:
+    a marker pair per vertex and one pair per edge."""
+    for link in r.links[:-1] if isinstance(r, Composed) else ():
+        p = link.forward(p)
+    return Itemset([(v, v) for v in p.vertices] + list(p.edges))
+
+
+@pytest.mark.parametrize("rid", ITEMSET_ENCODINGS)
+def test_grown_levels_are_numbered_forward_images(rid):
+    """Each level of the step climb holds, in sorted order, the sorted
+    item indices of ``forward``'s image of every pattern ``grow`` makes,
+    mapped to that pattern, and drops a pattern whose image has an item
+    the database lacks (one with a label no transaction holds, among
+    others); labels past int64 too, where the chain allows them
+    (``g2bdg3`` makes a path as long as its largest label)."""
+    rng = random.Random(rid)
+    domain = bind_reduction(rid).source_domain
+    empty = miner._empty_pattern(domain)
+    shifts = [0] if "g2bdg3" in rid else [0, 2**63]
+    kept = dropped = 0
+    for shift in shifts:
+        for _ in range(4):
+            db = _relabelled(random_db(rng, domain, n_txns=6),
+                             lambda x: 2 * x + shift)
+            r = bind_reduction(rid, db)
+            items, tidsets = miner._pack(encode_rows(r, db, skip=empty))
+            index = {x: i for i, x in enumerate(items)}
+            labels = r.source_labels(item_labels(items)) | {1 + shift}
+            level = None
+            while level != []:
+                got = miner._grow_images(r, level, labels, items)
+                want = {}
+                for q in domains.grow(domain, level, labels):
+                    image = r.forward(q).items
+                    assert image == _edge_itemset(r, q).items
+                    if all(x in index for x in image):
+                        want[tuple(index[x] for x in image)] = q
+                    else:
+                        dropped += 1
+                assert got == want and list(got) == sorted(want)
+                kept += len(got)
+                frequent = miner._count_by_size(tidsets, list(got)) >= 1
+                level = list(compress(got.values(), frequent))
+    # every database drops at least the one-element pattern of 1 + shift
+    assert kept > 50 and dropped >= 4 * len(shifts)
+
+
+def test_lookup_finds_numbered_items_and_nothing_else():
+    """``lookup`` gives each entry's index among the numbered items, and -1
+    for no item: a label or code above the largest item's, a pair whose
+    second label reaches the base (its code would be another pair's), and
+    an entry of the other kind; past int64 as below it."""
+    def find(items, *columns):
+        return lookup(items, tuple(
+            np.array(c, dtype=object if max(c, default=0) >= 2**63 else None)
+            for c in columns)).tolist()
+
+    assert find([1, 5, 9], [9, 1, 2, 10, 5]) == [2, 0, -1, -1, 1]
+    # base 4: (1, 5) and (0, 5) would code as (2, 1) and (1, 1)
+    assert find([(1, 1), (1, 3), (2, 1)], [1, 2, 1, 0, 3, 1],
+                [3, 1, 5, 5, 1, 1]) == [1, 2, -1, -1, -1, 0]
+    assert find([1, 2], [1], [1]) == find([(1, 1)], [1]) == [-1]
+    assert find([], [1]) == find([], [1], [1]) == [-1]
+    huge = [2**63, 2**64]
+    assert find(huge, [2**64, 3, 2**63, 2**65]) == [1, -1, 0, -1]
+    assert find(huge, [3, 7]) == [-1, -1]
+    assert find([1, 5], [5, 2**64]) == [1, -1]
+    assert find([(1, 2**63), (2**64, 1)], [2**64, 1, 1, 2**64],
+                [1, 2**63, 2**63 + 1, 2]) == [1, 0, -1, -1]
+    # on the labels it numbered, the lookup gives number's own indices
+    rng = np.random.default_rng(3)
+    for top in (50, 2**40, 2**70):
+        for width in (1, 2):
+            labels = tuple(np.array([int(x) for x in rng.integers(
+                1, 60, size=40)], dtype=object) * (top // 60) + 1
+                for _ in range(width))
+            labels = tuple(c.astype(np.int64) if top < 2**62 else c
+                           for c in labels)
+            items, index = number(labels)
+            assert lookup(items, labels).tolist() == index.tolist()
 
 
 def test_mining_result_reports_seconds_per_phase():

@@ -3,7 +3,6 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import ITEMSET_ENCODINGS
 from maxpat.core import Database, graph_db, itemset_db
 from maxpat.domains import (
     DIGRAPH, ITEMSET, SEQUENCE, DAG, TREE,
@@ -23,7 +22,7 @@ from maxpat.reductions import (
     bind_from_target, bind_reduction, encode_rows, invert_database,
     lift_results, reduce_database,
 )
-from maxpat.synth import random_connected_graph, random_db, random_subpattern
+from maxpat.synth import random_connected_graph, random_db
 
 
 def graph(vs, es, directed=False):
@@ -267,14 +266,14 @@ def test_a_pattern_domain_is_checked_once(monkeypatch):
     assert len(checks) == 1
     checks.clear()
     assert chain.inverse(image) == Itemset({1, 2})
-    assert sorted(chain.image_items(Itemset({1, 2}))) == list(image.items)
+    assert chain.forward(Itemset({1, 2})) == image
     assert len(checks) == 2
     checks.clear()
     reduce_database(chain, db)
     encode_rows(chain, db)
     assert checks == []
     for call, wrong in [(chain.forward, Sequence([1, 2])),
-                        (chain.image_items, graph({1, 2}, {(1, 2)})),
+                        (chain.forward, graph({1, 2}, {(1, 2)})),
                         (chain.inverse, Sequence([1, 2]))]:
         with pytest.raises(DomainMismatchError):
             call(wrong)
@@ -505,14 +504,12 @@ def test_unvalidated_results_equal_validated_construction(rid):
 def test_forward_rejects_wrong_domain():
     with pytest.raises(DomainMismatchError):
         ItemsetToSequence().forward(Sequence([1]))
-    # image_items checks the source domain as forward does
     for directed in (False, True):
         r = GraphToEdgeItemset(directed=directed)
         for p in (graph({1, 2}, {(1, 2)}, directed=not directed),
                   Itemset([1, 2]), Sequence([1, 2])):
-            for encode in (r.forward, r.image_items):
-                with pytest.raises(DomainMismatchError):
-                    encode(p)
+            with pytest.raises(DomainMismatchError):
+                r.forward(p)
 
 
 # ---------------------------------------------------------------------------
@@ -601,52 +598,9 @@ def test_edge_itemset_forward_frozen_against_validated_construction(g, items):
 @pytest.mark.parametrize("directed", [False, True])
 def test_edge_itemset_forward_rejects_pair_labels(directed):
     g = graph({(1, 2), (2, 3)}, {((1, 2), (2, 3))}, directed=directed)
-    with pytest.raises(PatternError):
-        GraphToEdgeItemset(directed=directed).forward(g)
-
-
-def _edge_itemset(r, p):
-    """The image of ``p`` under ``r``, a reduction ending in an edge-itemset
-    link, with that link spelled out through the validating constructor:
-    a marker pair per vertex and one pair per edge."""
-    for link in r.links[:-1] if isinstance(r, Composed) else ():
-        p = link.forward(p)
-    return Itemset([(v, v) for v in p.vertices] + list(p.edges))
-
-
-@pytest.mark.parametrize("rid", ITEMSET_ENCODINGS)
-def test_image_items_list_the_forward_image(rid):
-    """``image_items`` lists exactly the items of ``forward``, for seeded
-    transactions and sub-patterns of them, and rejects what ``forward``
-    rejects."""
-    rng = random.Random(rid)
-    domain = bind_reduction(rid).source_domain
-    listed = rejected = 0
-    for _ in range(10):
-        db = random_db(rng, domain, n_txns=6)
-        r = bind_reduction(rid, db)
-        for p in [*db, *(random_subpattern(rng, t) for t in db)]:
-            try:
-                want = r.forward(p).items
-            except PatternError:
-                with pytest.raises(PatternError):
-                    r.image_items(p)
-                rejected += 1
-                continue
-            assert tuple(sorted(r.image_items(p))) == want
-            assert want == _edge_itemset(r, p).items
-            listed += 1
-    assert listed > 50
-    # only the sequence chain has a pattern without an image: <>
-    assert bool(rejected) == rid.startswith("compose:fis2seq")
-
-
-@pytest.mark.parametrize("directed", [False, True])
-def test_edge_itemset_image_items_reject_pair_labels(directed):
-    g = graph({(1, 2), (2, 3)}, {((1, 2), (2, 3))}, directed=directed)
     markers = dict(_MARKERS)
     with pytest.raises(PatternError):
-        GraphToEdgeItemset(directed=directed).image_items(g)
+        GraphToEdgeItemset(directed=directed).forward(g)
     assert _MARKERS == markers  # rejected before any label got a marker
 
 
