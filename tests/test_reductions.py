@@ -604,6 +604,17 @@ def test_edge_itemset_forward_rejects_pair_labels(directed):
     assert _MARKERS == markers  # rejected before any label got a marker
 
 
+@pytest.mark.parametrize("directed", [False, True])
+def test_edge_itemset_image_items_reject_pair_labels(directed):
+    # the item rows of the image (the map that encodes transactions and a
+    # step climb's grown levels) refuse pair labels as forward does
+    g = graph({(1, 2), (2, 3)}, {((1, 2), (2, 3))}, directed=directed)
+    markers = dict(_MARKERS)
+    with pytest.raises(PatternError):
+        GraphToEdgeItemset(directed=directed)._incidence([g])
+    assert _MARKERS == markers  # rejected before any label got a marker
+
+
 # support transfer: supp(p, db) == supp(f(p), f(db)) for every reduction,
 # which is the fact the whole mining pipeline stands on
 
