@@ -293,7 +293,14 @@ def cmd_verify(args) -> int:
         with_connectivity = "connected-edges" in args.phi
         if with_connectivity and args.domain != ITEMSET:
             raise _usage("connected-edges applies to itemset databases")
-        kw = {"pair_items": True} if with_connectivity else {}
+        # a preimage through g2fis or dirg2fis, alone or ending a chain,
+        # accepts only pair itemsets with markers: on anything else every
+        # answer would be empty
+        edge_images = args.domain == ITEMSET and "g2fis" in args.phi
+        kw = {"pair_items": True} if with_connectivity or edge_images else {}
+        if edge_images:
+            kw.update(markers=True, directed="dirg2fis" in args.phi,
+                      n_labels=3, max_items=6)
         if args.reduce and args.domain in (ITEMSET, SEQUENCE):
             # chains through seq2dag cannot picture an empty transaction
             kw["allow_empty"] = False

@@ -9,14 +9,20 @@ describable in constant space:
                                 predicate holds on it
 * ``And``                    -- finite conjunction of the above
 
-Each predicate carries its own behaviour: ``evaluate(p)``, ``describe()``,
-``merge_hint`` and ``step_reduction``.  The module functions ``evaluate``
-and ``describe`` are the entry points and refuse anything else.
+Each predicate carries its own behaviour: ``evaluate(p)``,
+``evaluate_grown``, ``describe()``, ``merge_hint`` and ``step_reduction``.
+The module functions ``evaluate``, ``evaluate_grown`` and ``describe`` are
+the entry points and refuse anything else.
 
 A predicate may name a ``step_reduction``: a reduction among whose images
 lies every set the predicate accepts.  Every preimage predicate names its
 reduction, and the miner then climbs through the images of source
-patterns grown one element at a time.  A predicate without a step
+patterns grown one element at a time.  It asks ``evaluate_grown`` about
+each frequent image, with the source pattern it grew: a preimage predicate
+on the step reduction itself judges that source, since the source is the
+image's preimage (``inverse(forward(q)) == q``), so no image is decoded;
+any other conjunct judges the image, which is built only for it.  A
+predicate without a step
 reduction prunes the join climb, so it must be split-stable: every
 feasible set of size m has feasible subsets of every smaller positive
 size, which licenses levelwise pruning even though connectivity is not
@@ -47,10 +53,16 @@ class Predicate:
     def merge_hint(self, labels, a, b):
         return True
 
+    def evaluate_grown(self, step, source, image):
+        return self.evaluate(image())
+
 
 @dataclass(frozen=True)
 class AlwaysTrue(Predicate):
     def evaluate(self, p):
+        return True
+
+    def evaluate_grown(self, step, source, image):
         return True
 
     def describe(self):
@@ -92,6 +104,11 @@ class PreimageExistsAnd(Predicate):
         q = self.reduction.inverse(p)
         return q is not None and evaluate(self.inner, q)
 
+    def evaluate_grown(self, step, source, image):
+        if self.reduction == step:
+            return evaluate(self.inner, source)
+        return self.evaluate(image())
+
     def describe(self):
         if self.inner == ALWAYS:
             return f"preimage({self.reduction.id})"
@@ -113,6 +130,10 @@ class And(Predicate):
 
     def evaluate(self, p):
         return all(evaluate(part, p) for part in self.parts)
+
+    def evaluate_grown(self, step, source, image):
+        return all(evaluate_grown(part, step, source, image)
+                   for part in self.parts)
 
     def describe(self):
         return "∧".join(describe(part) for part in self.parts)
@@ -145,6 +166,13 @@ def _check(phi):
 def evaluate(phi, p) -> bool:
     """Evaluate a feasibility predicate on a pattern of the matching domain."""
     return _check(phi).evaluate(p)
+
+
+def evaluate_grown(phi, step, source, image) -> bool:
+    """Evaluate a feasibility predicate on the image of ``source`` under
+    ``step``, a source pattern the step climb grew: ``image()`` builds the
+    image, and is called only by a conjunct that reads it."""
+    return _check(phi).evaluate_grown(step, source, image)
 
 
 def describe(phi) -> str:

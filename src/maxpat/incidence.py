@@ -5,7 +5,8 @@ Python list of items per transaction.  An itemset database gives one
 directly (``item_incidence``), and a reduction into itemsets gives the
 incidence of a database's images (``reductions.encode_rows``) and of a
 step climb's grown patterns, whose entries ``lookup`` finds among the
-numbered items.
+numbered items.  The reductions carry their batches of source patterns
+between links as incidences too.
 """
 
 from itertools import chain
@@ -24,17 +25,6 @@ class Incidence(NamedTuple):
     labels: tuple
     rows: np.ndarray
     n_rows: int
-
-    @staticmethod
-    def joined(parts):
-        """One incidence holding the rows of ``parts`` in turn."""
-        if len(parts) == 1:
-            return parts[0]
-        offsets = np.cumsum([0] + [p.n_rows for p in parts])
-        return Incidence(
-            tuple(map(np.concatenate, zip(*(p.labels for p in parts)))),
-            np.concatenate([p.rows + o for p, o in zip(parts, offsets)]),
-            int(offsets[-1]))
 
 
 def label_array(make, count: int) -> np.ndarray:

@@ -31,7 +31,12 @@ one element.  A connected graph with an edge has a leaf edge or a
 non-bridge edge; removing it (a leaf edge with its leaf) leaves a
 connected graph with one edge fewer, so a graph's level is its edge count
 plus one.  Every set the predicate accepts is an image, so the predicate
-only filters what the climb counts.  The join climb would instead count
+only filters what the climb counts, and it judges the source pattern
+the climb grew (``feasibility.evaluate_grown``): a preimage predicate on
+the step reduction itself asks its inner predicate about that source,
+which is the image's preimage (``inverse(forward(q)) == q``), and an
+``Itemset`` of the image is built only for a conjunct that reads it.
+The join climb would instead count
 every frequent subset of the encoding on the way, most of which are no
 image at all: through ``seq2dag``∘``dirg2fis`` a length-k sequence is
 k + k(k-1)/2 items, and through ``fis2tree``∘``g2bdg3``∘``g2fis`` a
@@ -90,20 +95,24 @@ filter.  Labels are validated once, where the database is built;
 a labelled ``Itemset`` is made, without checking its labels again, only for
 a frequent set, where a predicate or the caller needs one.
 
-Other domains are mined by encoding into itemsets through a reduction and
-lifting the results back.  The encoding happens in index space, through
-one map into item rows (``Reduction._incidence``): the source transactions
-go straight to the incidence of their images (``encode_rows``), and so does
-each level the step climb grows, numbered among the packed items by
-``incidence.lookup``.  No image ``Itemset`` and no image ``Database`` is
-built or validated on the mine path.  The empty itemset / sequence, which
-some chains cannot represent, is left out of the encoding and reported
-directly at the source level when nothing else is frequent.
+Other domains are mined by encoding into itemsets through a reduction.
+The encoding happens in index space, through one map into item rows
+(``Reduction._incidence``), which carries flat arrays through every link
+of a chain: the source transactions go straight to the incidence of their
+images (``encode_rows``), and so does each level the step climb grows,
+numbered among the packed items by ``incidence.lookup``.  In mode "auto"
+the step climb answers with the source patterns of the maximal images, so
+no middle pattern, no image ``Itemset`` and no image ``Database`` is built
+on the mine path, and nothing is decoded or lifted; mode "postfilter"
+mines images and lifts them back (``lift_results``).  The empty itemset /
+sequence, which some chains cannot represent, is left out of the encoding
+and reported directly at the source level when nothing else is frequent.
 ``MiningResult.seconds`` splits a call into encoding, packing, the climb,
 the maximality filter and lifting.
 """
 
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import compress
 from time import perf_counter
 
@@ -116,7 +125,7 @@ from .domains import (
     Itemset, Sequence, canonical_key, grow, item_labels,
 )
 from .errors import DomainMismatchError, ExtendError, PatternError
-from .feasibility import ALWAYS, describe, evaluate
+from .feasibility import ALWAYS, describe, evaluate, evaluate_grown
 from .incidence import Incidence, item_incidence, lookup, number
 # the mine path encodes with encode_rows; reduce_database stays a module
 # attribute because perfbench's tracer wraps it here by name
@@ -316,16 +325,25 @@ def _maximal_among(collected, n_items):
     return list(compress(collected, counts == 1))
 
 
-def _empty_image(r):
-    """The image of ``r``'s empty source pattern, or None where the source
-    domain or the chain has none."""
-    empty = _empty_pattern(r.source_domain)
-    if empty is None:
-        return None
+def _bottom(tidsets, items, n_rows, tau, phi, step, sources):
+    """The answer of a climb that collected nothing: the one set it never
+    counts, if it is frequent and feasible.  That is the empty itemset, or
+    under the step climb the image of the empty source pattern, where the
+    source domain and the chain have one; with ``sources`` the step climb
+    answers with the empty pattern itself."""
+    if step is None:
+        return [Itemset()] if n_rows >= tau and evaluate(phi, Itemset()) \
+            else []
+    empty = _empty_pattern(step.source_domain)
     try:
-        return r.forward(empty)
+        bottom = None if empty is None else step.forward(empty)
     except PatternError:  # seq2dag cannot picture <>
-        return None
+        bottom = None
+    if bottom is None \
+            or _support_on(tidsets, items, n_rows, bottom.items) < tau \
+            or not evaluate_grown(phi, step, empty, lambda: bottom):
+        return []
+    return [empty if sources else bottom]
 
 
 def mine_max_ffis(db: Database, tau: int, phi=ALWAYS,
@@ -347,11 +365,14 @@ def mine_max_ffis(db: Database, tau: int, phi=ALWAYS,
 
 
 def climb_rows(incidence: Incidence, tau: int, phi=ALWAYS,
-               mode: str = "auto") -> MiningResult:
+               mode: str = "auto", sources: bool = False) -> MiningResult:
     """The levelwise climb of ``mine_max_ffis`` on item rows: one row per
     transaction, whose items ``incidence`` lists, all valid labels of one
-    kind.  ``tau`` was checked by the caller.  The result's seconds cover
-    packing, the climb and the maximality filter."""
+    kind.  ``tau`` was checked by the caller.  With ``sources`` a step
+    climb answers with the source patterns whose images are maximal, and
+    builds no image for them; a join climb answers with images all the
+    same.  The result's seconds cover packing, the climb and the
+    maximality filter."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     prune = mode == "auto"
@@ -373,8 +394,9 @@ def climb_rows(incidence: Incidence, tau: int, phi=ALWAYS,
 
     if step is not None:
         labels = step.source_labels(item_labels(items))
-        sources = _grow_images(step, None, labels, items)
-        current = list(sources)
+        grown = _grow_images(step, None, labels, items)
+        current = list(grown)
+        found = {}  # each feasible image's source pattern
     else:
         item_bits = _label_bitsets(items)
         current = np.arange(len(items), dtype=np.intp).reshape(-1, 1)
@@ -386,19 +408,22 @@ def climb_rows(incidence: Incidence, tau: int, phi=ALWAYS,
             # grown graphs image to sets of two sizes within a level
             hit = _count_by_size(tidsets, current) >= tau
             frequent = list(compress(current, hit))
+            ok = [evaluate_grown(phi, step, grown[s], partial(itemset, s))
+                  for s in frequent]
         else:
             hit = _kernels.count_supports(tidsets, current) >= tau
             frequent = list(map(tuple, current[hit].tolist()))
-        ok = [evaluate(phi, itemset(s)) for s in frequent]
+            ok = [evaluate(phi, itemset(s)) for s in frequent]
         feasible = list(compress(frequent, ok))
         stats.append(LevelStats(level, len(current), len(frequent),
                                 len(feasible)))
         collected.extend(feasible)
         level += 1
         if step is not None:
-            sources = _grow_images(step, [sources[s] for s in frequent],
-                                   labels, items)
-            current = list(sources)
+            found.update((s, grown[s]) for s in feasible)
+            grown = _grow_images(step, [grown[s] for s in frequent],
+                                 labels, items)
+            current = list(grown)
             continue
         # the merge hint is sound in both modes: any feasible set of size
         # >= 2 keeps two one-smaller feasible subsets (drop a marker or a
@@ -411,15 +436,12 @@ def climb_rows(incidence: Incidence, tau: int, phi=ALWAYS,
     climbed = perf_counter()
 
     if collected:
-        maximal = [itemset(s) for s in _maximal_among(collected, len(items))]
+        maximal = _maximal_among(collected, len(items))
+        answer = found.__getitem__ if sources and step is not None \
+            else itemset
+        maximal = list(map(answer, maximal))
     else:
-        # the one set the climb never counts: the empty itemset, or under
-        # the step climb the image of the empty source pattern
-        bottom = Itemset() if step is None else _empty_image(step)
-        maximal = [bottom] if (
-            bottom is not None
-            and _support_on(tidsets, items, n_rows, bottom.items) >= tau
-            and evaluate(phi, bottom)) else []
+        maximal = _bottom(tidsets, items, n_rows, tau, phi, step, sources)
     maximal = tuple(sorted(maximal, key=canonical_key))
     seconds = {"encode": 0.0, "pack": packed - start,
                "climb": climbed - packed,
@@ -441,14 +463,17 @@ def _support_on(tidsets, packed, n_rows, items):
 
 def mine_via_reduction(r: Reduction, db: Database, tau: int, phi=ALWAYS,
                        mode: str = "auto") -> MiningResult:
-    """Encode, mine with the induced predicate, lift the results back.
+    """Encode, mine with the induced predicate, and answer with the source
+    patterns of the maximal images.
 
     The chain must end in the itemset domain (compose with an edge-itemset
     encoding if it does not).  The transactions are encoded straight to
-    item rows (``encode_rows``), with no image database.  Transactions
-    equal to the empty source pattern support nothing else, so they are
-    left out of the encoding; when nothing else is frequent, the empty
-    pattern is reported directly at the source level.
+    item rows (``encode_rows``), with no image database.  In mode "auto"
+    the step climb grows the source patterns and answers with them;
+    "postfilter" mines images and lifts them back (``lift_results``).
+    Transactions equal to the empty source pattern support nothing else,
+    so they are left out of the encoding; when nothing else is frequent,
+    the empty pattern is reported directly at the source level.
     """
     check_tau(tau)
     if db.domain != r.source_domain:
@@ -462,15 +487,18 @@ def mine_via_reduction(r: Reduction, db: Database, tau: int, phi=ALWAYS,
     start = perf_counter()
     incidence = encode_rows(r, db, skip=empty)
     encoded = perf_counter()
-    res = climb_rows(incidence, tau, r.induced_feasibility(phi), mode)
+    res = climb_rows(incidence, tau, r.induced_feasibility(phi), mode,
+                     sources=True)
     lifting = perf_counter()
-    lifted = lift_results(r, res.maximal)
-    if not lifted and empty is not None and tau <= len(db) \
+    # the induced predicate names r as its step reduction, so in mode auto
+    # the step climb answered with sources, and the join climb with images
+    maximal = res.maximal if mode == "auto" else lift_results(r, res.maximal)
+    if not maximal and empty is not None and tau <= len(db) \
             and evaluate(phi, empty):
-        lifted = (empty,)
+        maximal = (empty,)
     seconds = dict(res.seconds, encode=encoded - start,
                    lift=perf_counter() - lifting)
-    return MiningResult(lifted, res.stats, tau, describe(phi), seconds)
+    return MiningResult(maximal, res.stats, tau, describe(phi), seconds)
 
 
 def _empty_pattern(domain):

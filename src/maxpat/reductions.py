@@ -20,10 +20,31 @@ hop's, so the chain's inverse is the only preimage test needed.
 
 A composition is one flat chain of links.  A pattern's domain is checked
 once, where it enters through ``forward`` or ``inverse``; past that, links
-and chains run unchecked maps (``_forward``, ``_inverse``, and
-``_incidence``, the one map into item rows, for a whole list of patterns),
-as do ``reduce_database`` and ``encode_rows`` once they have checked the
-database's domain.
+and chains run unchecked maps (``_forward`` and ``_inverse``, one pattern
+at a time), as do ``reduce_database`` and ``encode_rows`` once they have
+checked the database's domain.
+
+A reduction into itemsets also maps a whole list of source patterns
+straight into item rows (``_incidence``): for a database's transactions
+(``encode_rows``) and for each level the miner's step climb grows.  The
+patterns are read once into flat arrays, a *batch*, and every link maps a
+batch to a batch (``_batch``) by plain arithmetic, so no pattern is built
+in the middle of a chain:
+
+* an itemset or sequence batch is an ``Incidence`` whose entries keep
+  their order within a row, each row's entries together;
+* a graph batch is a vertex ``Incidence`` and an edge ``Incidence`` of
+  (head, tail) pairs;
+* ``fis2seq`` is the identity, ``fis2tree`` adds the root and the edges
+  (x, root), ``seq2dag`` an arc per ``np.triu_indices(k, 1)`` pair of a
+  length-k row, ``g2bdg3`` the stops, the path edges and one cross edge
+  per edge, and ``g2fis``/``dirg2fis`` a marker (v, v) per vertex and a
+  pair per edge: the item rows.
+
+A label at or above 2**63, or a stop past int64, is kept as a Python int
+in an object array, as ``incidence.number`` does.  A batch map refuses
+what ``_forward`` refuses with the same message, so a transaction is
+reported alike on either path.
 
 Every reduction id lives in one table, which says how the reduction is
 bound from a database on its source side (``bind_reduction``, used to
@@ -33,7 +54,7 @@ used to invert and for ``preimage(<rid>)``).
 
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain, combinations, compress
 from operator import attrgetter, itemgetter
 
 import numpy as np
@@ -49,7 +70,7 @@ from .errors import (
     ReductionIdError,
 )
 from .feasibility import PreimageExistsAnd
-from .incidence import Incidence, label_array, lengths
+from .incidence import Incidence, item_incidence, label_array, lengths
 
 
 class Reduction:
@@ -72,8 +93,27 @@ class Reduction:
     def _incidence(self, patterns):
         """The ``Incidence`` of the itemset images of the source patterns
         in the list ``patterns``, one row each: the one map into item rows,
-        for a database's transactions and a step climb's grown patterns."""
-        raise NotImplementedError(f"{self.id} does not map into itemsets")
+        for a database's transactions and a step climb's grown patterns.
+        The patterns' labels are all plain ints or all label pairs."""
+        if self.target_domain != ITEMSET:
+            raise NotImplementedError(f"{self.id} does not map into itemsets")
+        graphs = self.source_domain in (GRAPH, DIGRAPH)
+        labels = list(map(attrgetter(
+            "vertices" if graphs else
+            "items" if self.source_domain == ITEMSET else "events"), patterns))
+        batch = item_incidence(labels)
+        if len(batch.labels) == 2:
+            # label pairs: every map into itemsets ends in an edge-itemset
+            # link, which refuses them, so the map of the first pattern with
+            # a label raises, in the words of the first link to refuse
+            self._forward(next(compress(patterns, labels)))
+        return self._batch((batch, _edge_incidence(patterns)) if graphs
+                           else batch)
+
+    def _batch(self, batch):
+        """The batch of the images of the patterns in ``batch``, a batch of
+        source patterns (see the module docstring)."""
+        raise NotImplementedError
 
     def induced_feasibility(self, phi_source):
         return PreimageExistsAnd(self, phi_source)
@@ -123,6 +163,21 @@ class ItemsetToStar(Reduction):
         return LabelledGraph(frozenset(p.items) | {self.root},
                              frozenset((x, self.root) for x in p.items))
 
+    def _batch(self, items):
+        x, = items.labels
+        collides = x >= self.root
+        if collides.any():
+            # the rows are in order and sorted, as _forward reads them
+            raise PatternError(f"item {x[collides.argmax()]} collides with "
+                               f"root label {self.root}")
+        fits = x.dtype != object and self.root < 2**63
+        roots = np.full(items.n_rows, self.root,
+                        dtype=np.int64 if fits else object)
+        ids = np.arange(items.n_rows, dtype=np.intp)
+        return (Incidence((np.concatenate((x, roots)),),
+                          np.concatenate((items.rows, ids)), items.n_rows),
+                Incidence((x, roots[items.rows]), items.rows, items.n_rows))
+
     def source_labels(self, labels):
         return frozenset(x for x in labels if x < self.root)
 
@@ -152,6 +207,9 @@ class ItemsetToSequence(Reduction):
     def _forward(self, p: Itemset) -> Sequence:
         # the items are distinct valid labels of one kind
         return Sequence._trusted(p.items)
+
+    def _batch(self, items):
+        return items
 
     def _inverse(self, q: Sequence):
         ev = q.events
@@ -189,10 +247,10 @@ class GraphToBoundedDegree(Reduction):
         return (x - 1) // self.n + 1, (x - 1) % self.n + 1
 
     def _forward(self, p: LabelledGraph) -> LabelledGraph:
-        for v in p.vertices:
-            if not isinstance(v, int) or v > self.n:
-                raise PatternError(
-                    f"vertex label {v!r} outside 1..{self.n}")
+        # labels are positive and of one kind, so the largest decides
+        top = max(p.vertices)
+        if not isinstance(top, int) or top > self.n:
+            raise PatternError(f"vertex label {top!r} outside 1..{self.n}")
         vertices = {self._stop(v, i)
                     for v in p.vertices for i in range(1, self.n + 1)}
         edges = {(self._stop(v, i), self._stop(v, i + 1))
@@ -203,6 +261,25 @@ class GraphToBoundedDegree(Reduction):
         # first: a path runs upwards, and for a < b the cross edge's stop
         # (a-1)n + b lies below (b-1)n + a
         return LabelledGraph._trusted(frozenset(vertices), frozenset(edges))
+
+    def _batch(self, graphs):
+        vertices, edges = graphs
+        (v,), (a, b), n = vertices.labels, edges.labels, self.n
+        outside = v > n
+        if outside.any():
+            row = vertices.rows[outside].min()
+            raise PatternError(f"vertex label {v[vertices.rows == row].max()} "
+                               f"outside 1..{n}")
+        if n * n >= 2**63:  # the top stop, n*n, passes int64
+            v, a, b = (c.astype(object) for c in (v, a, b))
+        stops = (v[:, None] - 1) * n + np.arange(1, n + 1)
+        on_path = np.repeat(vertices.rows, n - 1)
+        return (
+            Incidence((stops.ravel(),), np.repeat(vertices.rows, n),
+                      vertices.n_rows),
+            Incidence((np.concatenate((stops[:, :-1].ravel(), (a - 1) * n + b)),
+                       np.concatenate((stops[:, 1:].ravel(), (b - 1) * n + a))),
+                      np.concatenate((on_path, edges.rows)), edges.n_rows))
 
     def source_labels(self, labels):
         # each stop names the vertex whose path it lies on
@@ -249,8 +326,8 @@ class _Markers(dict):
     1, median of 7, 2 vCPUs) ``reduce_database`` takes 0.12 s with the
     table and 0.20-0.21 s with fresh pairs.  The pairs are immutable, so
     sharing them changes no result; the table is emptied when it reaches
-    2**16 labels, so it stays small.  The miner makes no pairs:
-    ``_incidence`` keeps the two ends of each item in numpy."""
+    2**16 labels, so it stays small.  The miner makes no pairs: the batch
+    maps keep the two ends of each item in numpy."""
 
     def __missing__(self, v):
         if len(self) >= 1 << 16:
@@ -291,42 +368,24 @@ class GraphToEdgeItemset(Reduction):
                            DIGRAPH if self.directed else GRAPH)
 
     def _forward(self, p: LabelledGraph) -> Itemset:
-        self._check_plain(p)
-        # the graph validated its labels and edges, and markers never
-        # collide with edges since self-loops are rejected
-        return Itemset._trusted(tuple(sorted(
-            [*map(_MARKERS.__getitem__, p.vertices), *p.edges])))
-
-    def _check_plain(self, p: LabelledGraph):
         # a graph has a vertex, and its labels are of one kind, so any one
         # label shows whether they are plain ints (before it gets a marker)
         v = next(iter(p.vertices))
         if not isinstance(v, int):
             raise PatternError(f"{self.id} needs plain int labels, got {v!r}")
+        # the graph validated its labels and edges, and markers never
+        # collide with edges since self-loops are rejected
+        return Itemset._trusted(tuple(sorted(
+            [*map(_MARKERS.__getitem__, p.vertices), *p.edges])))
 
-    def _incidence(self, graphs):
-        # a database does not mix plain labels and pairs, nor does any link
-        # into a graph, so the first graph's labels show what all are
-        if graphs:
-            self._check_plain(graphs[0])
-        vertex_sets = list(map(attrgetter("vertices"), graphs))
-        edge_sets = list(map(attrgetter("edges"), graphs))
-        n_vertices = lengths(vertex_sets)
-        vertices = label_array(lambda: chain.from_iterable(vertex_sets),
-                               int(n_vertices.sum()))
-        # the edges' ends are read off by index: flattening each edge into
-        # its ends would allocate an iterator per edge
-        edges = list(chain.from_iterable(edge_sets))
-        heads, tails = (label_array(lambda: map(itemgetter(end), edges),
-                                     len(edges)) for end in (0, 1))
-        ids = np.arange(len(graphs), dtype=np.intp)
+    def _batch(self, graphs):
+        vertices, edges = graphs
+        (v,), (heads, tails) = vertices.labels, edges.labels
         # a marker (v, v) per vertex, then the edges
-        return Incidence(
-            (np.concatenate((vertices, heads)),
-             np.concatenate((vertices, tails))),
-            np.concatenate((np.repeat(ids, n_vertices),
-                            np.repeat(ids, lengths(edge_sets)))),
-            len(graphs))
+        return Incidence((np.concatenate((v, heads)),
+                          np.concatenate((v, tails))),
+                         np.concatenate((vertices.rows, edges.rows)),
+                         vertices.n_rows)
 
     def _inverse(self, q: Itemset):
         if not q.items:
@@ -377,6 +436,28 @@ class SequenceToDag(Reduction):
                                       frozenset(combinations(p.events, 2)),
                                       directed=True)
 
+    def _batch(self, seq):
+        events, = seq.labels
+        sizes = np.bincount(seq.rows, minlength=seq.n_rows)
+        if not sizes.all():
+            raise PatternError("the empty sequence has no graph image")
+        starts = np.cumsum(sizes) - sizes
+        heads, tails, rows = [events[:0]], [events[:0]], [seq.rows[:0]]
+        # the rows of one length k make a (rows, k) matrix of entries, and
+        # each pair of its columns i < j an arc
+        for k in np.flatnonzero(np.bincount(sizes)).tolist():
+            if k < 2:
+                continue
+            owners = np.flatnonzero(sizes == k)
+            at = starts[owners, None] + np.arange(k)
+            i, j = np.triu_indices(k, 1)
+            heads.append(events[at[:, i]].ravel())
+            tails.append(events[at[:, j]].ravel())
+            rows.append(np.repeat(owners, len(i)))
+        # the events are the vertices
+        return seq, Incidence((np.concatenate(heads), np.concatenate(tails)),
+                              np.concatenate(rows), seq.n_rows)
+
     def _inverse(self, q: LabelledGraph):
         n = len(q.vertices)
         if len(q.edges) != n * (n - 1) // 2:
@@ -393,10 +474,6 @@ class SequenceToDag(Reduction):
         if q.edges != frozenset(combinations(order, 2)):
             return None
         return Sequence._trusted(tuple(order))
-
-
-#: patterns a chain carries through its middle links at a time
-_BLOCK = 128
 
 
 @dataclass(frozen=True, init=False)
@@ -435,16 +512,10 @@ class Composed(Reduction):
             p = r._forward(p)
         return p
 
-    def _incidence(self, patterns):
-        # the patterns go through the middle links a block at a time, so
-        # that only one block of middle images is alive at once
-        parts = []
-        for lo in range(0, max(1, len(patterns)), _BLOCK):
-            block = patterns[lo:lo + _BLOCK]
-            for r in self.links[:-1]:
-                block = list(map(r._forward, block))
-            parts.append(self.links[-1]._incidence(block))
-        return Incidence.joined(parts)
+    def _batch(self, batch):
+        for r in self.links:
+            batch = r._batch(batch)
+        return batch
 
     def _inverse(self, q):
         for r in reversed(self.links):
@@ -452,6 +523,19 @@ class Composed(Reduction):
             if q is None:
                 return None
         return q
+
+
+def _edge_incidence(graphs) -> Incidence:
+    """The edges of the list ``graphs``, as the (head, tail) incidence of a
+    graph batch."""
+    edge_sets = list(map(attrgetter("edges"), graphs))
+    # the edges' ends are read off by index: flattening each edge into its
+    # ends would allocate an iterator per edge
+    edges = list(chain.from_iterable(edge_sets))
+    ends = tuple(label_array(lambda: map(itemgetter(end), edges), len(edges))
+                 for end in (0, 1))
+    return Incidence(ends, np.repeat(np.arange(len(graphs), dtype=np.intp),
+                                     lengths(edge_sets)), len(graphs))
 
 
 # ---------------------------------------------------------------------------
@@ -483,12 +567,10 @@ def encode_rows(r: Reduction, db: Database, skip=None) -> Incidence:
     one row per transaction other than those equal to ``skip``, holding
     the items of its image.  ``_incidence`` builds it for the whole
     database at once, with the database's domain checked in place of each
-    transaction's: the edge-itemset link gathers the label ints of all the
-    graphs in one pass, and a chain forwards through its other links, a
-    block of transactions at a time, and hands the graphs in between to
-    that link.  No image is built or
-    validated, no list of items is kept per transaction, and every
-    transaction is encoded, repeats included.  A transaction the map
+    transaction's: the labels of all the transactions are read into one
+    batch in one pass, and each link maps the batch on in numpy.  No image
+    is built or validated, no list of items is kept per transaction, and
+    every transaction is encoded, repeats included.  A transaction the map
     rejects raises with the index where it first occurs."""
     if db.domain != r.source_domain:
         raise DomainMismatchError(

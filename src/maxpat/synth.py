@@ -16,13 +16,18 @@ from .domains import (
 
 
 def random_itemset_db(rng: random.Random, n_labels=8, n_txns=8, max_items=4,
-                      pair_items=False, allow_empty=True) -> Database:
+                      pair_items=False, markers=False, directed=False,
+                      allow_empty=True) -> Database:
     """Plain itemset database; with ``pair_items`` the items are the label
-    pairs of random edges instead, the shape the connectivity predicate
-    expects."""
+    pairs of random edges instead, smaller label first, the shape the
+    connectivity predicate expects.  With ``markers`` the pairs also hold
+    the marker (a, a) of every label, and with ``directed`` they run either
+    way: the items of the edge-itemset encodings, whose preimage
+    predicates accept no itemset without markers."""
     if pair_items:
-        pool = [(a, b) for a in range(1, n_labels + 1)
-                for b in range(a + 1, n_labels + 1)]
+        labels = range(1, n_labels + 1)
+        pool = [(a, b) for a in labels for b in labels
+                if a < b or a == b and markers or a > b and directed]
     else:
         pool = list(range(1, n_labels + 1))
     txns = []

@@ -235,6 +235,26 @@ def test_verify_random_mode_with_chain(capsys):
     assert "checks passed" in out
 
 
+@pytest.mark.parametrize("phi", [
+    "preimage(g2fis)", "preimage(dirg2fis)",
+    "connected-edges & preimage(g2fis)", "preimage(compose:fis2tree,g2fis)"])
+def test_verify_random_draws_edge_itemsets_for_their_preimages(
+        capsys, monkeypatch, phi):
+    """For a preimage through g2fis or dirg2fis, ``verify --random`` draws
+    pair itemsets with markers, which the predicate can accept, so a step
+    climb that refuses every grown pattern is caught; on plain itemsets
+    both sides would answer nothing."""
+    import maxpat.miner as miner
+
+    argv = ["verify", "--random", "6", "--domain", "itemset", "--seed", "1",
+            "--phi", phi]
+    code, out, _ = run(capsys, argv)
+    assert code == 0 and "checks passed" in out
+    monkeypatch.setattr(miner, "evaluate_grown", lambda *args: False)
+    code, out, _ = run(capsys, argv)
+    assert code == 4 and "MISMATCH" in out
+
+
 def test_verify_reduce_domain_mismatch_is_usage_error(capsys):
     code, _, err = run(capsys, ["verify", "--random", "1",
                                 "--domain", "sequence", "--reduce", "g2fis"])

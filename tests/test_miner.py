@@ -22,7 +22,7 @@ from maxpat.errors import (
 from maxpat.feasibility import (
     ALWAYS, CONNECTED_EDGES, And, PreimageExistsAnd, evaluate,
 )
-from maxpat.incidence import lookup, number
+from maxpat.incidence import item_incidence, lookup, number
 from maxpat.io import render_pattern
 from maxpat.miner import (
     count_maximal, extend, extendible, extendible_k, mine, mine_max_ffis,
@@ -31,7 +31,8 @@ from maxpat.miner import (
 from maxpat.oracle import enumerate_patterns, oracle_max
 from maxpat.reductions import (
     GraphToEdgeItemset, ItemsetToSequence, ItemsetToStar, SequenceToDag,
-    Composed, bind_reduction, encode_rows, lift_results, reduce_database,
+    Composed, bind_from_target, bind_reduction, encode_rows, lift_results,
+    reduce_database,
 )
 from maxpat.synth import (
     random_db, random_graph_db, random_itemset_db, random_sequence_db,
@@ -201,16 +202,17 @@ def _grow_unchecked(domain, level, labels):
 
 
 def _climb(monkeypatch, reduced, tau, phi, grow):
-    """Mine ``reduced`` with ``grow`` in the step climb, and the sets it
-    found frequent, in the order the climb asked the predicate about them."""
+    """Mine ``reduced`` with ``grow`` in the step climb, and the source
+    patterns of the sets it found frequent, in the order the climb asked
+    the predicate about them."""
     asked = []
 
-    def recorded(phi, q, _fn=miner.evaluate):
-        asked.append(q)
-        return _fn(phi, q)
+    def recorded(phi, step, source, image, _fn=miner.evaluate_grown):
+        asked.append(source)
+        return _fn(phi, step, source, image)
     with monkeypatch.context() as m:
         m.setattr(miner, "grow", grow)
-        m.setattr(miner, "evaluate", recorded)
+        m.setattr(miner, "evaluate_grown", recorded)
         res = mine_max_ffis(reduced, tau, phi)
     return res, asked[:sum(s.frequent for s in res.stats)]
 
@@ -220,9 +222,10 @@ def _climb(monkeypatch, reduced, tau, phi, grow):
     "compose:fis2tree,g2fis"])
 def test_apriori_step_climb_is_complete_and_counts_less(rid, monkeypatch):
     """With the Apriori check the step climb still counts the image of every
-    frequent source pattern the oracle enumerates, and each of its levels
-    counts no more candidates than the climb without the check, which
-    finds the same frequent sets."""
+    frequent source pattern the oracle enumerates, and asks the predicate
+    about each such pattern once, and each of its levels counts no more
+    candidates than the climb without the check, which finds the same
+    frequent sets."""
     rng = random.Random(61)
     runs = fewer = 0
     for _ in range(25):
@@ -244,7 +247,7 @@ def test_apriori_step_climb_is_complete_and_counts_less(rid, monkeypatch):
                                 domains.grow)
             ref, ref_found = _climb(monkeypatch, reduced, tau, phi,
                                     _grow_unchecked)
-            want = {r.forward(p) for p in patterns if support(p, db) >= tau}
+            want = {p for p in patterns if support(p, db) >= tau}
             assert len(found) == len(set(found)) and set(found) == want
             assert set(ref_found) == want and res.maximal == ref.maximal
             assert len(res.stats) <= len(ref.stats)
@@ -294,6 +297,122 @@ def test_step_climb_on_pair_itemsets_that_are_not_images():
     with pytest.raises(DomainMismatchError):
         mine_max_ffis(itemset_db([{(1, 1)}]), 1,
                       PreimageExistsAnd(SequenceToDag(), ALWAYS))
+
+
+def _judging_images(phi, step, source, image):
+    """A step climb's judgement in which every conjunct asks about the
+    image: the reference for ``evaluate_grown``."""
+    return evaluate(phi, image())
+
+
+def _source_predicates(db):
+    """Predicates on ``db``'s own patterns: ``ALWAYS``, and one per domain
+    that a step climb through it asks about the grown sources.  On graphs
+    and digraphs they are non-monotone (criterion 5): being a star around
+    the largest label, or a transitive tournament, holds for a pattern but
+    not for all its sub-patterns, nor for all its super-patterns."""
+    inner = {GRAPH: lambda: bind_from_target("fis2tree", db),
+             DIGRAPH: SequenceToDag,
+             SEQUENCE: ItemsetToSequence}.get(db.domain)
+    return [ALWAYS] + ([PreimageExistsAnd(inner(), ALWAYS)] if inner else [])
+
+
+@pytest.mark.parametrize("rid", ITEMSET_ENCODINGS)
+def test_step_climb_answers_with_the_lifted_sources(rid, monkeypatch):
+    """In mode auto ``mine_via_reduction`` answers with the source patterns
+    that the step climb grew, judged on the sources: the answer of lifting
+    the maximal images that the climb finds when it judges every image,
+    with the same level table, and the oracle's.  The empty source pattern
+    is reported where it alone is frequent."""
+    rng = random.Random(rid)
+    domain = bind_reduction(rid).source_domain
+    empty = miner._empty_pattern(domain)
+    kw = {"max_vertices": 4} if domain in (GRAPH, DIGRAPH) else {}
+    runs = bottoms = 0
+    for _ in range(12):
+        db = random_db(rng, domain, n_labels=4, n_txns=rng.randint(2, 6),
+                       **kw)
+        r = bind_reduction(rid, db)
+        images = reduce_database(
+            r, Database(domain, tuple(t for t in db if t != empty)))
+        for phi in _source_predicates(db):
+            for tau in range(1, len(db) + 1):
+                got = mine_via_reduction(r, db, tau, phi)
+                with monkeypatch.context() as m:
+                    m.setattr(miner, "evaluate_grown", _judging_images)
+                    ref = mine_max_ffis(images, tau, r.induced_feasibility(phi))
+                want = lift_results(r, ref.maximal)
+                if not want and empty is not None and tau <= len(db) \
+                        and evaluate(phi, empty):
+                    want = (empty,)
+                assert got.maximal == want == oracle_max(db, tau, phi), (
+                    db, tau, phi)
+                assert got.stats == ref.stats
+                bottoms += got.maximal == (empty,)
+                runs += 1
+    assert runs > 40 and bool(bottoms) == (empty is not None)
+
+
+@pytest.mark.parametrize("rid", [
+    "compose:fis2tree,g2fis", "compose:fis2tree,g2bdg3,g2fis",
+    "compose:fis2seq,seq2dag,dirg2fis"])
+def test_step_climb_reports_the_empty_source_pattern_alone(rid):
+    """Where only the empty itemset is frequent, a star chain counts its
+    image (the bare root, held by every row) at the bottom of the climb,
+    which answers with the empty itemset itself; the order-dag chain cannot
+    picture it, and ``mine_via_reduction`` reports it beside the climb."""
+    db = itemset_db([{1}, {2}, {3}])
+    r = bind_reduction(rid, db)
+    assert mine_via_reduction(r, db, 2).maximal == (Itemset(),) \
+        == oracle_max(db, 2, ALWAYS)
+    images = mine_max_ffis(reduce_database(r, db), 2,
+                           r.induced_feasibility(ALWAYS)).maximal
+    assert lift_results(r, images) == (
+        (Itemset(),) if "fis2tree" in rid else ())
+
+
+def test_step_climb_builds_images_only_for_conjuncts_that_read_them(
+        monkeypatch):
+    """The step climb judges a preimage conjunct on its own step reduction
+    by the source it grew, and builds an image only for a conjunct that
+    reads it: a preimage through another reduction, or connectivity.  The
+    answers and level tables are those of judging every image, and the
+    oracle's, and the sources it answers with are the lifted images."""
+    rng = random.Random(59)
+    chain = bind_reduction("compose:seq2dag,dirg2fis")
+    on_step = PreimageExistsAnd(chain,
+                                PreimageExistsAnd(ItemsetToSequence(), ALWAYS))
+    phis = {on_step: False,
+            And((on_step, PreimageExistsAnd(GraphToEdgeItemset(directed=True),
+                                            ALWAYS))): True,
+            And((CONNECTED_EDGES, PreimageExistsAnd(chain, ALWAYS))): True}
+    built = dict.fromkeys(phis, 0)
+
+    def counting(phi, step, source, image, _fn=miner.evaluate_grown):
+        def build():
+            built[phi] += 1
+            return image()
+        return _fn(phi, step, source, build)
+    runs = 0
+    for _ in range(30):
+        db = _noisy_images(rng, rng.randint(2, 5), rng.randint(1, 6))
+        rows = item_incidence([t.items for t in db])
+        for phi in phis:
+            for tau in range(1, len(db) + 1):
+                with monkeypatch.context() as m:
+                    m.setattr(miner, "evaluate_grown", counting)
+                    got = mine_max_ffis(db, tau, phi)
+                    sources = miner.climb_rows(rows, tau, phi, sources=True)
+                    m.setattr(miner, "evaluate_grown", _judging_images)
+                    ref = mine_max_ffis(db, tau, phi)
+                assert got == ref and got.stats == ref.stats, (db, tau)
+                assert got.maximal == oracle_max(db, tau, phi), (db, tau)
+                assert sources.maximal == lift_results(chain, got.maximal)
+                assert sources.stats == got.stats
+                runs += 1
+    assert runs > 200
+    assert all(bool(n) == reads for (phi, reads), n in
+               zip(phis.items(), built.values())), built
 
 
 def _bucket_join(survivors, labels_of, hint):
@@ -598,10 +717,13 @@ def test_level_tables_and_answers_are_pinned(name):
 
 def test_benchmark_wrap_points_are_called(monkeypatch):
     """perfbench times the layers by replacing these module attributes, so
-    the miner has to look each one up there, or that layer reads zero."""
+    the miner has to look each one up there, or that layer reads zero.
+    Mining through a reduction in mode auto lifts nothing, and its step
+    climb asks ``evaluate_grown``, so the join climb of an itemset database
+    is what calls ``evaluate``."""
     targets = [(_kernels, "count_supports"), (_kernels, "pack_rows"),
                (miner, "evaluate"), (miner, "encode_rows"),
-               (miner, "lift_results"), (miner, "climb_rows")]
+               (miner, "climb_rows")]
     calls = set()
     for mod, name in targets:
         def counted(*args, _fn=getattr(mod, name), _name=name, **kwargs):
@@ -611,15 +733,16 @@ def test_benchmark_wrap_points_are_called(monkeypatch):
     db = graph_db([LabelledGraph(frozenset({1, 2, 3}),
                                  frozenset({(1, 2), (2, 3)}))] * 2)
     assert mine(db, 2).maximal == db.transactions[:1]
+    assert mine(itemset_db([{1, 2}] * 2), 2).maximal == (Itemset({1, 2}),)
     assert calls == {name for _, name in targets}
 
     # the encoded size is Σ len(image) over the encoded transactions: equal
     # graphs still count once each
     climbed = []
 
-    def recorded(incidence, *args, _fn=miner.climb_rows):
+    def recorded(incidence, *args, _fn=miner.climb_rows, **kwargs):
         climbed.append(incidence)
-        return _fn(incidence, *args)
+        return _fn(incidence, *args, **kwargs)
     monkeypatch.setattr(miner, "climb_rows", recorded)
     rng = random.Random(4)
     pool = random_graph_db(rng, n_txns=4).transactions
@@ -645,8 +768,6 @@ def test_climb_packs_the_rows_of_the_image_database(rid, monkeypatch):
         packed.append((incidence, items, tidsets))
         return items, tidsets
     monkeypatch.setattr(miner, "_pack", recorded)
-    # chains encode in blocks: make the 20 transactions span three
-    monkeypatch.setattr(reductions, "_BLOCK", 7)
     rng = random.Random(rid)
     domain = bind_reduction(rid).source_domain
     empty = Itemset() if domain == ITEMSET else None

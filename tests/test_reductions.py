@@ -1,19 +1,21 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from maxpat.core import Database, graph_db, itemset_db
 from maxpat.domains import (
-    DIGRAPH, ITEMSET, SEQUENCE, DAG, TREE,
+    DIGRAPH, GRAPH, ITEMSET, SEQUENCE, DAG, TREE,
     Itemset, LabelledGraph, Sequence, item_labels, pattern_domain,
-    pattern_leq, validate_class,
+    pattern_leq, pattern_size, validate_class,
 )
 from maxpat.errors import (
     DatabaseError, DomainMismatchError, NoPreimageError, PatternError,
     ReductionIdError,
 )
 from maxpat.feasibility import ALWAYS, PreimageExistsAnd
+from maxpat.incidence import Incidence
 from maxpat.miner import mine_max_ffis
 from maxpat.oracle import oracle_max
 from maxpat.reductions import (
@@ -22,7 +24,7 @@ from maxpat.reductions import (
     bind_from_target, bind_reduction, encode_rows, invert_database,
     lift_results, reduce_database,
 )
-from maxpat.synth import random_connected_graph, random_db
+from maxpat.synth import random_connected_graph, random_db, random_subpattern
 
 
 def graph(vs, es, directed=False):
@@ -613,6 +615,135 @@ def test_edge_itemset_image_items_reject_pair_labels(directed):
     with pytest.raises(PatternError):
         GraphToEdgeItemset(directed=directed)._incidence([g])
     assert _MARKERS == markers  # rejected before any label got a marker
+
+
+# ---------------------------------------------------------------------------
+# batch maps: every link maps flat arrays of patterns at once, and must map
+# each pattern as forward does
+
+
+def _column(labels):
+    return np.array(labels, dtype=np.int64 if max(labels, default=0) < 2**63
+                    else object)
+
+
+def _reference_batch(domain, patterns):
+    """The batch of ``patterns``, built one label at a time: itemsets and
+    sequences as an incidence of their entries in order, graphs as one of
+    their vertices and one of their (head, tail) edges."""
+    def incidence(rows, width):
+        flat = [x for row in rows for x in row]
+        columns = list(zip(*flat)) if flat and width == 2 else [[]] * width
+        return Incidence(
+            tuple(_column(list(c)) for c in (columns if width == 2 else
+                                             [flat])),
+            np.array([i for i, row in enumerate(rows) for _ in row],
+                     dtype=np.intp), len(rows))
+    if domain in (GRAPH, DIGRAPH):
+        return (incidence([sorted(g.vertices) for g in patterns], 1),
+                incidence([sorted(g.edges) for g in patterns], 2))
+    return incidence([tuple(p) for p in patterns], 1)
+
+
+def _batch_rows(domain, batch):
+    """Each row of a batch of ``domain`` patterns as its image compares:
+    the entries in order for a sequence, their sorted tuple for an itemset,
+    and the vertex and edge sets for a graph."""
+    if domain in (GRAPH, DIGRAPH):
+        vertices, edges = (_batch_rows(SEQUENCE, b) for b in batch)
+        return [(frozenset(v), frozenset(e)) for v, e in zip(vertices, edges)]
+    columns = [c.tolist() for c in batch.labels]
+    rows = [[] for _ in range(batch.n_rows)]
+    for r, x in zip(batch.rows.tolist(),
+                    zip(*columns) if len(columns) == 2 else columns[0]):
+        rows[r].append(x)
+    return [tuple(sorted(row)) if domain == ITEMSET else tuple(row)
+            for row in rows]
+
+
+def _image_row(q):
+    if isinstance(q, LabelledGraph):
+        return (q.vertices, q.edges)
+    return tuple(q)
+
+
+def _shifted(db, shift):
+    """``db`` with every plain label x renamed 2x + shift."""
+    def label(x):
+        return 2 * x + shift
+    if db.domain == ITEMSET:
+        return itemset_db([map(label, t.items) for t in db])
+    if db.domain == SEQUENCE:
+        return Database(SEQUENCE, tuple(Sequence(tuple(map(label, t.events)))
+                                        for t in db))
+    return Database(db.domain, tuple(
+        graph(map(label, g.vertices),
+              [(label(a), label(b)) for a, b in g.edges], g.directed)
+        for g in db))
+
+
+_BATCHED = REDUCTION_IDS + (
+    "compose:fis2tree,g2bdg3,g2fis", "compose:fis2seq,seq2dag,dirg2fis",
+    "compose:fis2tree,g2fis", "compose:seq2dag,dirg2fis",
+    "compose:g2bdg3,g2fis")
+
+
+@pytest.mark.parametrize("rid", _BATCHED)
+def test_batch_maps_agree_with_forward(rid):
+    """Each link's batch map, and each chain's, gives every pattern of a
+    batch the image ``forward`` gives it, row for row; so does
+    ``_incidence``, which reads the patterns in bulk, for a map into
+    itemsets.  Labels past int64 too, where the map allows them: the path
+    bundle makes as many stops per vertex as its largest label, so stops
+    past int64 (a label above 3 * 10**9) cannot be built at all."""
+    rng = random.Random(rid)
+    domain = bind_reduction(rid).source_domain
+    checked = 0
+    # labels up to 2**63 - 1, so a star's root can be 2**63; labels past it
+    for shift in [0] if "g2bdg3" in rid else [0, 2**63 - 17, 2**64]:
+        for _ in range(6):
+            db = _shifted(random_db(rng, domain, n_txns=6), shift)
+            r = bind_reduction(rid, db)
+            patterns = list(db) + [random_subpattern(rng, t) for t in db]
+            if "seq2dag" in rid:  # which pictures no empty sequence
+                patterns = [p for p in patterns if pattern_size(p)]
+            want = [_image_row(r.forward(p)) for p in patterns]
+            got = r._batch(_reference_batch(domain, patterns))
+            assert _batch_rows(r.target_domain, got) == want, (rid, shift)
+            if r.target_domain == ITEMSET:
+                got = r._incidence(patterns)
+                assert got.n_rows == len(patterns)
+                assert _batch_rows(ITEMSET, got) == want
+            checked += len(patterns)
+    assert checked > 50
+
+
+@pytest.mark.parametrize("r, p", [
+    (ItemsetToStar(5), Itemset([3, 5, 7])),
+    (Composed(ItemsetToStar(5), GraphToEdgeItemset()), Itemset([1, 6])),
+    (bind_reduction("compose:fis2tree,g2fis"), Itemset([(1, 2), (2, 3)])),
+    (GraphToBoundedDegree(3), graph({2, 5, 7}, {(2, 5), (5, 7)})),
+    (Composed(ItemsetToStar(10), GraphToBoundedDegree(4),
+              GraphToEdgeItemset()), Itemset([1, 2])),
+    (SequenceToDag(), Sequence()),
+    (bind_reduction("compose:fis2seq,seq2dag,dirg2fis"), Itemset()),
+    (bind_reduction("compose:seq2dag,dirg2fis"), Sequence([(1, 2)])),
+    (bind_reduction("compose:seq2dag,dirg2fis"), Sequence([(2, 3), (1, 2)])),
+    (GraphToEdgeItemset(), graph({(1, 2), (2, 3)}, {((1, 2), (2, 3))})),
+], ids=["star-root", "star-chain-root", "star-chain-pairs", "path-bundle",
+        "path-bundle-chain", "dag-empty", "dag-chain-empty", "dag-pair",
+        "dag-pairs", "edge-itemset-pairs"])
+def test_batch_maps_refuse_what_forward_refuses(r, p):
+    """A pattern that ``forward`` rejects is rejected by the batch map, or
+    by ``_incidence`` for a map into itemsets, with the same message."""
+    with pytest.raises(PatternError) as want:
+        r.forward(p)
+    with pytest.raises(PatternError) as got:
+        if r.target_domain == ITEMSET:
+            r._incidence([p])
+        else:
+            r._batch(_reference_batch(r.source_domain, [p]))
+    assert str(got.value) == str(want.value)
 
 
 # support transfer: supp(p, db) == supp(f(p), f(db)) for every reduction,
