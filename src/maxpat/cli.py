@@ -165,6 +165,11 @@ def cmd_mine(args) -> int:
 def cmd_reduce(args) -> int:
     db = _load(args)
     if args.invert:
+        # as _bind_chain does, before any link reads the database
+        target = bind_reduction(args.reduce).target_domain
+        if target != db.domain:
+            raise _usage(f"--reduce {args.reduce} ends in {target}, "
+                         f"not {db.domain}")
         out = invert_database(args.reduce, db)
     else:
         out = reduce_database(_bind_chain(args, db), db)

@@ -8,6 +8,18 @@ the same map) with three guarantees:
    over unchanged,
 3. the inverse is computable and returns None off the image.
 
+Guarantee 3 holds by construction.  Each link has a decoder (``_decode``)
+that reads off a target pattern ``q`` the one source pattern that can map
+to it: the star's vertices beside the root, a sequence's events as a set,
+the path of each stop with an edge per edge between two paths, the
+markers and proper pairs of an edge itemset as a graph, a tournament's
+vertices by falling out-degree.  The pattern constructor makes the
+candidate a valid source pattern, and a graph decoder refuses one that is
+not connected; ``Reduction._inverse`` keeps the candidate only when the
+forward map sends it back to ``q``, so it never needs to know what an
+image looks like.  A chain folds its links' decoders right to left and
+checks once, with its own forward map.
+
 Together these make maximality transfer both ways: the maximal feasible
 frequent patterns of a reduced database are exactly the images of the
 source's maximal feasible frequent patterns, in equal number.
@@ -20,9 +32,9 @@ hop's, so the chain's inverse is the only preimage test needed.
 
 A composition is one flat chain of links.  A pattern's domain is checked
 once, where it enters through ``forward`` or ``inverse``; past that, links
-and chains run unchecked maps (``_forward`` and ``_inverse``, one pattern
-at a time), as do ``reduce_database`` and ``encode_rows`` once they have
-checked the database's domain.
+and chains run unchecked maps (``_forward``, ``_decode`` and ``_inverse``,
+one pattern at a time), as do ``reduce_database``, ``encode_rows`` and
+``invert_database`` once they have checked the database's domain.
 
 A reduction into itemsets also maps a whole list of source patterns
 straight into item rows (``_incidence``): for a database's transactions
@@ -53,6 +65,7 @@ used to invert and for ``preimage(<rid>)``).
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations, compress
 from operator import attrgetter, itemgetter
@@ -89,6 +102,22 @@ class Reduction:
     def inverse(self, q):
         self._check_target(q)
         return self._inverse(q)
+
+    def _inverse(self, q):
+        """The preimage of ``q``, or None: the candidate that ``_decode``
+        reads off ``q``, kept when the forward map sends it back to ``q``.
+        A ``PatternError`` from either map means that ``q`` has none."""
+        try:
+            p = self._decode(q)
+            return p if p is not None and self._forward(p) == q else None
+        except PatternError:
+            return None
+
+    def _decode(self, q):
+        """The one source pattern whose image ``q`` can be, or None: a
+        valid source pattern, which is the preimage of ``q`` if ``q`` has
+        one (``_forward`` decides)."""
+        raise NotImplementedError
 
     def _incidence(self, patterns):
         """The ``Incidence`` of the itemset images of the source patterns
@@ -181,18 +210,12 @@ class ItemsetToStar(Reduction):
     def source_labels(self, labels):
         return frozenset(x for x in labels if x < self.root)
 
-    def _inverse(self, q: LabelledGraph):
-        if q.vertices == {self.root} and not q.edges:
-            return Itemset()
-        if self.root not in q.vertices:
-            return None
-        leaves = q.vertices - {self.root}
-        if not all(isinstance(x, int) and x < self.root for x in leaves):
-            return None
-        if q.edges != frozenset((x, self.root) for x in leaves):
-            return None
-        # the graph validated its labels, and these are ints below the root
-        return Itemset._trusted(tuple(sorted(leaves)))
+    def _decode(self, q: LabelledGraph):
+        if self.root in q.vertices:
+            # the graph validated its labels, and beside the root they are
+            # plain ints too
+            return Itemset._trusted(tuple(sorted(q.vertices - {self.root})))
+        return None
 
 
 @dataclass(frozen=True)
@@ -211,12 +234,9 @@ class ItemsetToSequence(Reduction):
     def _batch(self, items):
         return items
 
-    def _inverse(self, q: Sequence):
-        ev = q.events
-        if all(ev[i] < ev[i + 1] for i in range(len(ev) - 1)):
-            # distinct valid labels of one kind, and sorted
-            return Itemset._trusted(ev)
-        return None
+    def _decode(self, q: Sequence):
+        # distinct valid labels of one kind, sorted
+        return Itemset._trusted(tuple(sorted(q.events)))
 
 
 @dataclass(frozen=True)
@@ -243,8 +263,9 @@ class GraphToBoundedDegree(Reduction):
     def _stop(self, v, i):
         return (v - 1) * self.n + i
 
-    def _unstop(self, x):
-        return (x - 1) // self.n + 1, (x - 1) % self.n + 1
+    def _path(self, x):
+        """The vertex on whose path the stop ``x`` lies."""
+        return (x - 1) // self.n + 1
 
     def _forward(self, p: LabelledGraph) -> LabelledGraph:
         # labels are positive and of one kind, so the largest decides
@@ -283,37 +304,20 @@ class GraphToBoundedDegree(Reduction):
 
     def source_labels(self, labels):
         # each stop names the vertex whose path it lies on
-        return frozenset(self._unstop(x)[0] for x in labels
+        return frozenset(self._path(x) for x in labels
                          if x <= self.n * self.n)
 
-    def _inverse(self, q: LabelledGraph):
-        groups = {}
-        for x in q.vertices:
-            if not isinstance(x, int) or x > self.n * self.n:
-                return None
-            a, i = self._unstop(x)
-            groups.setdefault(a, set()).add(i)
-        full = set(range(1, self.n + 1))
-        if any(positions != full for positions in groups.values()):
-            return None
-        path_edges = set()
-        cross = set()
-        for e in q.edges:
-            a, i = self._unstop(e[0])
-            b, j = self._unstop(e[1])
-            if a == b and abs(i - j) == 1:
-                path_edges.add(e)
-            elif a != b and i == b and j == a:
-                cross.add((min(a, b), max(a, b)))
-            else:
-                return None
-        want_paths = {(self._stop(a, i), self._stop(a, i + 1))
-                      for a in groups for i in range(1, self.n)}
-        if path_edges != want_paths:
-            return None
-        # the groups are positive ints, and every cross edge joins two of
-        # them, smaller first
-        g = LabelledGraph._trusted(frozenset(groups), frozenset(cross))
+    def _decode(self, q: LabelledGraph):
+        if not all(isinstance(x, int) and x <= self.n * self.n
+                   for x in q.vertices):
+            return None  # a label that is no stop
+        path = {x: self._path(x) for x in q.vertices}
+        # the paths are positive ints, and an edge between two of them runs
+        # from the smaller stop, so from the smaller path
+        g = LabelledGraph._trusted(
+            frozenset(path.values()),
+            frozenset((path[a], path[b]) for a, b in q.edges
+                      if path[a] != path[b]))
         return g if is_connected(g) else None
 
 
@@ -387,30 +391,15 @@ class GraphToEdgeItemset(Reduction):
                          np.concatenate((vertices.rows, edges.rows)),
                          vertices.n_rows)
 
-    def _inverse(self, q: Itemset):
-        if not q.items:
+    def _decode(self, q: Itemset):
+        # the items are of one kind, and only label pairs can be markers
+        if not q.items or not isinstance(q.items[0], tuple):
             return None
-        markers = set()
-        propers = []
-        for x in q.items:
-            if not isinstance(x, tuple):
-                return None
-            a, b = x
-            if a == b:
-                markers.add(a)
-            else:
-                propers.append(x)
-        if not markers:
-            return None
-        for a, b in propers:
-            if a not in markers or b not in markers:
-                return None
-            if not self.directed and a > b:
-                return None
-        # every condition of a valid graph was checked above, on labels the
-        # itemset validated
-        g = LabelledGraph._trusted(frozenset(markers), frozenset(propers),
-                                   self.directed)
+        # validated: a proper pair may leave the markers, and then the
+        # constructor refuses it
+        g = LabelledGraph(frozenset(a for a, b in q.items if a == b),
+                          frozenset(x for x in q.items if x[0] != x[1]),
+                          self.directed)
         return g if is_connected(g) else None
 
 
@@ -458,22 +447,11 @@ class SequenceToDag(Reduction):
         return seq, Incidence((np.concatenate(heads), np.concatenate(tails)),
                               np.concatenate(rows), seq.n_rows)
 
-    def _inverse(self, q: LabelledGraph):
-        n = len(q.vertices)
-        if len(q.edges) != n * (n - 1) // 2:
-            return None
-        outdeg = {v: 0 for v in q.vertices}
-        seen_pairs = set()
-        for u, v in q.edges:
-            key = (u, v) if u < v else (v, u)
-            if key in seen_pairs:
-                return None  # both directions present
-            seen_pairs.add(key)
-            outdeg[u] += 1
-        order = sorted(q.vertices, key=lambda v: -outdeg[v])
-        if q.edges != frozenset(combinations(order, 2)):
-            return None
-        return Sequence._trusted(tuple(order))
+    def _decode(self, q: LabelledGraph):
+        # a tournament's order puts each vertex before all it points to
+        outdeg = Counter(map(itemgetter(0), q.edges))
+        return Sequence._trusted(tuple(
+            sorted(q.vertices, key=outdeg.__getitem__, reverse=True)))
 
 
 @dataclass(frozen=True, init=False)
@@ -517,9 +495,9 @@ class Composed(Reduction):
             batch = r._batch(batch)
         return batch
 
-    def _inverse(self, q):
+    def _decode(self, q):
         for r in reversed(self.links):
-            q = r._inverse(q)
+            q = r._decode(q)
             if q is None:
                 return None
         return q
@@ -606,12 +584,17 @@ def lift_results(r: Reduction, results) -> tuple:
 
 def invert_database(rid: str, db: Database) -> Database:
     """Map a database on the target side of ``rid`` back to the source side,
-    binding the reduction from it.  A transaction without a preimage raises
-    with its index."""
+    binding the reduction from it.  The database's domain is checked once,
+    before any link reads it; a transaction without a preimage raises with
+    its index."""
+    r = bind_reduction(rid)
+    if db.domain != r.target_domain:
+        raise DomainMismatchError(
+            f"{r.id} inverts {r.target_domain} databases, got {db.domain}")
     r = bind_from_target(rid, db)
     sources = []
     for i, t in enumerate(db.transactions):
-        p = r.inverse(t)
+        p = r._inverse(t)
         if p is None:
             raise DatabaseError(f"no preimage under {r.id}", i)
         sources.append(p)

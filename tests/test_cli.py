@@ -166,6 +166,22 @@ def test_invert_without_preimage_fails(capsys, tmp_path):
     assert err.startswith("error:validation:")
 
 
+@pytest.mark.parametrize("rid, domain, text", [
+    ("g2fis", "graph", ""), ("g2fis", "graph", GRAPHS),
+    ("compose:fis2seq,seq2dag", "itemset", ITEMS),
+], ids=["empty", "graphs", "chain"])
+def test_invert_refuses_a_database_off_the_target_side(capsys, tmp_path,
+                                                       rid, domain, text):
+    # a usage error, as for a chain that starts from another domain in the
+    # forward direction, whether the database is empty or not
+    p = tmp_path / "in.db"
+    p.write_text(text)
+    code, out, err = run(capsys, ["reduce", "--input", str(p), "--domain",
+                                  domain, "--reduce", rid, "--invert"])
+    assert code == 1 and out == ""
+    assert err.startswith("error:usage:") and "ends in" in err
+
+
 def test_verify_file_mode(capsys, graphs_file):
     code, out, _ = run(capsys, ["verify", "--input", graphs_file,
                                 "--domain", "graph", "--tau", "2"])

@@ -1,4 +1,5 @@
 import random
+from functools import partial
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from maxpat.errors import (
 from maxpat.feasibility import ALWAYS, PreimageExistsAnd
 from maxpat.incidence import Incidence
 from maxpat.miner import mine_max_ffis
-from maxpat.oracle import oracle_max
+from maxpat.oracle import enumerate_patterns, oracle_max
 from maxpat.reductions import (
     _MARKERS, REDUCTION_IDS, Composed, GraphToBoundedDegree,
     GraphToEdgeItemset, ItemsetToSequence, ItemsetToStar, SequenceToDag,
@@ -117,6 +118,13 @@ def test_bdg3_inverse_rejects_partial_gadgets():
     broken = graph(set(img.vertices) - {2},
                    {ed for ed in img.edges if 2 not in ed})
     assert r.inverse(broken) is None
+
+
+def test_bdg3_inverse_needs_connectivity():
+    # two vertices' paths and no cross edge: the image of a disconnected
+    # graph, which is no graph pattern
+    r = GraphToBoundedDegree(2)
+    assert r.inverse(graph({1, 2, 3, 4}, {(1, 2), (3, 4)})) is None
 
 
 def test_bdg3_degree_bound_holds_on_random_graphs():
@@ -271,12 +279,15 @@ def test_a_pattern_domain_is_checked_once(monkeypatch):
     assert chain.forward(Itemset({1, 2})) == image
     assert len(checks) == 2
     checks.clear()
-    reduce_database(chain, db)
+    image_db = reduce_database(chain, db)
     encode_rows(chain, db)
+    assert invert_database(chain.id, image_db) == db
     assert checks == []
     for call, wrong in [(chain.forward, Sequence([1, 2])),
                         (chain.forward, graph({1, 2}, {(1, 2)})),
-                        (chain.inverse, Sequence([1, 2]))]:
+                        (chain.inverse, Sequence([1, 2])),
+                        (partial(invert_database, chain.id),
+                         Database(GRAPH, ()))]:
         with pytest.raises(DomainMismatchError):
             call(wrong)
 
@@ -469,6 +480,109 @@ def test_inverse_is_none_off_the_image(rid):
                 decoded += p is not None
                 refused += p is None
     assert decoded and refused
+
+
+def _shifted(db, by):
+    """``db`` with every label raised by ``by``."""
+    def up(p):
+        if isinstance(p, Itemset):
+            return Itemset([x + by for x in p.items])
+        if isinstance(p, Sequence):
+            return Sequence([x + by for x in p.events])
+        return LabelledGraph(frozenset(v + by for v in p.vertices),
+                             frozenset((a + by, b + by) for a, b in p.edges),
+                             p.directed)
+    return Database(db.domain, tuple(map(up, db.transactions)))
+
+
+#: small source databases, whose images stay within the oracle's guard
+_SMALL = {ITEMSET: {"n_labels": 4, "n_txns": 3, "max_items": 3},
+          SEQUENCE: {"n_labels": 4, "n_txns": 3, "max_events": 3},
+          GRAPH: {"n_labels": 4, "n_txns": 3, "max_vertices": 3},
+          DIGRAPH: {"n_labels": 4, "n_txns": 3, "max_vertices": 3}}
+
+
+@pytest.mark.parametrize("rid", [
+    *(rid for rid in REDUCTION_IDS if rid != "fis2seq"),
+    pytest.param("fis2seq", marks=pytest.mark.skip(
+        reason="a sub-pattern of an increasing sequence increases, so no "
+               "sub-pattern of a fis2seq image is off the image")),
+    "compose:fis2tree,g2fis", "compose:fis2seq,seq2dag,dirg2fis",
+    pytest.param("compose:fis2tree,g2bdg3,g2fis", marks=pytest.mark.skip(
+        reason="the image of a star on two leaves has 17 items, above the "
+               "oracle guard")),
+])
+def test_inverse_agrees_with_a_search_of_the_source(rid):
+    """Every sub-pattern q of an image database inverts to the sub-pattern
+    of the source database whose image is q, or to None when there is
+    none.  The search is complete: q lies below the image of a transaction
+    t, and since the reduction reflects containment its preimage lies
+    below t.  The labels are also shifted past 2**63, but not through
+    g2bdg3, whose images have as many stops per vertex as the top label."""
+    rng = random.Random(rid)
+    domain = bind_reduction(rid).source_domain
+    kw = dict(_SMALL[domain])
+    if "g2bdg3" in rid:
+        kw.update(n_labels=3, max_vertices=2)
+    if "seq2dag" in rid:
+        kw["allow_empty"] = False  # seq2dag cannot picture <>
+    decoded = refused = 0
+    for _ in range(6):
+        db = random_db(rng, domain, **kw)
+        for source in [db] if "g2bdg3" in rid else [db, _shifted(db, 2**63)]:
+            r = bind_reduction(rid, source)
+            preimage = {}
+            for p in enumerate_patterns(source):
+                try:
+                    preimage[r.forward(p)] = p
+                except PatternError:
+                    pass  # the empty sequence has no seq2dag image
+            for q in enumerate_patterns(reduce_database(r, source)):
+                p = r.inverse(q)
+                assert p == preimage.get(q), (q, p)
+                decoded += p is not None
+                refused += p is None
+    assert decoded and refused
+
+
+_PAIRS = graph({(1, 2), (2, 3)}, {((1, 2), (2, 3))})
+
+
+@pytest.mark.parametrize("r, q", [
+    # pair labels into the star and the path bundle
+    (ItemsetToStar(4), _PAIRS),
+    (GraphToBoundedDegree(2), _PAIRS),
+    (GraphToBoundedDegree(2), graph({(1, 1)}, set())),
+    # plain ints into the edge itemset
+    (GraphToEdgeItemset(), Itemset({1, 2})),
+    (GraphToEdgeItemset(directed=True), Itemset({1})),
+    (Composed(ItemsetToStar(3), GraphToEdgeItemset()), Itemset({1, 3})),
+    # stops past n*n
+    (GraphToBoundedDegree(2), graph({5}, set())),
+    (GraphToBoundedDegree(2), graph({3, 4, 5}, {(3, 4), (4, 5)})),
+    (GraphToBoundedDegree(2), graph({2**64}, set())),
+    # marker-less itemsets
+    (GraphToEdgeItemset(), Itemset({(1, 2)})),
+    (GraphToEdgeItemset(directed=True), Itemset({(2, 1), (1, 3)})),
+    (GraphToEdgeItemset(), Itemset()),
+    (Composed(ItemsetToSequence(), SequenceToDag(),
+              GraphToEdgeItemset(directed=True)), Itemset({(1, 2)})),
+], ids=repr)
+def test_targets_that_decode_to_nothing_invert_to_none(r, q):
+    assert r.inverse(q) is None
+
+
+@pytest.mark.parametrize("r, q", [
+    (ItemsetToStar(4), Itemset({1})),
+    (GraphToBoundedDegree(2), graph({1, 2}, {(1, 2)}, directed=True)),
+    (GraphToEdgeItemset(), graph({1}, set())),
+    (GraphToEdgeItemset(directed=True), Sequence([(1, 1)])),
+    (SequenceToDag(), graph({1, 2}, {(1, 2)})),
+    (ItemsetToSequence(), Itemset({1})),
+], ids=repr)
+def test_a_target_of_the_wrong_domain_is_refused(r, q):
+    with pytest.raises(DomainMismatchError):
+        r.inverse(q)
 
 
 def _revalidated(p):
