@@ -22,18 +22,21 @@ each frequent image, with the source pattern it grew: a preimage predicate
 on the step reduction itself judges that source, since the source is the
 image's preimage (``inverse(forward(q)) == q``), so no image is decoded;
 any other conjunct judges the image, which is built only for it.  A
-predicate without a step
-reduction prunes the join climb, so it must be split-stable: every
-feasible set of size m has feasible subsets of every smaller positive
-size, which licenses levelwise pruning even though connectivity is not
-anti-monotone.  ``AlwaysTrue``, ``ConnectedEdgeItemset`` and conjunctions
-of them are the predicates without one, and all of them are.
+predicate without a step reduction prunes the join climb, so it must be
+split-stable: every feasible set of size m has feasible subsets of every
+smaller positive size, which licenses levelwise pruning even though
+connectivity is not anti-monotone.  ``AlwaysTrue``,
+``ConnectedEdgeItemset`` and their conjunctions are the predicates without
+one, and all of them are.
 
 The join climb asks ``merge_hint(labels, a, b)`` once per level, for all
 pairs of surviving sets at once: ``labels`` holds each survivor's plain
 labels as a row of uint64 bitset words, and survivor ``a[i]`` pairs with
 ``b[i]``.  The answer is a boolean per pair, or True for every pair; a
-False must mean that the union of the pair is infeasible.
+False must mean that the union of the pair is infeasible.  On two
+feasible sets the hint of a predicate without a step reduction is exact,
+True meaning a feasible union, so the miner evaluates only the first
+level of a pruned join climb.
 """
 
 from dataclasses import dataclass

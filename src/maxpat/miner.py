@@ -35,14 +35,13 @@ only filters what the climb counts, and it judges the source pattern
 the climb grew (``feasibility.evaluate_grown``): a preimage predicate on
 the step reduction itself asks its inner predicate about that source,
 which is the image's preimage (``inverse(forward(q)) == q``), and an
-``Itemset`` of the image is built only for a conjunct that reads it.
-The join climb would instead count
-every frequent subset of the encoding on the way, most of which are no
-image at all: through ``seq2dag``∘``dirg2fis`` a length-k sequence is
-k + k(k-1)/2 items, and through ``fis2tree``∘``g2bdg3``∘``g2fis`` a
-k-itemset is (k+1)(2r-1) + k items, r being the star's root label.  The
-source labels a climb grows from are read off the items by the reduction
-(``source_labels``), since a link may relabel.
+``Itemset`` of the image is built only for a conjunct that reads it.  The
+join climb would instead count every frequent subset of the encoding on
+the way, most of which are no image at all: through ``seq2dag``∘
+``dirg2fis`` a length-k sequence is k + k(k-1)/2 items, and through
+``fis2tree``∘``g2bdg3``∘``g2fis`` a k-itemset is (k+1)(2r-1) + k items,
+r being the star's root label.  The source labels a climb grows from are
+read off the items by the reduction (``source_labels``).
 
 Itemsets and sequences also get the Apriori check: from level 2 on, a
 grown pattern is counted only when every one-smaller sub-pattern of it
@@ -54,11 +53,10 @@ infrequent too.  A survivor without its largest item, or without its last
 event, is a frequent pattern, so growing past the largest item or at the
 end reaches every survivor once.  ``grow`` checks the raw tuples and
 builds a pattern only for a survivor, so only survivors are encoded and
-counted: on the sequences-dag benchmark (seed 1) the climb counts 822
-candidates instead of 2 483.  Graphs grow without the check.  Dropping a
-leaf or non-bridge edge is the graph form of it, but on graphs-wide every
-connected two-edge pattern is frequent, so it would prune none of the
-1 176 level-4 candidates while costing time on each.
+counted.  Graphs grow without the check.  Dropping a leaf or non-bridge
+edge is the graph form of it, but on graphs-wide every connected two-edge
+pattern is frequent, so it would prune none of the 1 176 level-4
+candidates while costing time on each.
 
 Candidates of the join climb at level k are unions of two surviving
 (k-1)-sets sharing k-2 items, built a whole level at a time in numpy.  Each
@@ -76,24 +74,23 @@ three-edge path is the union of its two overlapping two-edge halves, which
 differ in their first item).  The predicate's merge hint judges all pairs
 at once from bitsets of the survivors' labels; for connectivity a pair is
 skipped when the bitsets share no label, which is exactly when the union is
-disconnected.
+disconnected.  In mode "auto" every predicate without a step reduction is
+``ALWAYS``, connectivity or their conjunction, and any other one is refused
+at level 1, so the union of two feasible sets is feasible iff the hint
+keeps the pair: the climb evaluates level 1 alone.
 
 The climb runs on item indices (``climb_rows``).  Items are numbered once,
-in label order, so a candidate is a sorted row of ints and rows sort
-exactly like the itemsets they name.  Numbering and packing work on one
-flat incidence of the transactions (``incidence.Incidence``): numpy
-arrays of the labels, or of the two components of label pairs, beside an
-array of row ids, with no Python list of items per transaction.  A pair
-(a, b) is numbered by its code a*base + b, base being above every b, so
-the codes sort the way the pairs do and no tuple is built or hashed.
-Small codes are numbered through a lookup table and larger ones by
-``np.unique``; a label or code past int64 is kept as a Python int in an
-object array (``incidence.number``).  The
-indices are packed into tidsets against the row ids
-(``_kernels.pack_rows``), as are the collected sets in the maximality
-filter.  Labels are validated once, where the database is built;
-a labelled ``Itemset`` is made, without checking its labels again, only for
-a frequent set, where a predicate or the caller needs one.
+in label order, so rows sort like the itemsets they name, from one flat
+incidence of the transactions (``incidence.number``), and packed into
+tidsets (``_kernels.pack_rows``).  Every level of either climb is one
+(n, k) matrix of sorted index rows, from counting to the maximality
+filter, which packs the collected rows as the transactions are packed and
+counts each level's containments at once.  The step climb pads a row at
+the end with a padding item, numbered after the items, whose tidset is all
+ones: a grown graph level images to sets of two sizes, and still counts in
+one call.  Labels are validated once, where the database is built; a
+labelled ``Itemset`` is made, without checking its labels again, only for
+the answer and for a predicate that reads one.
 
 Other domains are mined by encoding into itemsets through a reduction.
 The encoding happens in index space, through one map into item rows
@@ -283,46 +280,49 @@ def _generate(survivors, item_bits, phi):
 
 
 def _grow_images(r, level, labels, items):
-    """The step climb's next level: the images, as sorted index tuples in
-    sorted order, of the source patterns that ``grow`` makes from the
-    frequent ``level`` (None grows the one-element patterns), each mapped
-    to the pattern it images.  The images are encoded as the transactions
-    are (``Reduction._incidence``), and their entries are numbered among
-    the packed ``items``.  An image with an item the database lacks has
-    support 0, so it is dropped before counting."""
+    """The step climb's next level: the source patterns that ``grow`` makes
+    from the frequent ``level`` (None grows the one-element patterns), as a
+    list, and their images as the rows of one index matrix, row i imaging
+    pattern i.  The images are encoded as the transactions are
+    (``Reduction._incidence``), their entries are numbered among the packed
+    ``items``, and each row is sorted and padded at the end with the
+    padding item ``len(items)`` (``_padded``).  An image with an item the
+    database lacks has support 0, so it is dropped with its pattern before
+    counting."""
     grown = grow(r.source_domain, level, labels)
     images = r._incidence(grown)
     index = lookup(items, images.labels)
-    flat = index[np.lexsort((index, images.rows))].tolist()
-    ends = np.cumsum(np.bincount(images.rows, minlength=len(grown))).tolist()
-    rows = [tuple(flat[lo:hi]) for lo, hi in zip([0, *ends], ends)]
-    # an image is never empty, and an absent item (-1) sorts first; no two
-    # images are equal, as grow's patterns are distinct and r is injective
-    return dict(sorted((s, q) for s, q in zip(rows, grown) if s[0] >= 0))
+    order = np.lexsort((index, images.rows))
+    owner = images.rows[order]
+    width = np.bincount(owner, minlength=len(grown)).max(initial=0)
+    rows = np.full((len(grown), width), len(items), dtype=np.intp)
+    rows[owner, np.arange(len(owner)) - np.searchsorted(owner, owner)] \
+        = index[order]
+    # an absent item (-1) sorts first; no two rows are equal, as grow's
+    # patterns are distinct and r is injective
+    keep = (rows[:, :1] >= 0).all(axis=1)
+    return list(compress(grown, keep)), rows[keep]
 
 
-def _count_by_size(tidsets, sets):
-    """Supports of index tuples of mixed sizes, one kernel call per size."""
-    by_size = {}
-    for i, s in enumerate(sets):
-        by_size.setdefault(len(s), []).append(i)
-    counts = np.empty(len(sets), dtype=np.int64)
-    for idx in by_size.values():
-        counts[idx] = _kernels.count_supports(
-            tidsets, np.array([sets[i] for i in idx], dtype=np.intp))
-    return counts
+def _padded(tidsets):
+    """``tidsets`` and a row of ones: the padding item, held by every
+    row."""
+    return np.vstack((tidsets, np.full_like(tidsets[:1], ~np.uint64(0))))
 
 
-def _maximal_among(collected, n_items):
-    """Drop every index tuple with a strict superset in the collection.  The
-    sets are distinct, so a set is maximal iff the only collected set
-    containing it is itself; containment is counted like support, with the
-    collected sets in place of the transactions."""
-    sets = item_incidence(collected)
-    tidsets = _kernels.pack_rows(sets.labels[0], sets.rows, n_items,
-                                 sets.n_rows)
-    counts = _count_by_size(tidsets, collected)
-    return list(compress(collected, counts == 1))
+def _maximal_among(levels, n_items):
+    """One mask per index matrix of ``levels``, padded as ``_grow_images``
+    pads, marking the rows with no strict superset among the rows of all
+    of them.  The rows are distinct sets, so a row is maximal iff the only
+    row containing it is itself; containment is counted like support, with
+    the rows in place of the transactions, one kernel call per level."""
+    widths = np.repeat([m.shape[1] for m in levels], list(map(len, levels)))
+    entries = np.concatenate([m.ravel() for m in levels])
+    owners = np.repeat(np.arange(len(widths)), widths)
+    real = entries < n_items
+    tidsets = _padded(_kernels.pack_rows(entries[real], owners[real], n_items,
+                                         len(widths)))
+    return [_kernels.count_supports(tidsets, m) == 1 for m in levels]
 
 
 def _bottom(tidsets, items, n_rows, tau, phi, step, sources):
@@ -384,62 +384,60 @@ def climb_rows(incidence: Incidence, tau: int, phi=ALWAYS,
     # itemsets
     start = perf_counter()
     items, tidsets = _pack(incidence)
-    n_rows = incidence.n_rows
+    n_items, n_rows = len(items), incidence.n_rows
     # mine_max_ffis keeps no reference, so its incidence is freed here
     del incidence
+    tidsets = _padded(tidsets)
     packed = perf_counter()
 
-    def itemset(s):
-        return Itemset._trusted(tuple(map(items.__getitem__, s)))
+    def itemset(row):
+        return Itemset._trusted(tuple(items[i] for i in row if i < n_items))
 
     if step is not None:
         labels = step.source_labels(item_labels(items))
-        grown = _grow_images(step, None, labels, items)
-        current = list(grown)
-        found = {}  # each feasible image's source pattern
+        grown, current = _grow_images(step, None, labels, items)
     else:
         item_bits = _label_bitsets(items)
-        current = np.arange(len(items), dtype=np.intp).reshape(-1, 1)
+        current = np.arange(n_items, dtype=np.intp).reshape(-1, 1)
     stats = []
-    collected = []
+    collected = []  # each level's feasible rows
+    found = []  # under the step climb, each level's feasible sources
     level = 1
     while len(current):
+        hit = _kernels.count_supports(tidsets, current) >= tau
+        frequent = current[hit]
         if step is not None:
-            # grown graphs image to sets of two sizes within a level
-            hit = _count_by_size(tidsets, current) >= tau
-            frequent = list(compress(current, hit))
-            ok = [evaluate_grown(phi, step, grown[s], partial(itemset, s))
-                  for s in frequent]
+            grown = list(compress(grown, hit))
+            ok = [evaluate_grown(phi, step, q, partial(itemset, s))
+                  for q, s in zip(grown, frequent.tolist())]
+        elif prune and level > 1:  # the merge hint kept feasible unions
+            ok = np.ones(len(frequent), dtype=bool)
         else:
-            hit = _kernels.count_supports(tidsets, current) >= tau
-            frequent = list(map(tuple, current[hit].tolist()))
-            ok = [evaluate(phi, itemset(s)) for s in frequent]
-        feasible = list(compress(frequent, ok))
+            ok = [evaluate(phi, itemset(s)) for s in frequent.tolist()]
+        feasible = frequent[np.array(ok, dtype=bool)]
         stats.append(LevelStats(level, len(current), len(frequent),
                                 len(feasible)))
-        collected.extend(feasible)
+        collected.append(feasible)
         level += 1
         if step is not None:
-            found.update((s, grown[s]) for s in feasible)
-            grown = _grow_images(step, [grown[s] for s in frequent],
-                                 labels, items)
-            current = list(grown)
+            found.append(list(compress(grown, ok)))
+            grown, current = _grow_images(step, grown, labels, items)
             continue
         # the merge hint is sound in both modes: any feasible set of size
         # >= 2 keeps two one-smaller feasible subsets (drop a marker or a
         # leaf/cycle edge), so a climb through feasible sets never needs a
         # pruned join
-        survivors = current[hit]
-        if prune:
-            survivors = survivors[np.array(ok, dtype=bool)]
-        current = _generate(survivors, item_bits, phi)
+        current = _generate(feasible if prune else frequent, item_bits, phi)
     climbed = perf_counter()
 
-    if collected:
-        maximal = _maximal_among(collected, len(items))
-        answer = found.__getitem__ if sources and step is not None \
-            else itemset
-        maximal = list(map(answer, maximal))
+    if any(map(len, collected)):
+        keep = _maximal_among(collected, n_items)
+        if sources and step is not None:
+            maximal = [q for qs, m in zip(found, keep)
+                       for q in compress(qs, m)]
+        else:
+            maximal = [itemset(s) for rows, m in zip(collected, keep)
+                       for s in rows[m].tolist()]
     else:
         maximal = _bottom(tidsets, items, n_rows, tau, phi, step, sources)
     maximal = tuple(sorted(maximal, key=canonical_key))

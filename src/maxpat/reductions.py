@@ -585,20 +585,19 @@ def lift_results(r: Reduction, results) -> tuple:
 def invert_database(rid: str, db: Database) -> Database:
     """Map a database on the target side of ``rid`` back to the source side,
     binding the reduction from it.  The database's domain is checked once,
-    before any link reads it; a transaction without a preimage raises with
-    its index."""
+    before any link reads it.  Each distinct transaction is inverted once,
+    and equal transactions share its preimage; a transaction without a
+    preimage raises with the index where it first occurs."""
     r = bind_reduction(rid)
     if db.domain != r.target_domain:
         raise DomainMismatchError(
             f"{r.id} inverts {r.target_domain} databases, got {db.domain}")
     r = bind_from_target(rid, db)
-    sources = []
+    sources = {}
     for i, t in enumerate(db.transactions):
-        p = r._inverse(t)
-        if p is None:
+        if t not in sources and sources.setdefault(t, r._inverse(t)) is None:
             raise DatabaseError(f"no preimage under {r.id}", i)
-        sources.append(p)
-    return Database(r.source_domain, tuple(sources))
+    return Database(r.source_domain, tuple(map(sources.get, db.transactions)))
 
 
 # ---------------------------------------------------------------------------

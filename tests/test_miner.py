@@ -20,7 +20,8 @@ from maxpat.errors import (
     DatabaseError, DomainMismatchError, ExtendError, PatternError,
 )
 from maxpat.feasibility import (
-    ALWAYS, CONNECTED_EDGES, And, PreimageExistsAnd, evaluate,
+    ALWAYS, CONNECTED_EDGES, And, PreimageExistsAnd,
+    connected_edge_itemset, evaluate,
 )
 from maxpat.incidence import item_incidence, lookup, number
 from maxpat.io import render_pattern
@@ -509,6 +510,92 @@ def test_constrained_candidates_never_exceed_unconstrained():
                 assert s_con.candidates <= s_unc.candidates
 
 
+def test_auto_join_climb_judges_level_one_alone(monkeypatch):
+    """Without a step reduction, the merge hint keeps a pair exactly when
+    the union of the two feasible sets is feasible, so every candidate that
+    ``_generate`` hands the auto climb from level 2 on is connected, and
+    the climb evaluates only the frequent sets of level 1.  Postfilter
+    evaluates every frequent set.  Either evaluates the empty itemset when
+    nothing was collected (``_bottom``)."""
+    generated = []
+    evaluated = []
+
+    def recorded(survivors, item_bits, phi, _fn=miner._generate):
+        generated.append(_fn(survivors, item_bits, phi))
+        return generated[-1]
+
+    def counted(phi, p, _fn=miner.evaluate):
+        evaluated.append(p)
+        return _fn(phi, p)
+    monkeypatch.setattr(miner, "_generate", recorded)
+    monkeypatch.setattr(miner, "evaluate", counted)
+    rng = random.Random(67)
+    joined = 0
+    for _ in range(60):
+        db = random_itemset_db(rng, n_labels=5, n_txns=5, max_items=5,
+                               pair_items=True)
+        items = sorted({x for t in db for x in t.items})
+        for phi in (ALWAYS, CONNECTED_EDGES, And((ALWAYS, CONNECTED_EDGES))):
+            for tau in range(1, len(db) + 1):
+                generated.clear()
+                evaluated.clear()
+                auto = mine_max_ffis(db, tau, phi)
+                bottom = not any(s.feasible_frequent for s in auto.stats)
+                assert len(evaluated) == auto.stats[0].frequent + bottom
+                for rows in generated if phi != ALWAYS else ():
+                    joined += len(rows)
+                    assert all(connected_edge_itemset([items[i] for i in row])
+                               for row in rows.tolist())
+                evaluated.clear()
+                post = mine_max_ffis(db, tau, phi, mode="postfilter")
+                assert len(evaluated) == sum(
+                    s.frequent for s in post.stats) + bottom
+    assert joined > 1000
+
+
+def _padded_levels(rng, n_items):
+    """Distinct non-empty sets of item indices below ``n_items``, dealt
+    into levels of sorted rows padded at the end with ``n_items``: empty
+    levels, levels of one size, and levels of two or more sizes, as a
+    grown graph level images to sets of two sizes."""
+    sets = {frozenset(rng.sample(range(n_items), rng.randint(1, n_items)))
+            for _ in range(rng.randint(0, 25))}
+    sets = list(sets)
+    rng.shuffle(sets)
+    levels = []
+    while sets or rng.random() < 0.3:
+        cut = rng.randint(0, len(sets))
+        chunk, sets = sets[:cut], sets[cut:]
+        width = max(map(len, chunk), default=rng.randint(0, 2)) \
+            + rng.randint(0, 1)
+        levels.append(np.array([sorted(c) + [n_items] * (width - len(c))
+                                for c in chunk], dtype=np.intp)
+                      .reshape(len(chunk), width))
+    return levels
+
+
+def test_maximal_among_padded_levels_matches_pairwise_subsets():
+    """``_maximal_among`` marks, per level, each row with no strict
+    superset among the rows of all the levels, whatever their widths and
+    padding: a pairwise subset test in Python is the reference."""
+    rng = random.Random(71)
+    mixed = empty = 0
+    for _ in range(300):
+        n_items = rng.randint(1, 9)
+        levels = _padded_levels(rng, n_items)
+        if not any(map(len, levels)):
+            continue
+        sets = [[frozenset(row) - {n_items} for row in m.tolist()]
+                for m in levels]
+        every = [s for level in sets for s in level]
+        got = miner._maximal_among(levels, n_items)
+        assert [m.tolist() for m in got] == [
+            [not any(s < t for t in every) for s in level] for level in sets]
+        mixed += any(len(set(map(len, level))) > 1 for level in sets)
+        empty += any(len(m) == 0 for m in levels)
+    assert mixed > 100 and empty > 50
+
+
 def test_feasibility_is_not_antimonotone_but_mining_still_works():
     """Two disconnected pair-sets whose union is connected: pruning that
     assumed subset-feasibility would lose the union."""
@@ -863,12 +950,13 @@ def _edge_itemset(r, p):
 
 @pytest.mark.parametrize("rid", ITEMSET_ENCODINGS)
 def test_grown_levels_are_numbered_forward_images(rid):
-    """Each level of the step climb holds, in sorted order, the sorted
-    item indices of ``forward``'s image of every pattern ``grow`` makes,
-    mapped to that pattern, and drops a pattern whose image has an item
-    the database lacks (one with a label no transaction holds, among
-    others); labels past int64 too, where the chain allows them
-    (``g2bdg3`` makes a path as long as its largest label)."""
+    """Each level of the step climb holds the patterns ``grow`` makes, in
+    its order, each beside a row of the sorted item indices of
+    ``forward``'s image of it, padded at the end with the padding item;
+    it drops a pattern whose image has an item the database lacks (one
+    with a label no transaction holds, among others) together with its
+    row; labels past int64 too, where the chain allows them (``g2bdg3``
+    makes a path as long as its largest label)."""
     rng = random.Random(rid)
     domain = bind_reduction(rid).source_domain
     empty = miner._empty_pattern(domain)
@@ -884,19 +972,24 @@ def test_grown_levels_are_numbered_forward_images(rid):
             labels = r.source_labels(item_labels(items)) | {1 + shift}
             level = None
             while level != []:
-                got = miner._grow_images(r, level, labels, items)
-                want = {}
+                grown, rows = miner._grow_images(r, level, labels, items)
+                want, want_rows = [], []
                 for q in domains.grow(domain, level, labels):
                     image = r.forward(q).items
                     assert image == _edge_itemset(r, q).items
                     if all(x in index for x in image):
-                        want[tuple(index[x] for x in image)] = q
+                        want.append(q)
+                        want_rows.append([index[x] for x in image])
                     else:
                         dropped += 1
-                assert got == want and list(got) == sorted(want)
-                kept += len(got)
-                frequent = miner._count_by_size(tidsets, list(got)) >= 1
-                level = list(compress(got.values(), frequent))
+                assert grown == want
+                assert rows.tolist() == [
+                    sorted(s) + [len(items)] * (rows.shape[1] - len(s))
+                    for s in want_rows]
+                kept += len(grown)
+                frequent = _kernels.count_supports(
+                    miner._padded(tidsets), rows) >= 1
+                level = list(compress(grown, frequent))
     # every database drops at least the one-element pattern of 1 + shift
     assert kept > 50 and dropped >= 4 * len(shifts)
 

@@ -21,7 +21,8 @@ from maxpat.miner import mine_max_ffis
 from maxpat.oracle import enumerate_patterns, oracle_max
 from maxpat.reductions import (
     _MARKERS, REDUCTION_IDS, Composed, GraphToBoundedDegree,
-    GraphToEdgeItemset, ItemsetToSequence, ItemsetToStar, SequenceToDag,
+    GraphToEdgeItemset, ItemsetToSequence, ItemsetToStar, Reduction,
+    SequenceToDag,
     bind_from_target, bind_reduction, encode_rows, invert_database,
     lift_results, reduce_database,
 )
@@ -355,6 +356,52 @@ def test_reduce_database_reports_a_repeated_rejection_at_its_first_index(
     with pytest.raises(DatabaseError) as ei:
         reduce_database(r, db)
     assert ei.value.index == first
+
+
+@pytest.mark.parametrize("rid", ["g2fis", "compose:seq2dag,dirg2fis",
+                                 "fis2tree"])
+def test_invert_database_inverts_each_distinct_transaction_once(
+        rid, monkeypatch):
+    """Equal transactions on the target side, as distinct objects, are
+    inverted once and share one preimage, and the database inverts back to
+    the source."""
+    calls = []
+
+    def recorded(self, q, _fn=Reduction._inverse):
+        calls.append(q)
+        return _fn(self, q)
+    monkeypatch.setattr(Reduction, "_inverse", recorded)
+    rng = random.Random(rid)
+    domain = bind_reduction(rid).source_domain
+    kw = {"allow_empty": False} if domain == SEQUENCE else {}
+    for _ in range(6):
+        db = _with_repeats(rng, random_db(rng, domain, n_txns=5, **kw))
+        image = _with_repeats(rng, reduce_database(bind_reduction(rid, db),
+                                                   db))
+        calls.clear()
+        got = invert_database(rid, image)
+        assert len(calls) == len(set(image)) < len(image)
+        assert got == Database(domain, tuple(
+            bind_from_target(rid, image).inverse(q) for q in image))
+        first = {}
+        for q, p in zip(image, got.transactions):
+            assert first.setdefault(q, p) is p
+
+
+def test_invert_database_reports_a_repeated_rejection_at_its_first_index(
+        monkeypatch):
+    calls = []
+
+    def recorded(self, q, _fn=Reduction._inverse):
+        calls.append(q)
+        return _fn(self, q)
+    monkeypatch.setattr(Reduction, "_inverse", recorded)
+    # an edge pair without the markers of its ends images no graph
+    db = itemset_db([{(1, 1)}, {(1, 1)}, {(1, 2)}, {(1, 1)}, {(1, 2)}])
+    with pytest.raises(DatabaseError) as ei:
+        invert_database("g2fis", db)
+    assert ei.value.index == 2
+    assert calls == [Itemset({(1, 1)}), Itemset({(1, 2)})]
 
 
 def test_reduce_database_tags_target_class():
