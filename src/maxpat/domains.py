@@ -13,7 +13,6 @@ The containment order is plain inclusion per domain:
               is the label itself, so there is no separate isomorphism test
 """
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .errors import DomainMismatchError, PatternError
@@ -211,65 +210,6 @@ class LabelledGraph:
         es = ", ".join(f"{u}{arrow}{v}" for u, v in sorted(self.edges))
         vs = ", ".join(map(repr, sorted(self.vertices)))
         return f"LabelledGraph([{vs}], [{es}])"
-
-
-def grow(domain, level, labels):
-    """The next level of a climb that grows ``domain`` patterns one element
-    at a time: the distinct patterns one element larger than a pattern of
-    ``level`` whose new element uses a label of ``labels``; the one-element
-    patterns when ``level`` is None.
-
-    An itemset gains one new item and a sequence one new label at any
-    position, and either is kept only when every one-smaller sub-pattern
-    (drop an item, or drop an event) is in ``level``: the Apriori check.
-    The check runs on the raw tuples, and a pattern is built only for a
-    survivor.  A survivor without its largest item, or without its last
-    event, is in ``level``, so growing only past the largest item or at the
-    end reaches each survivor once.  A graph gains one edge between two of
-    its vertices, or one edge to a new vertex, in either direction when
-    directed (so an arc may join its reverse); graphs are grown from every
-    pattern of ``level`` without a check.
-
-    An itemset or sequence ``level`` holds non-empty patterns of one size
-    whose labels are in ``labels``.  The labels must be valid and of one
-    kind: the patterns are built without checking them."""
-    if domain in (ITEMSET, SEQUENCE):
-        make = Itemset._trusted if domain == ITEMSET else Sequence._trusted
-        labels = sorted(labels)
-        if level is None:
-            return [make((x,)) for x in labels]
-        have = dict.fromkeys(
-            p.items if domain == ITEMSET else p.events for p in level)
-        out = []
-        for t in have:
-            if domain == ITEMSET:
-                new = labels[bisect_right(labels, t[-1]):]
-            else:
-                new = [x for x in labels if x not in t]
-            for x in new:
-                q = t + (x,)
-                if all(q[:i] + q[i + 1:] in have for i in range(len(t))):
-                    out.append(make(q))
-        return out
-    directed = domain == DIGRAPH
-    if level is None:
-        return [LabelledGraph._trusted(frozenset((x,)), frozenset(), directed)
-                for x in labels]
-    return list(dict.fromkeys(
-        q for p in level for q in _grow_graph(p, labels, directed)))
-
-
-def _grow_graph(p, labels, directed):
-    vs, es = p.vertices, p.edges
-    new = [x for x in labels if x not in vs]
-    ends = [(u, v) for u in vs for v in vs if u != v and (directed or u < v)]
-    ends += [(u, x) for u in vs for x in new]
-    if directed:
-        ends += [(x, u) for u in vs for x in new]
-    for u, v in ends:
-        e = (u, v) if directed or u < v else (v, u)
-        if e not in es:
-            yield LabelledGraph._trusted(vs | {u, v}, es | {e}, directed)
 
 
 def connected_components(vertices, edges):

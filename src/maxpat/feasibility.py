@@ -18,10 +18,12 @@ A predicate may name a ``step_reduction``: a reduction among whose images
 lies every set the predicate accepts.  Every preimage predicate names its
 reduction, and the miner then climbs through the images of source
 patterns grown one element at a time.  It asks ``evaluate_grown`` about
-each frequent image, with the source pattern it grew: a preimage predicate
-on the step reduction itself judges that source, since the source is the
-image's preimage (``inverse(forward(q)) == q``), so no image is decoded;
-any other conjunct judges the image, which is built only for it.  A
+each frequent image, with two thunks that build the source pattern it
+grew and the image: a preimage predicate on the step reduction itself
+judges that source, since the source is the image's preimage
+(``inverse(forward(q)) == q``), so no image is decoded; any other
+conjunct judges the image.  Each is built only for a conjunct that reads
+it, so ``ALWAYS`` and a bare preimage on the step build nothing.  A
 predicate without a step reduction prunes the join climb, so it must be
 split-stable: every feasible set of size m has feasible subsets of every
 smaller positive size, which licenses levelwise pruning even though
@@ -109,7 +111,8 @@ class PreimageExistsAnd(Predicate):
 
     def evaluate_grown(self, step, source, image):
         if self.reduction == step:
-            return evaluate(self.inner, source)
+            # the inner predicate judges the source, built only when read
+            return evaluate_grown(self.inner, None, None, source)
         return self.evaluate(image())
 
     def describe(self):
@@ -172,9 +175,9 @@ def evaluate(phi, p) -> bool:
 
 
 def evaluate_grown(phi, step, source, image) -> bool:
-    """Evaluate a feasibility predicate on the image of ``source`` under
-    ``step``, a source pattern the step climb grew: ``image()`` builds the
-    image, and is called only by a conjunct that reads it."""
+    """Evaluate a feasibility predicate on the image under ``step`` of a
+    source pattern the step climb grew: ``source()`` builds the pattern
+    and ``image()`` its image, each only for a conjunct that reads it."""
     return _check(phi).evaluate_grown(step, source, image)
 
 

@@ -3,8 +3,8 @@
 An ``Incidence`` is what the miner numbers (``number``) and packs, with no
 Python list of items per transaction.  An itemset database gives one
 directly (``item_incidence``), and a reduction into itemsets gives the
-incidence of a database's images (``reductions.encode_rows``) and of a
-step climb's grown patterns, whose entries ``lookup`` finds among the
+incidence of a database's images (``reductions.encode_rows``) and of the
+source rows a step climb grows, whose entries ``lookup`` finds among the
 numbered items.  The reductions carry their batches of source patterns
 between links as incidences too.
 """

@@ -18,45 +18,42 @@ before maximality extraction, which is always sound because the frequent
 sets are downward-closed and fully enumerated.
 
 The step climb counts images only.  Level 1 holds the images of the
-one-element source patterns, and level k+1 the images of every pattern
-that ``domains.grow`` makes from a frequent level-k one: one new item, one
-new label inserted anywhere in a sequence, or one new edge in a graph,
-between two of its vertices or to a new one.  It finds every frequent
-image, whatever the predicate: a reduction preserves containment, so
-image(s') is inside image(s) for every sub-pattern s' of s and is frequent
-when image(s) is; and every pattern is one grow away from a sub-pattern one
-level down, so by induction every frequent image is reached through
-frequent images alone.  An itemset or a sequence of length k+1 loses any
-one element.  A connected graph with an edge has a leaf edge or a
-non-bridge edge; removing it (a leaf edge with its leaf) leaves a
-connected graph with one edge fewer, so a graph's level is its edge count
-plus one.  Every set the predicate accepts is an image, so the predicate
-only filters what the climb counts, and it judges the source pattern
-the climb grew (``feasibility.evaluate_grown``): a preimage predicate on
-the step reduction itself asks its inner predicate about that source,
-which is the image's preimage (``inverse(forward(q)) == q``), and an
-``Itemset`` of the image is built only for a conjunct that reads it.  The
-join climb would instead count every frequent subset of the encoding on
-the way, most of which are no image at all: through ``seq2dag``∘
-``dirg2fis`` a length-k sequence is k + k(k-1)/2 items, and through
-``fis2tree``∘``g2bdg3``∘``g2fis`` a k-itemset is (k+1)(2r-1) + k items,
-r being the star's root label.  The source labels a climb grows from are
-read off the items by the reduction (``source_labels``).
+one-element source patterns, and level k+1 the images of every pattern one
+element larger than a frequent level-k one: one new item, one new event,
+or one new edge in a graph, between two of its vertices or to a new one.
+It finds every frequent image, whatever the predicate: a reduction
+preserves containment, so image(s') is inside image(s) for every
+sub-pattern s' of s and is frequent when image(s) is; and every pattern
+is one element larger than a sub-pattern one level down, so by induction
+every frequent image is reached through frequent images alone.  An
+itemset or a sequence of length k+1 loses any one element.  A connected
+graph with an edge has a leaf edge or a non-bridge edge; removing it (a
+leaf edge with its leaf) leaves a connected graph with one edge fewer, so
+a graph's level is its edge count plus one.  The predicate only filters
+what the climb counts, and judges the source pattern the climb grew
+(``feasibility.evaluate_grown``).  The join climb would instead count
+every frequent subset of the encoding on the way, most of which are no
+image at all: through ``seq2dag``∘``dirg2fis`` a length-k sequence is
+k + k(k-1)/2 items, and through ``fis2tree``∘``g2bdg3``∘``g2fis`` a
+k-itemset is (k+1)(2r-1) + k items, r being the star's root label.
 
-Itemsets and sequences also get the Apriori check: from level 2 on, a
-grown pattern is counted only when every one-smaller sub-pattern of it
-(drop an item, or drop an event) is among the level's frequent patterns.
-That is sound because the climb counts every source pattern with a
-frequent image, as above, so a sub-pattern missing from the frequent level
-has an infrequent image, and containment makes the grown pattern's image
-infrequent too.  A survivor without its largest item, or without its last
-event, is a frequent pattern, so growing past the largest item or at the
-end reaches every survivor once.  ``grow`` checks the raw tuples and
-builds a pattern only for a survivor, so only survivors are encoded and
-counted.  Graphs grow without the check.  Dropping a leaf or non-bridge
-edge is the graph form of it, but on graphs-wide every connected two-edge
-pattern is frequent, so it would prune none of the 1 176 level-4
-candidates while costing time on each.
+A level of the step climb is one intp matrix of source rows: ranks in
+the alphabet, the sorted source labels that the items can stand for
+(``source_labels``).  A row holds an itemset's items or a sequence's
+events in order, or the sorted codes a * n + b of a graph's edges (a, b),
+for n labels, with a < b when undirected; a lone vertex v is (v, v), as
+in an edge itemset.  Rows are grown (``_grow``), mapped to image rows
+(``_images``) and judged in numpy, and a pattern is built (``_source``)
+only for the answer and for a predicate that reads it.  Itemsets and
+sequences also get the Apriori check: a grown row is kept only when each
+row that drops one of its elements is among the level's frequent rows.
+The climb counts every source pattern with a frequent image, so a
+sub-pattern missing there has an infrequent image, and so has the grown
+pattern.  A survivor without its largest item, or its last event, is
+frequent, so growing past the last item or at the end reaches each
+survivor once.  Graphs grow without the check: on graphs-wide every
+connected two-edge pattern is frequent, so it would prune none of the
+1 176 level-4 candidates while costing time on each.
 
 Candidates of the join climb at level k are unions of two surviving
 (k-1)-sets sharing k-2 items, built a whole level at a time in numpy.  Each
@@ -88,20 +85,18 @@ filter, which packs the collected rows as the transactions are packed and
 counts each level's containments at once.  The step climb pads a row at
 the end with a padding item, numbered after the items, whose tidset is all
 ones: a grown graph level images to sets of two sizes, and still counts in
-one call.  Labels are validated once, where the database is built; a
-labelled ``Itemset`` is made, without checking its labels again, only for
-the answer and for a predicate that reads one.
+one call.  Labels are validated once, where the database is built, and
+the patterns made from rows are not checked again.
 
-Other domains are mined by encoding into itemsets through a reduction.
-The encoding happens in index space, through one map into item rows
-(``Reduction._incidence``), which carries flat arrays through every link
-of a chain: the source transactions go straight to the incidence of their
-images (``encode_rows``), and so does each level the step climb grows,
-numbered among the packed items by ``incidence.lookup``.  In mode "auto"
-the step climb answers with the source patterns of the maximal images, so
-no middle pattern, no image ``Itemset`` and no image ``Database`` is built
-on the mine path, and nothing is decoded or lifted; mode "postfilter"
-mines images and lifts them back (``lift_results``).  The empty itemset /
+Other domains are mined by encoding into itemsets through a reduction,
+in index space: ``encode_rows`` maps the source transactions through the
+links of the chain as flat arrays (``Reduction._incidence``), and the step
+climb's source rows go through the same link maps, numbered among the
+packed items by ``incidence.lookup``.  In mode "auto" the step climb
+answers with the source patterns of the maximal images, so no middle
+pattern, no image ``Itemset`` and no image ``Database`` is built on the
+mine path, and nothing is decoded or lifted; mode "postfilter" mines
+images and lifts them back (``lift_results``).  The empty itemset /
 sequence, which some chains cannot represent, is left out of the encoding
 and reported directly at the source level when nothing else is frequent.
 ``MiningResult.seconds`` splits a call into encoding, packing, the climb,
@@ -110,7 +105,7 @@ the maximality filter and lifting.
 
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import compress
+from itertools import chain
 from time import perf_counter
 
 import numpy as np
@@ -119,11 +114,13 @@ from . import _kernels
 from .core import Database, check_tau
 from .domains import (
     DIGRAPH, GRAPH, ITEMSET, SEQUENCE,
-    Itemset, Sequence, canonical_key, grow, item_labels,
+    Itemset, LabelledGraph, Sequence, canonical_key, item_labels,
 )
 from .errors import DomainMismatchError, ExtendError, PatternError
 from .feasibility import ALWAYS, describe, evaluate, evaluate_grown
-from .incidence import Incidence, item_incidence, lookup, number
+from .incidence import (
+    Incidence, item_incidence, label_array, lookup, number,
+)
 # the mine path encodes with encode_rows; reduce_database stays a module
 # attribute because perfbench's tracer wraps it here by name
 from .reductions import (  # noqa: F401
@@ -279,29 +276,86 @@ def _generate(survivors, item_bits, phi):
     return _word_rows(words, m + 1, n_items)
 
 
-def _grow_images(r, level, labels, items):
-    """The step climb's next level: the source patterns that ``grow`` makes
-    from the frequent ``level`` (None grows the one-element patterns), as a
-    list, and their images as the rows of one index matrix, row i imaging
-    pattern i.  The images are encoded as the transactions are
-    (``Reduction._incidence``), their entries are numbered among the packed
-    ``items``, and each row is sorted and padded at the end with the
-    padding item ``len(items)`` (``_padded``).  An image with an item the
-    database lacks has support 0, so it is dropped with its pattern before
-    counting."""
-    grown = grow(r.source_domain, level, labels)
-    images = r._incidence(grown)
+def _grow(rows, level, n, domain):
+    """The source rows one element larger than the frequent ``rows`` of
+    ``level`` over ``n`` labels, each once (see the module docstring)."""
+    if level == 0:  # a graph's lone vertex v is the code v * n + v
+        return np.arange(n).reshape(-1, 1) \
+            * (n + 1 if domain in (GRAPH, DIGRAPH) else 1)
+    if domain in (GRAPH, DIGRAPH):
+        # an edge from each end to each label: no loop, no edge of the row
+        ends = np.hstack(np.divmod(rows, n))
+        edges = rows if level > 1 else rows[:, :0]
+        owner = np.repeat(np.arange(len(rows)), ends.shape[1] * n)
+        u, x = np.repeat(ends.ravel(), n), np.tile(np.arange(n), ends.size)
+        if domain == DIGRAPH:
+            owner = np.tile(owner, 2)
+            u, x = np.concatenate((u, x)), np.concatenate((x, u))
+        else:
+            u, x = np.minimum(u, x), np.maximum(u, x)
+        codes = u * n + x
+        fresh = (u != x) & (edges[owner] != codes[:, None]).all(axis=1)
+        grown = np.column_stack((edges[owner[fresh]], codes[fresh]))
+        grown.sort(axis=1)
+        return _word_rows(_unique_words(_row_words(grown, n * n)), level,
+                          n * n)
+    # an itemset gains a rank above its last, a sequence one it lacks
+    fresh = np.arange(n) > rows[:, -1:] if domain == ITEMSET \
+        else (rows[:, :, None] != np.arange(n)).all(axis=1)
+    owner, new = np.nonzero(fresh)
+    grown = np.column_stack((rows[owner], new))
+    # the Apriori check: each row that drops a position i < level is in
+    # ``rows``; the sort is stable, so such a row starts the run it is in
+    order, fresh = _sort_words([np.concatenate(ws) for ws in zip(
+        _row_words(rows, n), *(_row_words(np.delete(grown, i, axis=1), n)
+                               for i in range(level)))])
+    known = np.empty(len(order), dtype=bool)
+    known[order] = order[np.flatnonzero(fresh)][np.cumsum(fresh) - 1] \
+        < len(rows)
+    return grown[known[len(rows):].reshape(level, -1).all(axis=0)]
+
+
+def _source(domain, labels, row):
+    """The source pattern that ``row`` holds over the sorted list
+    ``labels`` (see the module docstring)."""
+    if domain in (ITEMSET, SEQUENCE):
+        make = Itemset._trusted if domain == ITEMSET else Sequence._trusted
+        return make(tuple(labels[i] for i in row))
+    ends = [(labels[c // len(labels)], labels[c % len(labels)]) for c in row]
+    return LabelledGraph._trusted(frozenset(chain.from_iterable(ends)),
+                                  frozenset(e for e in ends if e[0] != e[1]),
+                                  domain == DIGRAPH)
+
+
+def _images(step, rows, labels, items):
+    """The source ``rows`` over the label array ``labels`` whose images
+    under ``step``, mapped as a batch (see ``reductions``), hold only
+    packed ``items``, and those images as one index matrix, each row
+    sorted and padded at the end with the padding item (``_padded``)."""
+    ids = np.repeat(np.arange(len(rows), dtype=np.intp), rows.shape[1])
+    if step.source_domain in (ITEMSET, SEQUENCE):
+        batch = Incidence((labels[rows.ravel()],), ids, len(rows))
+    else:
+        heads, tails = np.divmod(rows, len(labels))
+        ends = np.sort(np.hstack((heads, tails)), axis=1)
+        first = np.diff(ends, axis=1, prepend=-1) != 0
+        edge = (heads != tails).ravel()  # (v, v) is a lone vertex
+        batch = (Incidence((labels[ends[first]],), np.nonzero(first)[0],
+                           len(rows)),
+                 Incidence((labels[heads.ravel()[edge]],
+                            labels[tails.ravel()[edge]]), ids[edge],
+                           len(rows)))
+    images = step._batch(batch)
     index = lookup(items, images.labels)
     order = np.lexsort((index, images.rows))
     owner = images.rows[order]
-    width = np.bincount(owner, minlength=len(grown)).max(initial=0)
-    rows = np.full((len(grown), width), len(items), dtype=np.intp)
-    rows[owner, np.arange(len(owner)) - np.searchsorted(owner, owner)] \
+    width = np.bincount(owner, minlength=len(rows)).max(initial=0)
+    out = np.full((len(rows), width), len(items), dtype=np.intp)
+    out[owner, np.arange(len(owner)) - np.searchsorted(owner, owner)] \
         = index[order]
-    # an absent item (-1) sorts first; no two rows are equal, as grow's
-    # patterns are distinct and r is injective
-    keep = (rows[:, :1] >= 0).all(axis=1)
-    return list(compress(grown, keep)), rows[keep]
+    # an item the database lacks (-1) sorts first, and has support 0
+    keep = (out[:, :1] >= 0).all(axis=1)
+    return rows[keep], out[keep]
 
 
 def _padded(tidsets):
@@ -311,7 +365,7 @@ def _padded(tidsets):
 
 
 def _maximal_among(levels, n_items):
-    """One mask per index matrix of ``levels``, padded as ``_grow_images``
+    """One mask per index matrix of ``levels``, padded as ``_images``
     pads, marking the rows with no strict superset among the rows of all
     of them.  The rows are distinct sets, so a row is maximal iff the only
     row containing it is itself; containment is counted like support, with
@@ -325,25 +379,30 @@ def _maximal_among(levels, n_items):
     return [_kernels.count_supports(tidsets, m) == 1 for m in levels]
 
 
-def _bottom(tidsets, items, n_rows, tau, phi, step, sources):
+def _bottom(tidsets, items, itemset, n_rows, tau, phi, step, sources):
     """The answer of a climb that collected nothing: the one set it never
-    counts, if it is frequent and feasible.  That is the empty itemset, or
-    under the step climb the image of the empty source pattern, where the
-    source domain and the chain have one; with ``sources`` the step climb
-    answers with the empty pattern itself."""
+    counts, the empty itemset, or under the step climb the image of the
+    empty source pattern (with ``sources``, the pattern), where the domain
+    and the chain have one, if it is frequent and feasible.  ``itemset``
+    names the itemset of an index row."""
     if step is None:
         return [Itemset()] if n_rows >= tau and evaluate(phi, Itemset()) \
             else []
     empty = _empty_pattern(step.source_domain)
-    try:
-        bottom = None if empty is None else step.forward(empty)
-    except PatternError:  # seq2dag cannot picture <>
-        bottom = None
-    if bottom is None \
-            or _support_on(tidsets, items, n_rows, bottom.items) < tau \
-            or not evaluate_grown(phi, step, empty, lambda: bottom):
+    if empty is None:
         return []
-    return [empty if sources else bottom]
+    try:  # the empty pattern is one row of no labels
+        _, image = _images(step, np.empty((1, 0), dtype=np.intp),
+                           np.empty(0, dtype=np.int64), items)
+    except PatternError:  # seq2dag cannot picture <>
+        return []
+    # every image into itemsets ends in an edge itemset, which has an item
+    if not len(image) \
+            or _kernels.count_supports(tidsets, image)[0] < tau \
+            or not evaluate_grown(phi, step, lambda: empty,
+                                  partial(itemset, image[0])):
+        return []
+    return [empty if sources else itemset(image[0])]
 
 
 def mine_max_ffis(db: Database, tau: int, phi=ALWAYS,
@@ -394,34 +453,42 @@ def climb_rows(incidence: Incidence, tau: int, phi=ALWAYS,
         return Itemset._trusted(tuple(items[i] for i in row if i < n_items))
 
     if step is not None:
-        labels = step.source_labels(item_labels(items))
-        grown, current = _grow_images(step, None, labels, items)
+        alphabet = sorted(step.source_labels(item_labels(items)))
+        labels = label_array(lambda: iter(alphabet), len(alphabet))
+        domain = step.source_domain
+        source = partial(_source, domain, alphabet)
+        grown, current = _images(step, _grow(None, 0, len(labels), domain),
+                                 labels, items)
     else:
         item_bits = _label_bitsets(items)
         current = np.arange(n_items, dtype=np.intp).reshape(-1, 1)
     stats = []
     collected = []  # each level's feasible rows
-    found = []  # under the step climb, each level's feasible sources
+    found = []  # under the step climb, each level's feasible source rows
     level = 1
     while len(current):
         hit = _kernels.count_supports(tidsets, current) >= tau
         frequent = current[hit]
         if step is not None:
-            grown = list(compress(grown, hit))
-            ok = [evaluate_grown(phi, step, q, partial(itemset, s))
-                  for q, s in zip(grown, frequent.tolist())]
+            grown = grown[hit]
+            ok = [evaluate_grown(phi, step, partial(source, q),
+                                 partial(itemset, s))
+                  for q, s in zip(grown.tolist(), frequent.tolist())]
         elif prune and level > 1:  # the merge hint kept feasible unions
             ok = np.ones(len(frequent), dtype=bool)
         else:
             ok = [evaluate(phi, itemset(s)) for s in frequent.tolist()]
-        feasible = frequent[np.array(ok, dtype=bool)]
+        ok = np.array(ok, dtype=bool)
+        feasible = frequent[ok]
         stats.append(LevelStats(level, len(current), len(frequent),
                                 len(feasible)))
         collected.append(feasible)
         level += 1
         if step is not None:
-            found.append(list(compress(grown, ok)))
-            grown, current = _grow_images(step, grown, labels, items)
+            found.append(grown[ok])
+            grown, current = _images(
+                step, _grow(grown, level - 1, len(labels), domain), labels,
+                items)
             continue
         # the merge hint is sound in both modes: any feasible set of size
         # >= 2 keeps two one-smaller feasible subsets (drop a marker or a
@@ -433,30 +500,19 @@ def climb_rows(incidence: Incidence, tau: int, phi=ALWAYS,
     if any(map(len, collected)):
         keep = _maximal_among(collected, n_items)
         if sources and step is not None:
-            maximal = [q for qs, m in zip(found, keep)
-                       for q in compress(qs, m)]
+            maximal = [source(q) for qs, m in zip(found, keep)
+                       for q in qs[m].tolist()]
         else:
             maximal = [itemset(s) for rows, m in zip(collected, keep)
                        for s in rows[m].tolist()]
     else:
-        maximal = _bottom(tidsets, items, n_rows, tau, phi, step, sources)
+        maximal = _bottom(tidsets, items, itemset, n_rows, tau, phi, step,
+                          sources)
     maximal = tuple(sorted(maximal, key=canonical_key))
     seconds = {"encode": 0.0, "pack": packed - start,
                "climb": climbed - packed,
                "maximal": perf_counter() - climbed, "lift": 0.0}
     return MiningResult(maximal, tuple(stats), tau, describe(phi), seconds)
-
-
-def _support_on(tidsets, packed, n_rows, items):
-    """Support of the itemset ``items`` among the ``n_rows`` rows that
-    ``tidsets`` packs over the items ``packed``: every row for the empty
-    itemset, none for one with an item the rows lack."""
-    if not items:
-        return n_rows
-    s = lookup(packed, item_incidence([items]).labels)
-    if s.min() < 0:
-        return 0
-    return int(_kernels.count_supports(tidsets, s.reshape(1, -1))[0])
 
 
 def mine_via_reduction(r: Reduction, db: Database, tau: int, phi=ALWAYS,

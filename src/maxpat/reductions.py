@@ -36,12 +36,12 @@ and chains run unchecked maps (``_forward``, ``_decode`` and ``_inverse``,
 one pattern at a time), as do ``reduce_database``, ``encode_rows`` and
 ``invert_database`` once they have checked the database's domain.
 
-A reduction into itemsets also maps a whole list of source patterns
-straight into item rows (``_incidence``): for a database's transactions
-(``encode_rows``) and for each level the miner's step climb grows.  The
-patterns are read once into flat arrays, a *batch*, and every link maps a
-batch to a batch (``_batch``) by plain arithmetic, so no pattern is built
-in the middle of a chain:
+A reduction into itemsets also maps the transactions of a database
+straight into item rows (``_incidence``, for ``encode_rows``).  They are
+read once into flat arrays, a *batch*, and every link maps a batch to a
+batch (``_batch``) by plain arithmetic, so no pattern is built in the
+middle of a chain; the miner's step climb hands its levels to ``_batch``
+as batches of its own:
 
 * an itemset or sequence batch is an ``Incidence`` whose entries keep
   their order within a row, each row's entries together;
@@ -121,9 +121,9 @@ class Reduction:
 
     def _incidence(self, patterns):
         """The ``Incidence`` of the itemset images of the source patterns
-        in the list ``patterns``, one row each: the one map into item rows,
-        for a database's transactions and a step climb's grown patterns.
-        The patterns' labels are all plain ints or all label pairs."""
+        in the list ``patterns``, one row each: the transactions of
+        ``encode_rows``.  Their labels are all plain ints or all label
+        pairs."""
         if self.target_domain != ITEMSET:
             raise NotImplementedError(f"{self.id} does not map into itemsets")
         graphs = self.source_domain in (GRAPH, DIGRAPH)

@@ -1,14 +1,17 @@
 import random
-from itertools import chain, combinations, permutations
+from itertools import combinations, permutations
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import _one_larger, _one_smaller
+from maxpat import miner
 from maxpat.domains import (
     DIGRAPH, GRAPH, ITEMSET, SEQUENCE,
     BOUNDED_DEGREE, DAG, DIRECTED, GENERAL, TREE,
     GraphClass, Itemset, LabelledGraph, Sequence,
-    canonical_key, connected_components, grow, is_acyclic, is_connected,
+    canonical_key, connected_components, is_acyclic, is_connected,
     item_labels, pattern_domain, pattern_leq, pattern_size, spans,
     undirected_degrees, validate_class,
 )
@@ -298,35 +301,6 @@ def test_sequence_leq_transitive(a, b, c):
         assert pattern_leq(p, r)
 
 
-def _one_larger(domain, p, alphabet):
-    """Brute force: every valid pattern one element larger than ``p`` (the
-    one-element patterns when ``p`` is None) whose new label, if it has
-    one, is in ``alphabet``; for graphs, the connected ones."""
-    if domain == ITEMSET:
-        base = p.items if p is not None else ()
-        return {Itemset(base + (x,)) for x in alphabet if x not in base}
-    if domain == SEQUENCE:
-        base = p.events if p is not None else ()
-        return {q for x in alphabet if x not in base
-                for q in map(Sequence, permutations(base + (x,)))
-                if p is None or pattern_leq(p, q)}
-    directed = domain == DIGRAPH
-    if p is None:
-        return {LabelledGraph({x}, (), directed) for x in alphabet}
-    out = set()
-    extra = [x for x in alphabet if x not in p.vertices]
-    for new in chain.from_iterable(combinations(extra, k) for k in range(3)):
-        vs = p.vertices | set(new)
-        pairs = (permutations(vs, 2) if directed
-                 else combinations(sorted(vs), 2))
-        for e in pairs:
-            if e not in p.edges:
-                q = LabelledGraph(vs, p.edges | {e}, directed)
-                if is_connected(q):
-                    out.add(q)
-    return out
-
-
 def _validated(q):
     if isinstance(q, Itemset):
         return Itemset(q.items)
@@ -335,21 +309,48 @@ def _validated(q):
     return LabelledGraph(q.vertices, q.edges, q.directed)
 
 
-def _one_smaller(q):
-    """The sub-patterns of an itemset or a sequence with one element
-    dropped."""
-    t = q.items if isinstance(q, Itemset) else q.events
-    return {type(q)(t[:i] + t[i + 1:]) for i in range(len(t))}
-
-
 def _random_level(rng, domain, alphabet):
-    """Distinct itemsets or sequences of one size over ``alphabet``, a
-    random share of all of them, every one when the share is 1."""
+    """A size k, and distinct itemsets or sequences of size k over
+    ``alphabet``, a random share of all of them, every one when the share
+    is 1."""
     k = rng.randint(1, min(3, len(alphabet)))
     make = Itemset if domain == ITEMSET else Sequence
     pick = combinations if domain == ITEMSET else permutations
     keep = rng.choice((0.4, 0.7, 1.0))
-    return [make(t) for t in pick(sorted(alphabet), k) if rng.random() < keep]
+    return k, [make(t) for t in pick(sorted(alphabet), k)
+               if rng.random() < keep]
+
+
+def _shifted(p, shift):
+    """``p`` with every label x renamed x + shift."""
+    if isinstance(p, LabelledGraph):
+        return LabelledGraph({v + shift for v in p.vertices},
+                             {(a + shift, b + shift) for a, b in p.edges},
+                             p.directed)
+    return type(p)([x + shift for x in p])
+
+
+def _grow(domain, level, k, alphabet):
+    """The step climb's grower (``miner._grow``) on patterns: the patterns
+    of ``level``, all of level ``k`` (None at level 0; a graph's level is
+    its edge count + 1) over ``alphabet``, as source rows (a lone vertex v
+    is the code of (v, v)), and the rows it grows as patterns
+    (``miner._source``)."""
+    alphabet = sorted(alphabet)
+    rank = {x: i for i, x in enumerate(alphabet)}
+    n = len(alphabet)
+
+    def row(p):
+        if domain in (ITEMSET, SEQUENCE):
+            return [rank[x] for x in p]
+        if k == 1:
+            return [rank[v] * (n + 1) for v in p.vertices]
+        return sorted(rank[a] * n + rank[b] for a, b in p.edges)
+    width = k - 1 if domain in (GRAPH, DIGRAPH) and k > 1 else k
+    rows = None if level is None else np.array(
+        [row(p) for p in level], dtype=np.intp).reshape(len(level), width)
+    grown = miner._grow(rows, k, n, domain)
+    return [miner._source(domain, alphabet, q) for q in grown.tolist()]
 
 
 def _check_grown(grown, want):
@@ -362,43 +363,61 @@ def _check_grown(grown, want):
 
 @pytest.mark.parametrize("domain", [ITEMSET, SEQUENCE, GRAPH, DIGRAPH])
 def test_grow_yields_every_pattern_one_element_larger(domain):
-    """``grow`` takes a whole level.  A graph level grows every pattern by
-    one element; an itemset or a sequence one element larger is grown iff
-    it is one larger than a pattern of the level and every one-smaller
-    sub-pattern of it is in the level, so a level holding every pattern of
-    its size grows every pattern one larger."""
+    """The step climb's grower takes a whole level of source rows.  A graph
+    level grows every pattern by one element; an itemset or a sequence one
+    element larger is grown iff it is one larger than a pattern of the
+    level and every one-smaller sub-pattern of it is in the level, so a
+    level holding every pattern of its size grows every pattern one
+    larger.  The alphabet may be empty, and its labels may lie past 2**63:
+    the rows hold ranks."""
     rng = random.Random(17)
     kw = {"acyclic": False} if domain == DIGRAPH else {}  # antiparallel arcs
     tuples = domain in (ITEMSET, SEQUENCE)
-    for _ in range(30):
-        alphabet = rng.sample(range(1, 6), rng.randint(0, 5))
-        _check_grown(grow(domain, None, alphabet),
-                     _one_larger(domain, None, alphabet))
-        if tuples:
-            level = _random_level(rng, domain, alphabet) if alphabet else []
-        else:
-            level = random_db(rng, domain, n_labels=5, n_txns=3,
-                              **kw).transactions
-            for p in level:
-                _check_grown(grow(domain, [p], alphabet),
-                             _one_larger(domain, p, alphabet))
-        want = {q for p in level for q in _one_larger(domain, p, alphabet)
-                if not tuples or _one_smaller(q) <= set(level)}
-        _check_grown(grow(domain, level, alphabet), want)
+    for shift in (0, 2**63):
+        for i in range(30):
+            alphabet = [x + shift for x in
+                        rng.sample(range(1, 6), rng.randint(0, 5) if i else 0)]
+            _check_grown(_grow(domain, None, 0, alphabet),
+                         _one_larger(domain, None, alphabet))
+            if tuples:
+                k, level = _random_level(rng, domain, alphabet) \
+                    if alphabet else (1, [])
+                levels = {k: level}
+            else:
+                graphs = dict.fromkeys(
+                    _shifted(p, shift) for p in random_db(
+                        rng, domain, n_labels=5, n_txns=3, **kw))
+                alphabet = sorted(set(alphabet).union(
+                    *(p.vertices for p in graphs)))
+                levels = {}
+                for p in graphs:
+                    k = len(p.edges) + 1
+                    _check_grown(_grow(domain, [p], k, alphabet),
+                                 _one_larger(domain, p, alphabet))
+                    levels.setdefault(k, []).append(p)
+            for k, level in levels.items():
+                want = {q for p in level
+                        for q in _one_larger(domain, p, alphabet)
+                        if not tuples or _one_smaller(q) <= set(level)}
+                _check_grown(_grow(domain, level, k, alphabet), want)
 
 
 @pytest.mark.parametrize("domain", [ITEMSET, SEQUENCE])
 def test_grow_needs_every_one_smaller_sub_pattern(domain):
     """A pattern is grown from the level of its one-smaller sub-patterns,
-    and from no level that lacks any one of them."""
+    and from no level that lacks any one of them, over labels past 2**63
+    too."""
     rng = random.Random(19)
-    for _ in range(30):
-        for q in random_db(rng, domain, n_labels=6, n_txns=3).transactions:
-            if len(q) < 2:
-                continue
-            alphabet = sorted(item_labels(q))
-            level = sorted(_one_smaller(q), key=canonical_key)
-            assert q in grow(domain, level, alphabet)
-            for missing in level:
-                rest = [p for p in level if p != missing]
-                assert q not in grow(domain, rest, alphabet), (q, missing)
+    for shift in (0, 2**63):
+        for _ in range(30):
+            for q in random_db(rng, domain, n_labels=6, n_txns=3):
+                if len(q) < 2:
+                    continue
+                q = _shifted(q, shift)
+                alphabet = sorted(item_labels(q))
+                level = sorted(_one_smaller(q), key=canonical_key)
+                assert q in _grow(domain, level, len(q) - 1, alphabet)
+                for missing in level:
+                    rest = [p for p in level if p != missing]
+                    assert q not in _grow(domain, rest, len(q) - 1,
+                                          alphabet), (q, missing)

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import ITEMSET_ENCODINGS
-from maxpat import _kernels, domains, miner, reductions
+from conftest import ITEMSET_ENCODINGS, _one_larger, _one_smaller
+from maxpat import _kernels, miner, reductions
 from maxpat.core import Database, graph_db, itemset_db, sequence_db, support
 from maxpat.domains import (
     DIGRAPH, GRAPH, ITEMSET, SEQUENCE, Itemset, LabelledGraph, Sequence,
@@ -23,7 +23,7 @@ from maxpat.feasibility import (
     ALWAYS, CONNECTED_EDGES, And, PreimageExistsAnd,
     connected_edge_itemset, evaluate,
 )
-from maxpat.incidence import item_incidence, lookup, number
+from maxpat.incidence import item_incidence, label_array, lookup, number
 from maxpat.io import render_pattern
 from maxpat.miner import (
     count_maximal, extend, extendible, extendible_k, mine, mine_max_ffis,
@@ -181,38 +181,37 @@ def test_every_chain_climbs_to_the_oracle_answer(rid):
     assert runs > 30
 
 
-def _grow_unchecked(domain, level, labels):
-    """The step climb's grow without the Apriori check, the reference the
-    pruned climb is compared with: every itemset or sequence one element
-    larger than a pattern of ``level``, a new item or a new label at any
-    position; graphs grow as before."""
-    if level is None or domain not in (ITEMSET, SEQUENCE):
-        return domains.grow(domain, level, labels)
-    out = {}
-    for p in level:
-        t = tuple(p)
-        for x in labels:
+def _grow_unchecked(rows, level, n, domain, _grow=miner._grow):
+    """The step climb's grower without the Apriori check, the reference the
+    pruned climb is compared with: every itemset or sequence row one
+    element larger than a row of ``level``, a new rank in order or a new
+    rank at any position; the one-element rows and graphs grow as the
+    climb grows them."""
+    if level == 0 or domain not in (ITEMSET, SEQUENCE):
+        return _grow(rows, level, n, domain)
+    out = set()
+    for t in map(tuple, rows.tolist()):
+        for x in range(n):
             if x in t:
                 continue
             if domain == ITEMSET:
-                out[tuple(sorted(t + (x,)))] = Itemset
+                out.add(tuple(sorted(t + (x,))))
             else:
-                for i in range(len(t) + 1):
-                    out[t[:i] + (x,) + t[i:]] = Sequence
-    return [make(q) for q, make in out.items()]
+                out.update(t[:i] + (x,) + t[i:] for i in range(len(t) + 1))
+    return np.array(sorted(out), dtype=np.intp).reshape(len(out), level + 1)
 
 
 def _climb(monkeypatch, reduced, tau, phi, grow):
-    """Mine ``reduced`` with ``grow`` in the step climb, and the source
-    patterns of the sets it found frequent, in the order the climb asked
-    the predicate about them."""
+    """Mine ``reduced`` with ``grow`` as the step climb's grower, and the
+    source patterns of the sets it found frequent, in the order the climb
+    asked the predicate about them."""
     asked = []
 
     def recorded(phi, step, source, image, _fn=miner.evaluate_grown):
-        asked.append(source)
+        asked.append(source())
         return _fn(phi, step, source, image)
     with monkeypatch.context() as m:
-        m.setattr(miner, "grow", grow)
+        m.setattr(miner, "_grow", grow)
         m.setattr(miner, "evaluate_grown", recorded)
         res = mine_max_ffis(reduced, tau, phi)
     return res, asked[:sum(s.frequent for s in res.stats)]
@@ -245,7 +244,7 @@ def test_apriori_step_climb_is_complete_and_counts_less(rid, monkeypatch):
         patterns = [p for p in enumerate_patterns(db) if pattern_size(p)]
         for tau in range(1, len(db) + 1):
             res, found = _climb(monkeypatch, reduced, tau, phi,
-                                domains.grow)
+                                miner._grow)
             ref, ref_found = _climb(monkeypatch, reduced, tau, phi,
                                     _grow_unchecked)
             want = {p for p in patterns if support(p, db) >= tau}
@@ -414,6 +413,35 @@ def test_step_climb_builds_images_only_for_conjuncts_that_read_them(
     assert runs > 200
     assert all(bool(n) == reads for (phi, reads), n in
                zip(phis.items(), built.values())), built
+
+
+@pytest.mark.parametrize("domain", [SEQUENCE, GRAPH, DIGRAPH])
+def test_step_climb_builds_a_source_pattern_per_maximal_answer(
+        domain, monkeypatch):
+    """In mode auto with ``ALWAYS`` the step climb grows, counts and judges
+    source rows, and builds a source pattern (``_trusted``) for each
+    maximal answer and for nothing else."""
+    rng = random.Random(domain)
+    cls = Sequence if domain == SEQUENCE else LabelledGraph
+    trusted = cls._trusted
+    runs = 0
+    for _ in range(10):
+        db = random_db(rng, domain, n_txns=6)
+        for tau in (1, 2, 3):
+            built = []
+
+            def counted(_cls, *args):
+                built.append(args)
+                return trusted(*args)
+            with monkeypatch.context() as m:
+                m.setattr(cls, "_trusted", classmethod(counted))
+                res = mine(db, tau)
+            assert res.maximal == oracle_max(db, tau, ALWAYS), (db, tau)
+            # the empty sequence is reported beside the climb
+            assert len(built) == sum(map(bool, map(pattern_size,
+                                                   res.maximal)))
+            runs += len(built) > 1
+    assert runs > 15
 
 
 def _bucket_join(survivors, labels_of, hint):
@@ -950,8 +978,10 @@ def _edge_itemset(r, p):
 
 @pytest.mark.parametrize("rid", ITEMSET_ENCODINGS)
 def test_grown_levels_are_numbered_forward_images(rid):
-    """Each level of the step climb holds the patterns ``grow`` makes, in
-    its order, each beside a row of the sorted item indices of
+    """Each level of the step climb holds the source rows that hold every
+    pattern one element larger than a frequent pattern of the level below
+    (for an itemset or a sequence, one whose one-smaller sub-patterns are
+    all frequent), each beside a row of the sorted item indices of
     ``forward``'s image of it, padded at the end with the padding item;
     it drops a pattern whose image has an item the database lacks (one
     with a label no transaction holds, among others) together with its
@@ -969,27 +999,38 @@ def test_grown_levels_are_numbered_forward_images(rid):
             r = bind_reduction(rid, db)
             items, tidsets = miner._pack(encode_rows(r, db, skip=empty))
             index = {x: i for i, x in enumerate(items)}
-            labels = r.source_labels(item_labels(items)) | {1 + shift}
-            level = None
+            alphabet = sorted(r.source_labels(item_labels(items))
+                              | {1 + shift})
+            labels = label_array(lambda: iter(alphabet), len(alphabet))
+            level, grown, k = None, None, 0
             while level != []:
-                grown, rows = miner._grow_images(r, level, labels, items)
-                want, want_rows = [], []
-                for q in domains.grow(domain, level, labels):
+                grown, rows = miner._images(
+                    r, miner._grow(grown, k, len(alphabet), domain), labels,
+                    items)
+                k += 1
+                sources = [miner._source(domain, alphabet, q)
+                           for q in grown.tolist()]
+                want = {}
+                for q in {q for p in level or [None]
+                          for q in _one_larger(domain, p, alphabet)
+                          if level is None or domain in (GRAPH, DIGRAPH)
+                          or _one_smaller(q) <= set(level)}:
                     image = r.forward(q).items
                     assert image == _edge_itemset(r, q).items
                     if all(x in index for x in image):
-                        want.append(q)
-                        want_rows.append([index[x] for x in image])
+                        want[q] = [index[x] for x in image]
                     else:
                         dropped += 1
-                assert grown == want
+                assert len(set(sources)) == len(sources)
+                assert set(sources) == set(want)
                 assert rows.tolist() == [
-                    sorted(s) + [len(items)] * (rows.shape[1] - len(s))
-                    for s in want_rows]
-                kept += len(grown)
+                    sorted(want[q]) + [len(items)] * (
+                        rows.shape[1] - len(want[q])) for q in sources]
+                kept += len(sources)
                 frequent = _kernels.count_supports(
                     miner._padded(tidsets), rows) >= 1
-                level = list(compress(grown, frequent))
+                level = list(compress(sources, frequent))
+                grown = grown[frequent]
     # every database drops at least the one-element pattern of 1 + shift
     assert kept > 50 and dropped >= 4 * len(shifts)
 
