@@ -105,7 +105,7 @@ def _resolve_tau(args, db: Database) -> int:
     if args.tau_frac is not None:
         if not 0 < args.tau_frac <= 1:
             raise _usage("--tau-frac must be in (0, 1]")
-        return max(1, math.ceil(args.tau_frac * len(db.transactions)))
+        return max(1, math.ceil(args.tau_frac * len(db)))
     raise _usage("one of --tau or --tau-frac is required")
 
 
@@ -314,6 +314,17 @@ def cmd_verify(args) -> int:
             db = random_db(rng, args.domain, **kw)
             if not db.transactions:
                 continue
+            if args.domain in (GRAPH, DIGRAPH):
+                # mine the database as its file parses back, so that the
+                # parser is checked against the oracle too
+                parsed = mio.parse_database(mio.write_database(db),
+                                            args.domain)
+                if parsed != db:
+                    print("PARSE MISMATCH: the written database parses back "
+                          "to another", file=sys.stdout)
+                    _print_instance(n, args, db, 1, args.phi, sys.stdout)
+                    return 4
+                db = parsed
             chain = _bind_chain(args, db)
             if chain is not None and not _check_reduction_properties(
                     chain, db, rng, sys.stdout):

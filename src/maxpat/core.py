@@ -7,15 +7,19 @@ and may exceed the database size; nothing is frequent then, which is a
 legitimate outcome rather than an error.
 """
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
+from itertools import chain
+from operator import itemgetter
+
+import numpy as np
 
 from .domains import (
     DIGRAPH, GRAPH, ITEMSET, SEQUENCE,
     GraphClass, Itemset, LabelledGraph, Sequence,
-    element_kind, has_class_shape, is_connected, item_labels, pattern_domain,
-    pattern_leq,
+    element_kind, has_class_shape, is_connected, pattern_domain, pattern_leq,
 )
 from .errors import DatabaseError, DomainMismatchError
+from .incidence import Incidence, item_incidence, label_array, lengths
 
 _DOMAINS = (ITEMSET, SEQUENCE, GRAPH, DIGRAPH)
 
@@ -39,40 +43,146 @@ def _check_transaction(t, domain, graph_class, index):
                 f"transaction is not in class {graph_class}", index)
 
 
-@dataclass(frozen=True)
+def pattern_batch(domain, patterns):
+    """The batch of the list ``patterns`` of ``domain`` patterns (see
+    ``reductions``): an itemset's items or a sequence's events as one
+    ``Incidence``, and a graph's vertices and its (head, tail) edges as
+    two.  An edge between label pairs has the components of its head and
+    then of its tail, four columns."""
+    if domain == ITEMSET:
+        return item_incidence([p.items for p in patterns])
+    if domain == SEQUENCE:
+        return item_incidence([p.events for p in patterns])
+    vertices = item_incidence([g.vertices for g in patterns])
+    edge_sets = [g.edges for g in patterns]
+    # the edges' ends are read off by index: flattening each edge into its
+    # ends would allocate an iterator per edge
+    edges = list(chain.from_iterable(edge_sets))
+    if len(vertices.labels) == 2:
+        parts = [lambda e, i=i, j=j: e[i][j] for i in (0, 1) for j in (0, 1)]
+    else:
+        parts = [itemgetter(0), itemgetter(1)]
+    ends = tuple(label_array(lambda: map(part, edges), len(edges))
+                 for part in parts)
+    return vertices, Incidence(ends, np.repeat(np.arange(
+        len(patterns), dtype=np.intp), lengths(edge_sets)), len(patterns))
+
+
+def label_columns(batch) -> tuple:
+    """The label columns of a batch's items or events, or of its vertices,
+    which hold the ends of its edges."""
+    return (batch if isinstance(batch, Incidence) else batch[0]).labels
+
+
+def _graph_view(batch, directed):
+    """The graphs of a graph batch of plain labels whose entries come row
+    by row, built unchecked; equal vertex sets share one frozenset, so
+    that the garbage collector has fewer objects to scan."""
+    vertices, edges = batch
+    labels = vertices.labels[0].tolist()
+    pairs = list(zip(*(c.tolist() for c in edges.labels)))
+    vcuts, ecuts = (np.cumsum(np.bincount(b.rows, minlength=b.n_rows))
+                    .tolist() for b in batch)
+    shared = {}
+    out = []
+    for v0, v1, e0, e1 in zip([0] + vcuts, vcuts, [0] + ecuts, ecuts):
+        vs = frozenset(labels[v0:v1])
+        out.append(LabelledGraph._trusted(shared.setdefault(vs, vs),
+                                          frozenset(pairs[e0:e1]), directed))
+    return tuple(out)
+
+
 class Database:
     """An ordered multiset of same-domain transactions.
 
     ``graph_class`` optionally narrows graph databases to a class (trees,
     bounded degree, dags, ...); every transaction is validated against it
     at construction time.
+
+    A database holds its transactions as patterns, as a batch
+    (``pattern_batch``) or as both, and makes the one it lacks on first
+    use and keeps it.  One built from patterns reads them into its batch
+    once.  A graph database that ``io`` parsed straight into a batch builds
+    its ``transactions`` on first use, with ``LabelledGraph._trusted`` and
+    one frozenset for equal vertex sets.  ``len``, ``universe`` and the
+    encoding of the transactions (``reductions.encode_rows``) read the
+    batch, so mining such a database builds no transaction.  Equality and
+    hashing compare the transactions.
     """
 
-    domain: str
-    transactions: tuple = ()
-    graph_class: GraphClass | None = None
-
-    def __post_init__(self):
-        if self.domain not in _DOMAINS:
-            raise ValueError(f"unknown domain {self.domain!r}")
-        txns = tuple(self.transactions)
-        if self.graph_class is not None:
-            if self.domain not in (GRAPH, DIGRAPH):
+    def __init__(self, domain: str, transactions=(),
+                 graph_class: GraphClass | None = None):
+        if domain not in _DOMAINS:
+            raise ValueError(f"unknown domain {domain!r}")
+        txns = tuple(transactions)
+        if graph_class is not None:
+            if domain not in (GRAPH, DIGRAPH):
                 raise ValueError("graph_class only applies to graph domains")
-            if self.graph_class.directed != (self.domain == DIGRAPH):
+            if graph_class.directed != (domain == DIGRAPH):
                 raise ValueError(
-                    f"class {self.graph_class} does not match domain {self.domain}")
+                    f"class {graph_class} does not match domain {domain}")
         kinds = set()
         for i, t in enumerate(txns):
-            _check_transaction(t, self.domain, self.graph_class, i)
+            _check_transaction(t, domain, graph_class, i)
             kinds.add(element_kind(t))
         kinds.discard(None)
         if len(kinds) > 1:
             raise DatabaseError("transactions mix plain and pair labels")
-        object.__setattr__(self, "transactions", txns)
+        self._set(domain, graph_class, txns, None)
+
+    @classmethod
+    def _from_batch(cls, domain: str, batch):
+        """The database of the graph ``batch`` of plain labels, unchecked:
+        its entries come row by row, and its rows are connected graphs that
+        passed every check of ``__init__``."""
+        db = object.__new__(cls)
+        db._set(domain, None, None, batch)
+        return db
+
+    def _set(self, domain, graph_class, transactions, batch):
+        for name, value in (("domain", domain), ("graph_class", graph_class),
+                            ("_transactions", transactions),
+                            ("_batch", batch)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    @property
+    def transactions(self) -> tuple:
+        if self._transactions is None:
+            object.__setattr__(self, "_transactions", _graph_view(
+                self._batch, self.domain == DIGRAPH))
+        return self._transactions
+
+    @property
+    def batch(self):
+        """The transactions as one batch (``pattern_batch``)."""
+        if self._batch is None:
+            object.__setattr__(self, "_batch", pattern_batch(
+                self.domain, self._transactions))
+        return self._batch
+
+    def _key(self):
+        return self.domain, self.transactions, self.graph_class
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (f"Database(domain={self.domain!r}, "
+                f"transactions={self.transactions!r}, "
+                f"graph_class={self.graph_class!r})")
 
     def __len__(self):
-        return len(self.transactions)
+        if self._transactions is None:
+            return self._batch[0].n_rows
+        return len(self._transactions)
 
     def __iter__(self):
         return iter(self.transactions)
@@ -81,9 +191,8 @@ class Database:
     def universe(self) -> frozenset:
         """The plain labels occurring in the transactions; a label pair
         contributes both of its components."""
-        return item_labels(
-            x for t in self.transactions
-            for x in (t.vertices if isinstance(t, LabelledGraph) else t))
+        return frozenset(np.unique(np.concatenate(
+            label_columns(self.batch))).tolist())
 
 
 def itemset_db(transactions) -> Database:

@@ -14,16 +14,35 @@ token as a plain int first and fall back to ``parse_label_token``, which
 reads a pair or raises, only when that fails.  Writers emit canonical
 order (sorted items, vertex and edge lists) so write-then-parse round-trips
 byte-identically for canonical inputs.
+
+A graph file has two parsers.  The batch parser (``_parse_graph_batch``)
+reads the whole text in numpy, in pieces cut before a ``t`` line, into
+one graph batch: a vertex and an edge ``Incidence`` (see ``reductions``),
+which the ``Database`` holds, building its transactions only when they
+are asked for.  It takes a file of printable ASCII lines, an optional
+first line ``d``, and ``t``/``v``/``e`` lines whose labels are runs of at
+most 18 digits, at least 1, when every block has a vertex, repeats no
+vertex and no edge (an undirected one smaller end first), has no
+self-loop and no edge leaving its vertices, and is connected.  Anything
+else, and any file read against a graph class, goes to the line parser
+(``_parse_graph_lines``), which builds the patterns one block at a time
+and says what is wrong, and where; it also accepts what the batch parser
+leaves to it, such as ``+1``, a pair label, a tab or a repeated edge, as
+it always has.  So both give equal databases, or the same error.
 """
 
 import sys
 
+import numpy as np
+
+from . import _kernels
 from .core import Database
 from .domains import (
     DIGRAPH, GRAPH, ITEMSET, SEQUENCE,
     Itemset, LabelledGraph, Sequence, connected_components,
 )
 from .errors import ParseError, PatternError
+from .incidence import Incidence
 
 
 def _warn_stderr(msg):
@@ -92,6 +111,147 @@ def write_sequence_db(db: Database) -> str:
 # graph blocks
 
 def parse_graph_db(text: str, graph_class=None) -> Database:
+    if graph_class is None:
+        db = _parse_graph_batch(text)
+        if db is not None:
+            return db
+    return _parse_graph_lines(text, graph_class)
+
+
+#: characters read into arrays at once: an int64 per character of a piece
+#: fills _kernels._BLOCK_BYTES
+_PIECE_CHARS = _kernels._BLOCK_BYTES // 8
+#: at most this many digits make a label, which then fits in int64
+_DIGITS = 18
+
+
+def _parse_graph_batch(text: str):
+    """The database of the graph blocks ``text`` holds, read in numpy into
+    one batch, or None unless ``text`` is printable ASCII lines of
+    plain-int graph blocks that pass every check of the line parser and of
+    ``Database`` (see the module docstring).  The text is read in pieces
+    of about ``_PIECE_CHARS`` characters, each cut before a ``t`` line, so
+    that the arrays of a piece stay small."""
+    directed = text.startswith("d\n")
+    try:
+        data = text[2 * directed:].encode("ascii")
+    except UnicodeEncodeError:
+        return None
+    pieces, lo = [], 0
+    while lo < len(data):
+        hi = data.find(b"\nt", lo + _PIECE_CHARS) + 1 or len(data)
+        piece = _graph_piece(data[lo:hi], directed)
+        if piece is None:
+            return None
+        pieces.append(piece)
+        lo = hi
+    if not pieces:
+        return None
+    v, vrows, heads, tails, erows, counts = zip(*pieces)
+    offsets = np.cumsum((0,) + counts).tolist()
+    n = offsets.pop()
+
+    def numbered(rows):
+        # a piece's blocks come after those of the pieces before it
+        return np.concatenate([r + o for r, o in zip(rows, offsets)])
+
+    return Database._from_batch(DIGRAPH if directed else GRAPH, (
+        Incidence((np.concatenate(v),), numbered(vrows), n),
+        Incidence((np.concatenate(heads), np.concatenate(tails)),
+                  numbered(erows), n)))
+
+
+def _graph_piece(data: bytes, directed: bool):
+    """The vertices, their blocks, the edges' heads and tails, their
+    blocks, and the number of blocks of the graph blocks in ``data``, or
+    None when a check fails; the first line must be a ``t`` line.  An
+    undirected edge runs from its smaller end, and a block's vertices are
+    sorted."""
+    b = np.frombuffer(data + b"\n", dtype=np.uint8)
+    newline = b == 10
+    space = newline | (b == 32)
+    if not (space | ((b > 32) & (b < 127))).all():
+        return None  # a tab, a carriage return, a control character
+    # a token is a run of other characters; the text ends in a newline
+    step = np.diff(space.view(np.int8), prepend=np.int8(1))
+    starts, ends = np.flatnonzero(step == -1), np.flatnonzero(step == 1)
+    line = np.cumsum(newline)[starts]
+    first = np.ones(len(starts), dtype=bool)  # a line's first token
+    first[1:] = line[1:] != line[:-1]
+    heads = np.flatnonzero(first)
+    width = np.diff(heads, append=len(starts))  # tokens per line
+    kind = b[starts[heads]]
+    is_t, is_v = kind == ord("t"), kind == ord("v")
+    is_e = kind == ord("e")
+    if not len(heads) or not is_t[0] \
+            or (ends[heads] - starts[heads] != 1).any() \
+            or not (is_t | is_v | is_e).all() \
+            or (width[is_v] != 2).any() or (width[is_e] != 3).any():
+        return None
+    # the labels: the second token of each "v" line, and the second and
+    # third of each "e" line, read a place at a time
+    block = np.cumsum(is_t) - 1  # of each line
+    tokens = np.concatenate((heads[is_v], heads[is_e], heads[is_e] + 1)) + 1
+    at, size = starts[tokens], ends[tokens] - starts[tokens]
+    if not len(at) or size.max() > _DIGITS:
+        return None
+    labels = np.zeros(len(at), dtype=np.int64)
+    for k in range(int(size.max())):
+        more = size > k
+        digit = b[np.minimum(at + k, len(b) - 1)].astype(np.int64) - ord("0")
+        if (more & ((digit < 0) | (digit > 9))).any():
+            return None
+        labels = np.where(more, labels * 10 + digit, labels)
+    if labels.min() < 1:
+        return None
+    v, u, w = np.split(labels, np.cumsum([is_v.sum(), is_e.sum()]))
+    n_blocks = int(is_t.sum())
+    counts = np.bincount(block[is_v], minlength=n_blocks)
+    base = int(labels.max()) + 1
+    if not counts.all() or n_blocks * base >= 2**63:
+        return None
+    # a vertex is found by its key block * base + label, sorted
+    keys = np.sort(block[is_v] * base + v)
+    if (keys[1:] == keys[:-1]).any() or (u == w).any():
+        return None  # a repeated vertex, a self-loop
+    if not directed:
+        u, w = np.minimum(u, w), np.maximum(u, w)
+    erows = block[is_e]
+    ends = [erows * base + x for x in (u, w)]
+    iu, iw = (np.searchsorted(keys, e) for e in ends)
+    for i, e in zip((iu, iw), ends):
+        if (keys[np.minimum(i, len(keys) - 1)] != e).any():
+            return None  # an end outside its block's vertices
+    edges = np.sort(iu * len(keys) + iw)
+    if (edges[1:] == edges[:-1]).any():
+        return None  # a repeated edge
+    # connectivity: each vertex points at the least vertex it is known to
+    # reach; an edge hooks the larger of its ends' targets onto the
+    # smaller, and pointer jumping flattens the result, until no edge
+    # joins two targets.  A block is connected when every vertex then
+    # points at its block's first.
+    comp = np.arange(len(keys))
+    while True:
+        hooked = comp.copy()
+        np.minimum.at(hooked, comp[iu], comp[iw])
+        np.minimum.at(hooked, comp[iw], comp[iu])
+        while True:
+            jumped = hooked[hooked]
+            if (jumped == hooked).all():
+                break
+            hooked = jumped
+        if (hooked == comp).all():
+            break
+        comp = hooked
+    if (comp != np.repeat(np.cumsum(counts) - counts, counts)).any():
+        return None
+    vrows, v = np.divmod(keys, base)
+    return v, vrows, u, w, erows, n_blocks
+
+
+def _parse_graph_lines(text: str, graph_class=None) -> Database:
+    """The graph blocks of ``text`` read line by line into patterns; an
+    error names its line."""
     directed = False
     txns = []
     start = None  # the current block's "t" line
@@ -245,7 +405,7 @@ def parse_database(text: str, domain: str, graph_class=None) -> Database:
         return parse_sequence_db(text)
     if domain in (GRAPH, DIGRAPH):
         db = parse_graph_db(text, graph_class)
-        if not db.transactions:
+        if not len(db):
             return Database(domain, (), graph_class)
         if db.domain != domain:
             raise ParseError(f"file is a {db.domain} database, expected {domain}")

@@ -89,14 +89,16 @@ one call.  Labels are validated once, where the database is built, and
 the patterns made from rows are not checked again.
 
 Other domains are mined by encoding into itemsets through a reduction,
-in index space: ``encode_rows`` maps the source transactions through the
-links of the chain as flat arrays (``Reduction._incidence``), and the step
-climb's source rows go through the same link maps, numbered among the
-packed items by ``incidence.lookup``.  In mode "auto" the step climb
-answers with the source patterns of the maximal images, so no middle
-pattern, no image ``Itemset`` and no image ``Database`` is built on the
-mine path, and nothing is decoded or lifted; mode "postfilter" mines
-images and lifts them back (``lift_results``).  The empty itemset /
+in index space: ``encode_rows`` maps the database's batch of transactions
+(``Database.batch``) through the links of the chain as flat arrays
+(``Reduction._batch``), and the step climb's source rows go through the
+same link maps, numbered among the packed items by ``incidence.lookup``.
+A graph file that ``io`` parsed into a batch is mined without building a
+transaction.  In mode "auto" the step climb answers with the source
+patterns of the maximal images, so no middle pattern, no image
+``Itemset`` and no image ``Database`` is built on the mine path, and
+nothing is decoded or lifted; mode "postfilter" mines images and lifts
+them back (``lift_results``).  The empty itemset /
 sequence, which some chains cannot represent, is left out of the encoding
 and reported directly at the source level when nothing else is frequent.
 ``MiningResult.seconds`` splits a call into encoding, packing, the climb,

@@ -37,11 +37,15 @@ one pattern at a time), as do ``reduce_database``, ``encode_rows`` and
 ``invert_database`` once they have checked the database's domain.
 
 A reduction into itemsets also maps the transactions of a database
-straight into item rows (``_incidence``, for ``encode_rows``).  They are
-read once into flat arrays, a *batch*, and every link maps a batch to a
-batch (``_batch``) by plain arithmetic, so no pattern is built in the
-middle of a chain; the miner's step climb hands its levels to ``_batch``
-as batches of its own:
+straight into item rows (``encode_rows``).  The database hands over its
+transactions as flat arrays, a *batch* (``Database.batch``): a graph
+database that ``io`` parsed holds nothing else until its transactions
+are asked for, and one built from patterns reads them into a batch once
+(``core.pattern_batch``).  Every link maps a batch to a batch (``_batch``)
+by plain arithmetic, so no pattern is built in the middle of a chain; the
+miner's step climb hands its levels to ``_batch`` as batches of its own,
+and ``bind_reduction`` reads a link's parameter off the batch that the
+links before it map:
 
 * an itemset or sequence batch is an ``Incidence`` whose entries keep
   their order within a row, each row's entries together;
@@ -56,7 +60,9 @@ as batches of its own:
 A label at or above 2**63, or a stop past int64, is kept as a Python int
 in an object array, as ``incidence.number`` does.  A batch map refuses
 what ``_forward`` refuses with the same message, so a transaction is
-reported alike on either path.
+reported alike on either path.  It refuses a batch of label pairs as a
+whole (``_plain``), and ``_forward`` then says which pattern a link
+refuses, and in what words.
 
 Every reduction id lives in one table, which says how the reduction is
 bound from a database on its source side (``bind_reduction``, used to
@@ -67,12 +73,12 @@ used to invert and for ``preimage(<rid>)``).
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, combinations, compress
-from operator import attrgetter, itemgetter
+from itertools import combinations
+from operator import itemgetter
 
 import numpy as np
 
-from .core import Database
+from .core import Database, label_columns, pattern_batch
 from .domains import (
     BOUNDED_DEGREE, DAG, DIGRAPH, GRAPH, ITEMSET, SEQUENCE, TREE,
     GraphClass, Itemset, LabelledGraph, Sequence,
@@ -83,7 +89,7 @@ from .errors import (
     ReductionIdError,
 )
 from .feasibility import PreimageExistsAnd
-from .incidence import Incidence, item_incidence, label_array, lengths
+from .incidence import Incidence
 
 
 class Reduction:
@@ -121,27 +127,22 @@ class Reduction:
 
     def _incidence(self, patterns):
         """The ``Incidence`` of the itemset images of the source patterns
-        in the list ``patterns``, one row each: the transactions of
-        ``encode_rows``.  Their labels are all plain ints or all label
-        pairs."""
+        in the list ``patterns``, one row each.  Their labels are all plain
+        ints or all label pairs."""
         if self.target_domain != ITEMSET:
             raise NotImplementedError(f"{self.id} does not map into itemsets")
-        graphs = self.source_domain in (GRAPH, DIGRAPH)
-        labels = list(map(attrgetter(
-            "vertices" if graphs else
-            "items" if self.source_domain == ITEMSET else "events"), patterns))
-        batch = item_incidence(labels)
-        if len(batch.labels) == 2:
-            # label pairs: every map into itemsets ends in an edge-itemset
-            # link, which refuses them, so the map of the first pattern with
-            # a label raises, in the words of the first link to refuse
-            self._forward(next(compress(patterns, labels)))
-        return self._batch((batch, _edge_incidence(patterns)) if graphs
-                           else batch)
+        try:
+            return self._batch(pattern_batch(self.source_domain, patterns))
+        except PatternError:
+            for p in patterns:  # the first one refused raises, in its words
+                self._forward(p)
+            raise
 
     def _batch(self, batch):
         """The batch of the images of the patterns in ``batch``, a batch of
-        source patterns (see the module docstring)."""
+        source patterns (see the module docstring).  It raises
+        ``PatternError`` when ``_forward`` refuses one of them, in the same
+        words, or when it holds label pairs (``_plain``)."""
         raise NotImplementedError
 
     def induced_feasibility(self, phi_source):
@@ -164,6 +165,15 @@ class Reduction:
             raise DomainMismatchError(
                 f"{self.id} inverts {self.target_domain} patterns, "
                 f"got {pattern_domain(q)}")
+
+
+def _plain(incidence):
+    """The one label column of ``incidence``.  The batch maps read plain
+    labels only, and refuse a batch of label pairs as a whole; ``_forward``
+    then tells which pattern a link refuses, and in what words."""
+    if len(incidence.labels) != 1:
+        raise PatternError("a batch map reads plain labels only")
+    return incidence.labels[0]
 
 
 @dataclass(frozen=True)
@@ -193,7 +203,7 @@ class ItemsetToStar(Reduction):
                              frozenset((x, self.root) for x in p.items))
 
     def _batch(self, items):
-        x, = items.labels
+        x = _plain(items)
         collides = x >= self.root
         if collides.any():
             # the rows are in order and sorted, as _forward reads them
@@ -285,7 +295,7 @@ class GraphToBoundedDegree(Reduction):
 
     def _batch(self, graphs):
         vertices, edges = graphs
-        (v,), (a, b), n = vertices.labels, edges.labels, self.n
+        v, (a, b), n = _plain(vertices), edges.labels, self.n
         outside = v > n
         if outside.any():
             row = vertices.rows[outside].min()
@@ -384,7 +394,7 @@ class GraphToEdgeItemset(Reduction):
 
     def _batch(self, graphs):
         vertices, edges = graphs
-        (v,), (heads, tails) = vertices.labels, edges.labels
+        v, (heads, tails) = _plain(vertices), edges.labels
         # a marker (v, v) per vertex, then the edges
         return Incidence((np.concatenate((v, heads)),
                           np.concatenate((v, tails))),
@@ -426,7 +436,7 @@ class SequenceToDag(Reduction):
                                       directed=True)
 
     def _batch(self, seq):
-        events, = seq.labels
+        events = _plain(seq)
         sizes = np.bincount(seq.rows, minlength=seq.n_rows)
         if not sizes.all():
             raise PatternError("the empty sequence has no graph image")
@@ -503,19 +513,6 @@ class Composed(Reduction):
         return q
 
 
-def _edge_incidence(graphs) -> Incidence:
-    """The edges of the list ``graphs``, as the (head, tail) incidence of a
-    graph batch."""
-    edge_sets = list(map(attrgetter("edges"), graphs))
-    # the edges' ends are read off by index: flattening each edge into its
-    # ends would allocate an iterator per edge
-    edges = list(chain.from_iterable(edge_sets))
-    ends = tuple(label_array(lambda: map(itemgetter(end), edges), len(edges))
-                 for end in (0, 1))
-    return Incidence(ends, np.repeat(np.arange(len(graphs), dtype=np.intp),
-                                     lengths(edge_sets)), len(graphs))
-
-
 # ---------------------------------------------------------------------------
 # database-level application
 
@@ -540,30 +537,32 @@ def reduce_database(r: Reduction, db: Database) -> Database:
     return Database(r.target_domain, tuple(out), r.target_class)
 
 
-def encode_rows(r: Reduction, db: Database, skip=None) -> Incidence:
-    """The ``Incidence`` of ``db`` under ``r``, a reduction into itemsets:
-    one row per transaction other than those equal to ``skip``, holding
-    the items of its image.  ``_incidence`` builds it for the whole
-    database at once, with the database's domain checked in place of each
-    transaction's: the labels of all the transactions are read into one
-    batch in one pass, and each link maps the batch on in numpy.  No image
-    is built or validated, no list of items is kept per transaction, and
-    every transaction is encoded, repeats included.  A transaction the map
-    rejects raises with the index where it first occurs."""
+def encode_rows(r: Reduction, db: Database, skip=None):
+    """The batch of the images of ``db``'s transactions under ``r``, with
+    those equal to ``skip``, the empty source pattern, left out: for a
+    reduction into itemsets, the ``Incidence`` of one item row per
+    transaction.  The database hands over its batch (``Database.batch``),
+    with the database's domain checked in place of each transaction's, and
+    each link maps it on in numpy.  No pattern is built or validated, no
+    list of items is kept per transaction, and every transaction is
+    encoded, repeats included.  A transaction the map rejects raises with
+    the index where it first occurs."""
     if db.domain != r.source_domain:
         raise DomainMismatchError(
             f"{r.id} reduces {r.source_domain} databases, got {db.domain}")
-    txns = db.transactions
-    if skip is not None:
-        txns = [t for t in txns if t != skip]
+    batch = db.batch
+    if skip is not None:  # renumber the rows that hold an entry
+        held = np.bincount(batch.rows, minlength=batch.n_rows) > 0
+        batch = Incidence(batch.labels, (np.cumsum(held) - 1)[batch.rows],
+                          int(held.sum()))
     try:
-        return r._incidence(list(txns))
+        return r._batch(batch)
     except PatternError:
         # find the first transaction rejected, one at a time
-        for i, t in enumerate(db.transactions):
+        for i, t in enumerate(db):
             if t != skip:
                 try:
-                    r._incidence([t])
+                    r._forward(t)
                 except PatternError as e:
                     raise DatabaseError(f"cannot reduce: {e}", i) from e
         raise
@@ -648,20 +647,33 @@ def _reads_db(links) -> bool:
     return any(not isinstance(link, Reduction) for link in links)
 
 
+def _chain(links) -> Reduction:
+    return links[0] if len(links) == 1 else Composed(*links)
+
+
+def _top_label(batch) -> int:
+    """The largest plain label of ``batch``, or 0 when it has none; a
+    label pair's components are plain labels."""
+    return max((int(c.max(initial=0)) for c in label_columns(batch)),
+               default=0)
+
+
 def bind_reduction(rid: str, db: Database | None = None) -> Reduction:
     """Construct the reduction named ``rid``, fixing any parameters from
     ``db``, its source database.  A chain folds left to right; a link that
-    reads the database reads the image of ``db`` under the links before it,
-    which is only computed when such a link follows."""
+    reads the database reads the largest plain label of the batch of
+    ``db``'s images under the links before it (``encode_rows``), which is
+    only mapped when such a link follows.  No image database is built."""
     links = _links(rid)
     bound = []
+    batch = db.batch if db is not None and _reads_db(links) else None
     for k, link in enumerate(links):
         if not isinstance(link, Reduction):
-            link = link[0](max(db.universe if db else (), default=0))
+            link = link[0](0 if batch is None else _top_label(batch))
         bound.append(link)
         if db is not None and _reads_db(links[k + 1:]):
-            db = reduce_database(link, db)
-    return bound[0] if len(bound) == 1 else Composed(*bound)
+            batch = encode_rows(_chain(bound), db)
+    return _chain(bound)
 
 
 def bind_from_target(rid: str, db: Database) -> Reduction:
@@ -677,4 +689,4 @@ def bind_from_target(rid: str, db: Database) -> Reduction:
             link = link[1](max(labels, default=0))
         bound.insert(0, link)
         labels = link.source_labels(labels)
-    return bound[0] if len(bound) == 1 else Composed(*bound)
+    return _chain(bound)

@@ -4,7 +4,7 @@ import sys
 import pytest
 
 from maxpat.cli import main, parse_graph_class, parse_phi
-from maxpat.core import itemset_db
+from maxpat.core import Database, itemset_db
 from maxpat.domains import BOUNDED_DEGREE, TREE
 from maxpat.feasibility import ALWAYS, And, ConnectedEdgeItemset, PreimageExistsAnd
 
@@ -231,6 +231,44 @@ def test_verify_random_mismatch_prints_a_replayable_instance(
                                 "--phi", "always"])
     assert code == 0
     assert out.startswith("ok:")
+
+
+@pytest.mark.parametrize("domain", ["graph", "digraph"])
+def test_verify_random_mines_graphs_as_their_files_parse(
+        capsys, monkeypatch, domain):
+    """``verify --random`` on graphs writes each drawn database, parses it
+    back, requires it to equal the drawn one, and mines the parsed one;
+    a parser that loses a graph is reported with the drawn instance."""
+    import maxpat.cli as cli
+    from maxpat import io as mio
+
+    mined = []
+
+    def recorded(db, *args, _fn=cli.mine, **kwargs):
+        mined.append(db)
+        return _fn(db, *args, **kwargs)
+    monkeypatch.setattr(cli, "mine", recorded)
+    parse = mio.parse_database
+    parsed = []
+
+    def parsing(*args):
+        parsed.append(parse(*args))
+        return parsed[-1]
+    monkeypatch.setattr(mio, "parse_database", parsing)
+    argv = ["verify", "--random", "3", "--domain", domain, "--seed", "2"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0 and "checks passed" in out
+    assert len(parsed) == 3
+    assert {id(db) for db in mined} == set(map(id, parsed))
+
+    def lossy(*args):
+        db = parse(*args)
+        return Database(db.domain, db.transactions[1:])
+    monkeypatch.setattr(mio, "parse_database", lossy)
+    code, out, _ = run(capsys, argv)
+    assert code == 4
+    assert out.startswith("PARSE MISMATCH: the written database parses "
+                          "back to another\ninstance 0 of --random 3")
 
 
 def test_verify_file_mode_with_reduction_properties(capsys, graphs_file):

@@ -1,3 +1,6 @@
+import random
+from itertools import chain, groupby
+
 import pytest
 
 from maxpat.core import graph_db, itemset_db, sequence_db
@@ -5,9 +8,10 @@ from maxpat.domains import (
     DIGRAPH, GRAPH, ITEMSET, SEQUENCE, TREE,
     GraphClass, Itemset, LabelledGraph, Sequence,
 )
-from maxpat.errors import DatabaseError, ParseError, PatternError
+from maxpat.errors import DatabaseError, MaxpatError, ParseError, PatternError
 from maxpat import io as mio
 from maxpat.cli import main
+from maxpat.synth import random_db, random_graph_db
 
 
 def graph(vs, es, directed=False):
@@ -323,3 +327,107 @@ def test_sequence_reports_a_repeat_ahead_of_mixed_kinds():
     with pytest.raises(PatternError) as ei:
         Sequence([1, (2, 3), 1])
     assert str(ei.value) == "sequence repeats a label: (1, (2, 3), 1)"
+
+
+# ---------------------------------------------------------------------------
+# the two graph parsers: the batch parser reads plain-int text in numpy and
+# leaves anything else to the line parser, so both give the same outcome
+
+def _outcome(parse, text):
+    """The database ``parse`` reads off ``text``, or the type, message and
+    line of what it raises."""
+    try:
+        return parse(text)
+    except MaxpatError as e:
+        return type(e), str(e), getattr(e, "line", None)
+
+
+def _graph_texts(wide):
+    """Seeded graph and digraph files, and with ``wide`` a file of 2 500
+    graphs over 8 labels with up to 8 vertices each, as the graphs-wide
+    benchmark draws them, which spans two pieces of the batch parser."""
+    rng = random.Random(23)
+    for domain in (GRAPH, DIGRAPH):
+        for _ in range(4):
+            yield mio.write_graph_db(random_db(rng, domain, n_txns=8))
+    if wide:
+        yield mio.write_graph_db(random_graph_db(
+            rng, n_labels=8, n_txns=2500, max_vertices=8))
+
+
+def _mutants(text, rng):
+    """``text`` changed in each way that takes it off the batch parser,
+    in three ways that keep it there (``BATCH_KEEPS``), and by dropping an
+    edge, which may or may not disconnect a graph, by name."""
+    lines = text.splitlines(keepends=True)
+    vs = [i for i, line in enumerate(lines) if line.startswith("v ")]
+    es = [i for i, line in enumerate(lines) if line.startswith("e ")]
+    ts = [i for i, line in enumerate(lines) if line.startswith("t ")]
+    i = rng.choice(vs)
+    x = lines[i].split()[1]
+
+    def put(at, *new, drop=0):
+        return "".join(lines[:at] + list(new) + lines[at + drop:])
+
+    out = {
+        "pair label": put(i, f"v {x},1\n", drop=1),
+        "plus sign": put(i, f"v +{x}\n", drop=1),
+        "underscore": put(i, f"v 1_{x}\n", drop=1),
+        "unicode digit": put(i, f"v {x}١\n", drop=1),
+        "19 digits": put(i, f"v {x:0>19}\n", drop=1),
+        "2**63": put(i, f"v {2**63 + int(x)}\n", drop=1),
+        "repeated vertex": put(i, lines[i]),
+        "empty block": put(rng.choice(ts), "t # empty\n"),
+        "bad line": put(i, "q 1\n"),
+        "lone vertex": put(i, "v 99\n"),
+        "unsorted vertices": "".join(chain.from_iterable(
+            reversed(list(run)) if vertex else run
+            for vertex, run in groupby(lines, lambda s: s.startswith("v ")))),
+        "blank lines": "".join(line + "\n" * (rng.random() < 0.2)
+                               for line in lines),
+        # the batch parser reads the "d" flag as the writer puts it
+        "leading spaces": "".join(" " * rng.randint(0, 2) * (line != "d\n")
+                                  + line for line in lines),
+    }
+    for ch in "\t\r\x0b\x0c\x1c\x1d\x1e":
+        out[f"whitespace {ch!r}"] = put(i, f"v{ch}{x}\n", drop=1)
+    if es:
+        j = rng.choice(es)
+        _, a, b = lines[j].split()
+        out.update({"repeated edge": put(j, lines[j]),
+                    "reversed edge": put(j, f"e {b} {a}\n"),
+                    "self-loop": put(j, f"e {a} {a}\n", drop=1),
+                    "missing edge": put(j, drop=1)})
+    return out
+
+
+BATCH_KEEPS = ("unsorted vertices", "blank lines", "leading spaces")
+
+
+@pytest.mark.parametrize("piece", [64, mio._PIECE_CHARS])
+def test_batch_and_line_parsers_agree(piece, monkeypatch):
+    """Every graph file, and every mutant of it, parses to an equal
+    database on either parser, or raises the same exception, message and
+    line; plain-int files that pass every check, in pieces of ``piece``
+    characters, take the batch parser."""
+    texts = list(_graph_texts(wide=piece == mio._PIECE_CHARS))
+    monkeypatch.setattr(mio, "_PIECE_CHARS", piece)
+    rng = random.Random(piece)
+    taken = off = 0
+    for text in texts:
+        assert mio._parse_graph_batch(text) == mio._parse_graph_lines(text)
+        # dropping an edge may leave the graph connected, and an arc
+        # reversed may be new
+        either = {"missing edge"} | (
+            {"reversed edge"} if text.startswith("d\n") else set())
+        for name, mutant in _mutants(text, rng).items():
+            want = _outcome(mio._parse_graph_lines, mutant)
+            assert _outcome(mio.parse_graph_db, mutant) == want, name
+            fast = mio._parse_graph_batch(mutant)
+            if name in BATCH_KEEPS:
+                assert fast == want, name
+                taken += 1
+            elif name not in either:
+                assert fast is None, name
+                off += 1
+    assert taken == 3 * len(texts) and off > 18 * len(texts)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import ITEMSET_ENCODINGS, _one_larger, _one_smaller
-from maxpat import _kernels, miner, reductions
+from maxpat import _kernels, io, miner, reductions
 from maxpat.core import Database, graph_db, itemset_db, sequence_db, support
 from maxpat.domains import (
     DIGRAPH, GRAPH, ITEMSET, SEQUENCE, Itemset, LabelledGraph, Sequence,
@@ -442,6 +442,39 @@ def test_step_climb_builds_a_source_pattern_per_maximal_answer(
                                                    res.maximal)))
             runs += len(built) > 1
     assert runs > 15
+
+
+@pytest.mark.parametrize("domain", [GRAPH, DIGRAPH])
+def test_mining_a_parsed_graph_file_builds_no_transaction(domain,
+                                                          monkeypatch):
+    """A graph file that the batch parser reads is counted, encoded and
+    mined from its batch: ``len``, ``universe``, ``encode_rows`` and
+    ``mine`` build no transaction and no graph but the answer's, and the
+    answer is the one mined from the line parser's database."""
+    source = random_db(random.Random(domain), domain, n_txns=300,
+                       max_vertices=6)
+    text = io.write_database(source)
+    built = []
+    trusted, post_init = LabelledGraph._trusted, LabelledGraph.__post_init__
+
+    def counted(cls, *args):
+        built.append(args)
+        return trusted(*args)
+
+    def validated(self):
+        built.append(self)
+        post_init(self)
+    with monkeypatch.context() as m:
+        m.setattr(LabelledGraph, "_trusted", classmethod(counted))
+        m.setattr(LabelledGraph, "__post_init__", validated)
+        db = io.parse_database(text, domain)
+        assert len(db) == 300 and db.universe == source.universe
+        encode_rows(miner._ENCODINGS[domain], db)
+        res = mine(db, 20)
+        assert db._transactions is None
+        assert len(built) == len(res.maximal) > 1
+    assert res == mine(io._parse_graph_lines(text), 20)
+    assert db == source
 
 
 def _bucket_join(survivors, labels_of, hint):

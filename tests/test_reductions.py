@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from maxpat import reductions
 from maxpat.core import Database, graph_db, itemset_db
 from maxpat.domains import (
     DIGRAPH, GRAPH, ITEMSET, SEQUENCE, DAG, TREE,
@@ -437,6 +438,56 @@ def test_bind_reduction_compose_left_fold():
     assert chain.id == "compose:fis2seq,seq2dag,dirg2fis"
     again = bind_reduction(chain.id, db)
     assert again.forward(Itemset({1, 2})) == img
+
+
+def _bound_via_images(rid, db):
+    """``bind_reduction`` as it bound before it read batches: a link that
+    reads the database reads the universe of the image database of ``db``
+    under the links before it."""
+    links = reductions._links(rid)
+    bound = []
+    for k, link in enumerate(links):
+        if not isinstance(link, Reduction):
+            link = link[0](max(db.universe, default=0))
+        bound.append(link)
+        if reductions._reads_db(links[k + 1:]):
+            db = reduce_database(link, db)
+    return bound[0] if len(bound) == 1 else Composed(*bound)
+
+
+def _binding(bind, rid, db):
+    try:
+        return bind(rid, db)
+    except DatabaseError as e:
+        return str(e), e.index
+
+
+def test_binding_reads_batches_as_it_read_image_databases():
+    """Every chain of up to three registry links with a ``fis2tree`` or
+    ``g2bdg3`` link binds from the batches of the images to the reduction
+    that the image databases bind, or refuses the same transaction with
+    the same message, on plain and on pair labels."""
+    def meet(a, b):
+        return bind_reduction(a).target_domain \
+            == bind_reduction(b).source_domain
+    chains = [(rid,) for rid in REDUCTION_IDS]
+    for k in (1, 2):
+        chains += [c + (rid,) for c in chains if len(c) == k
+                   for rid in REDUCTION_IDS if meet(c[-1], rid)]
+    rids = [c[0] if len(c) == 1 else "compose:" + ",".join(c)
+            for c in chains if {"fis2tree", "g2bdg3"} & set(c)]
+    rng = random.Random(5)
+    refused = 0
+    for rid in rids:
+        domain = bind_reduction(rid).source_domain
+        for _ in range(4):
+            for kw in [{}, {"pair_items": True}] if domain == ITEMSET \
+                    else [{}]:
+                db = random_db(rng, domain, **kw)
+                want = _binding(_bound_via_images, rid, db)
+                assert _binding(bind_reduction, rid, db) == want, rid
+                refused += isinstance(want, tuple)
+    assert len(rids) == 21 and refused > 20
 
 
 def test_bind_reduction_rejects_unknown():
@@ -891,9 +942,11 @@ def test_batch_maps_agree_with_forward(rid):
     (bind_reduction("compose:seq2dag,dirg2fis"), Sequence([(1, 2)])),
     (bind_reduction("compose:seq2dag,dirg2fis"), Sequence([(2, 3), (1, 2)])),
     (GraphToEdgeItemset(), graph({(1, 2), (2, 3)}, {((1, 2), (2, 3))})),
+    # pairs made inside the chain, by its first link
+    (bind_reduction("compose:g2fis,fis2tree,g2fis"), graph({1, 2}, {(1, 2)})),
 ], ids=["star-root", "star-chain-root", "star-chain-pairs", "path-bundle",
         "path-bundle-chain", "dag-empty", "dag-chain-empty", "dag-pair",
-        "dag-pairs", "edge-itemset-pairs"])
+        "dag-pairs", "edge-itemset-pairs", "star-after-edge-itemset"])
 def test_batch_maps_refuse_what_forward_refuses(r, p):
     """A pattern that ``forward`` rejects is rejected by the batch map, or
     by ``_incidence`` for a map into itemsets, with the same message."""
