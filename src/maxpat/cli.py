@@ -239,14 +239,15 @@ def _check_reduction_properties(chain, db: Database, rng, out,
             return None
 
     pool = []
-    for i, t in enumerate(db.transactions):
-        img = target_db.transactions[i]
+    images = target_db.transactions
+    back = chain._inverses(list(images))
+    for i, (t, img) in enumerate(zip(db.transactions, images)):
         if chain.target_class is not None and not validate_class(
                 img, chain.target_class):
             return fail("class",
                         f"image of transaction {i} leaves "
                         f"{chain.target_class.kind}")
-        if chain.inverse(img) != t:
+        if back[i] != t:
             return fail("round-trip",
                         f"transaction {i} does not decode to itself")
         pool.append((t, img))

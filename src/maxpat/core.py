@@ -19,7 +19,9 @@ from .domains import (
     element_kind, has_class_shape, is_connected, pattern_domain, pattern_leq,
 )
 from .errors import DatabaseError, DomainMismatchError
-from .incidence import Incidence, item_incidence, label_array, lengths
+from .incidence import (
+    Incidence, gathered, item_incidence, label_array, lengths, number,
+)
 
 _DOMAINS = (ITEMSET, SEQUENCE, GRAPH, DIGRAPH)
 
@@ -74,22 +76,46 @@ def label_columns(batch) -> tuple:
     return (batch if isinstance(batch, Incidence) else batch[0]).labels
 
 
-def _graph_view(batch, directed):
-    """The graphs of a graph batch of plain labels whose entries come row
-    by row, built unchecked; equal vertex sets share one frozenset, so
-    that the garbage collector has fewer objects to scan."""
-    vertices, edges = batch
-    labels = vertices.labels[0].tolist()
-    pairs = list(zip(*(c.tolist() for c in edges.labels)))
-    vcuts, ecuts = (np.cumsum(np.bincount(b.rows, minlength=b.n_rows))
-                    .tolist() for b in batch)
+def batch_patterns(domain, batch) -> tuple:
+    """The ``domain`` patterns that ``batch`` holds, one per row, built
+    unchecked: the inverse of ``pattern_batch``.  A row's entries may come
+    in any order, and its rows interleaved: an itemset sorts its entries,
+    a sequence keeps their order, and a graph gathers them by row.  Equal
+    labels, label pairs and vertex sets each share one object, so that
+    the garbage collector has fewer objects to scan."""
+    if domain in (ITEMSET, SEQUENCE):
+        entries, cuts = _row_entries(batch, domain == ITEMSET)
+        make = Itemset._trusted if domain == ITEMSET else Sequence._trusted
+        return tuple(make(tuple(entries[a:b]))
+                     for a, b in zip([0] + cuts, cuts))
+    (labels, vcuts), (edges, ecuts) = map(_row_entries, batch)
     shared = {}
     out = []
     for v0, v1, e0, e1 in zip([0] + vcuts, vcuts, [0] + ecuts, ecuts):
         vs = frozenset(labels[v0:v1])
         out.append(LabelledGraph._trusted(shared.setdefault(vs, vs),
-                                          frozenset(pairs[e0:e1]), directed))
+                                          frozenset(edges[e0:e1]),
+                                          domain == DIGRAPH))
     return tuple(out)
+
+
+def _row_entries(incidence, by_label=False):
+    """The entries of ``incidence`` row by row, as Python objects, one
+    for each distinct label or label pair (``incidence.number``), and
+    where each row ends among them.  A row keeps its entries' order, or
+    with ``by_label`` puts them in label order.  An edge between label
+    pairs, four columns, is a pair of pairs."""
+    columns, rows = incidence.labels, incidence.rows
+    if len(columns) == 4:
+        (heads, cuts), (tails, _) = (
+            _row_entries(incidence._replace(labels=half))
+            for half in (columns[:2], columns[2:]))
+        return list(zip(heads, tails)), cuts
+    items, index = number(columns)
+    index = gathered(Incidence((index,), rows, incidence.n_rows),
+                     index if by_label else None).labels[0]
+    cuts = np.cumsum(np.bincount(rows, minlength=incidence.n_rows)).tolist()
+    return list(map(items.__getitem__, index.tolist())), cuts
 
 
 class Database:
@@ -101,13 +127,14 @@ class Database:
 
     A database holds its transactions as patterns, as a batch
     (``pattern_batch``) or as both, and makes the one it lacks on first
-    use and keeps it.  One built from patterns reads them into its batch
-    once.  A graph database that ``io`` parsed straight into a batch builds
-    its ``transactions`` on first use, with ``LabelledGraph._trusted`` and
-    one frozenset for equal vertex sets.  ``len``, ``universe`` and the
-    encoding of the transactions (``reductions.encode_rows``) read the
-    batch, so mining such a database builds no transaction.  Equality and
-    hashing compare the transactions.
+    use and keeps it: patterns enter a batch through ``pattern_batch`` and
+    leave it through ``batch_patterns``.  One built from patterns reads
+    them into its batch once.  A graph database that ``io`` parsed
+    straight into a batch builds its ``transactions`` on first use.
+    ``len``, ``universe`` and the encoding of the transactions
+    (``reductions.encode_rows``) read the batch, so mining such a database
+    builds no transaction.  Equality and hashing compare the
+    transactions.
     """
 
     def __init__(self, domain: str, transactions=(),
@@ -151,8 +178,8 @@ class Database:
     @property
     def transactions(self) -> tuple:
         if self._transactions is None:
-            object.__setattr__(self, "_transactions", _graph_view(
-                self._batch, self.domain == DIGRAPH))
+            object.__setattr__(self, "_transactions", batch_patterns(
+                self.domain, self._batch))
         return self._transactions
 
     @property

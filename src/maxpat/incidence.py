@@ -5,8 +5,10 @@ Python list of items per transaction.  An itemset database gives one
 directly (``item_incidence``), and a reduction into itemsets gives the
 incidence of a database's images (``reductions.encode_rows``) and of the
 source rows a step climb grows, whose entries ``lookup`` finds among the
-numbered items.  The reductions carry their batches of source patterns
-between links as incidences too.
+numbered items.  The reductions carry their batches of patterns between
+links as incidences too, whose entries ``gathered`` brings together by
+row, and ``core.batch_patterns`` reads patterns back off them with one
+Python object per distinct label (``number``).
 """
 
 from itertools import chain
@@ -55,6 +57,20 @@ def item_incidence(rows) -> Incidence:
     return Incidence((labels[0::2], labels[1::2]) if pairs else (labels,),
                      np.repeat(np.arange(len(rows), dtype=np.intp), sizes),
                      len(rows))
+
+
+def gathered(incidence, rank=None) -> Incidence:
+    """``incidence`` with its entries gathered by row, each row's entries
+    in their order or, given each entry's ``rank`` below the number of
+    entries, sorted by it; ``incidence`` itself when they come that way
+    already."""
+    rows = incidence.rows
+    key = rows if rank is None else rows * len(rank) + rank
+    if (key[1:] >= key[:-1]).all():
+        return incidence
+    order = np.argsort(key, kind="stable")
+    return Incidence(tuple(c[order] for c in incidence.labels), rows[order],
+                     incidence.n_rows)
 
 
 #: codes below this (or below the number of entries) are numbered through

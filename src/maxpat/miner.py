@@ -42,11 +42,13 @@ the alphabet, the sorted source labels that the items can stand for
 (``source_labels``).  A row holds an itemset's items or a sequence's
 events in order, or the sorted codes a * n + b of a graph's edges (a, b),
 for n labels, with a < b when undirected; a lone vertex v is (v, v), as
-in an edge itemset.  Rows are grown (``_grow``), mapped to image rows
-(``_images``) and judged in numpy, and a pattern is built (``_source``)
-only for the answer and for a predicate that reads it.  Itemsets and
-sequences also get the Apriori check: a grown row is kept only when each
-row that drops one of its elements is among the level's frequent rows.
+in an edge itemset.  Rows are grown (``_grow``), read as a batch of
+source patterns (``_row_batch``), mapped to image rows (``_images``) and
+judged in numpy; patterns are built (``core.batch_patterns``) only for
+the answer and for a predicate that reads them, a level at a time.
+Itemsets and sequences also get the Apriori check: a grown row is kept
+only when each row that drops one of its elements is among the level's
+frequent rows.
 The climb counts every source pattern with a frequent image, so a
 sub-pattern missing there has an infrequent image, and so has the grown
 pattern.  A survivor without its largest item, or its last event, is
@@ -106,17 +108,16 @@ the maximality filter and lifting.
 """
 
 from dataclasses import dataclass, field
-from functools import partial
-from itertools import chain
+from functools import cache, partial
 from time import perf_counter
 
 import numpy as np
 
 from . import _kernels
-from .core import Database, check_tau
+from .core import Database, batch_patterns, check_tau
 from .domains import (
     DIGRAPH, GRAPH, ITEMSET, SEQUENCE,
-    Itemset, LabelledGraph, Sequence, canonical_key, item_labels,
+    Itemset, Sequence, canonical_key, item_labels,
 )
 from .errors import DomainMismatchError, ExtendError, PatternError
 from .feasibility import ALWAYS, describe, evaluate, evaluate_grown
@@ -317,16 +318,21 @@ def _grow(rows, level, n, domain):
     return grown[known[len(rows):].reshape(level, -1).all(axis=0)]
 
 
-def _source(domain, labels, row):
-    """The source pattern that ``row`` holds over the sorted list
-    ``labels`` (see the module docstring)."""
+def _row_batch(domain, rows, labels):
+    """The batch (see ``reductions``) of the source patterns that the
+    source ``rows`` hold over the label array ``labels`` (see the module
+    docstring)."""
+    ids = np.repeat(np.arange(len(rows), dtype=np.intp), rows.shape[1])
     if domain in (ITEMSET, SEQUENCE):
-        make = Itemset._trusted if domain == ITEMSET else Sequence._trusted
-        return make(tuple(labels[i] for i in row))
-    ends = [(labels[c // len(labels)], labels[c % len(labels)]) for c in row]
-    return LabelledGraph._trusted(frozenset(chain.from_iterable(ends)),
-                                  frozenset(e for e in ends if e[0] != e[1]),
-                                  domain == DIGRAPH)
+        return Incidence((labels[rows.ravel()],), ids, len(rows))
+    heads, tails = np.divmod(rows, len(labels))
+    ends = np.sort(np.hstack((heads, tails)), axis=1)
+    first = np.diff(ends, axis=1, prepend=-1) != 0
+    edge = (heads != tails).ravel()  # (v, v) is a lone vertex
+    return (Incidence((labels[ends[first]],), np.nonzero(first)[0],
+                      len(rows)),
+            Incidence((labels[heads.ravel()[edge]],
+                       labels[tails.ravel()[edge]]), ids[edge], len(rows)))
 
 
 def _images(step, rows, labels, items):
@@ -334,20 +340,7 @@ def _images(step, rows, labels, items):
     under ``step``, mapped as a batch (see ``reductions``), hold only
     packed ``items``, and those images as one index matrix, each row
     sorted and padded at the end with the padding item (``_padded``)."""
-    ids = np.repeat(np.arange(len(rows), dtype=np.intp), rows.shape[1])
-    if step.source_domain in (ITEMSET, SEQUENCE):
-        batch = Incidence((labels[rows.ravel()],), ids, len(rows))
-    else:
-        heads, tails = np.divmod(rows, len(labels))
-        ends = np.sort(np.hstack((heads, tails)), axis=1)
-        first = np.diff(ends, axis=1, prepend=-1) != 0
-        edge = (heads != tails).ravel()  # (v, v) is a lone vertex
-        batch = (Incidence((labels[ends[first]],), np.nonzero(first)[0],
-                           len(rows)),
-                 Incidence((labels[heads.ravel()[edge]],
-                            labels[tails.ravel()[edge]]), ids[edge],
-                           len(rows)))
-    images = step._batch(batch)
+    images = step._batch(_row_batch(step.source_domain, rows, labels))
     index = lookup(items, images.labels)
     order = np.lexsort((index, images.rows))
     owner = images.rows[order]
@@ -458,7 +451,9 @@ def climb_rows(incidence: Incidence, tau: int, phi=ALWAYS,
         alphabet = sorted(step.source_labels(item_labels(items)))
         labels = label_array(lambda: iter(alphabet), len(alphabet))
         domain = step.source_domain
-        source = partial(_source, domain, alphabet)
+
+        def patterns(rows):
+            return batch_patterns(domain, _row_batch(domain, rows, labels))
         grown, current = _images(step, _grow(None, 0, len(labels), domain),
                                  labels, items)
     else:
@@ -473,9 +468,13 @@ def climb_rows(incidence: Incidence, tau: int, phi=ALWAYS,
         frequent = current[hit]
         if step is not None:
             grown = grown[hit]
-            ok = [evaluate_grown(phi, step, partial(source, q),
+            # the level's source patterns are built together, the first
+            # time a conjunct reads one
+            level_sources = cache(partial(patterns, grown))
+            ok = [evaluate_grown(phi, step,
+                                 lambda i=i: level_sources()[i],
                                  partial(itemset, s))
-                  for q, s in zip(grown.tolist(), frequent.tolist())]
+                  for i, s in enumerate(frequent.tolist())]
         elif prune and level > 1:  # the merge hint kept feasible unions
             ok = np.ones(len(frequent), dtype=bool)
         else:
@@ -502,8 +501,8 @@ def climb_rows(incidence: Incidence, tau: int, phi=ALWAYS,
     if any(map(len, collected)):
         keep = _maximal_among(collected, n_items)
         if sources and step is not None:
-            maximal = [source(q) for qs, m in zip(found, keep)
-                       for q in qs[m].tolist()]
+            maximal = [p for rows, m in zip(found, keep)
+                       for p in patterns(rows[m])]
         else:
             maximal = [itemset(s) for rows, m in zip(collected, keep)
                        for s in rows[m].tolist()]

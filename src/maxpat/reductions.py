@@ -8,6 +8,8 @@ the same map) with three guarantees:
    over unchanged,
 3. the inverse is computable and returns None off the image.
 
+Each link implements its map once, on batches (``_batch``, below); the
+map of one pattern (``_forward``) is the batch map of a batch of one.
 Guarantee 3 holds by construction.  Each link has a decoder (``_decode``)
 that reads off a target pattern ``q`` the one source pattern that can map
 to it: the star's vertices beside the root, a sequence's events as a set,
@@ -15,10 +17,11 @@ the path of each stop with an edge per edge between two paths, the
 markers and proper pairs of an edge itemset as a graph, a tournament's
 vertices by falling out-degree.  The pattern constructor makes the
 candidate a valid source pattern, and a graph decoder refuses one that is
-not connected; ``Reduction._inverse`` keeps the candidate only when the
-forward map sends it back to ``q``, so it never needs to know what an
-image looks like.  A chain folds its links' decoders right to left and
-checks once, with its own forward map.
+not connected; ``Reduction._inverses`` keeps a candidate only when the
+batch map sends it back to its ``q``, so it never needs to know what an
+image looks like, and checks a list of candidates with one batch.  A
+chain folds its links' decoders right to left and checks once, with its
+own batch map.
 
 Together these make maximality transfer both ways: the maximal feasible
 frequent patterns of a reduced database are exactly the images of the
@@ -32,37 +35,37 @@ hop's, so the chain's inverse is the only preimage test needed.
 
 A composition is one flat chain of links.  A pattern's domain is checked
 once, where it enters through ``forward`` or ``inverse``; past that, links
-and chains run unchecked maps (``_forward``, ``_decode`` and ``_inverse``,
-one pattern at a time), as do ``reduce_database``, ``encode_rows`` and
-``invert_database`` once they have checked the database's domain.
+and chains run unchecked maps (``_batch``, ``_decode`` and ``_inverses``),
+as do ``reduce_database``, ``encode_rows`` and ``invert_database`` once
+they have checked the database's domain.
 
-A reduction into itemsets also maps the transactions of a database
-straight into item rows (``encode_rows``).  The database hands over its
-transactions as flat arrays, a *batch* (``Database.batch``): a graph
-database that ``io`` parsed holds nothing else until its transactions
-are asked for, and one built from patterns reads them into a batch once
-(``core.pattern_batch``).  Every link maps a batch to a batch (``_batch``)
-by plain arithmetic, so no pattern is built in the middle of a chain; the
-miner's step climb hands its levels to ``_batch`` as batches of its own,
-and ``bind_reduction`` reads a link's parameter off the batch that the
-links before it map:
+A database hands over its transactions as flat arrays, a *batch*
+(``Database.batch``): a graph database that ``io`` parsed holds nothing
+else until its transactions are asked for, and one built from patterns
+reads them into a batch once (``core.pattern_batch``).  Every link maps a
+batch to a batch (``_batch``) by plain arithmetic, so no pattern is built
+in the middle of a chain, and ``core.batch_patterns`` reads the patterns
+back off the last batch.  ``encode_rows`` maps a database's batch, which
+for a reduction into itemsets is the item rows that the miner packs;
+the miner's step climb hands its levels to ``_batch`` as batches of its
+own, and ``bind_reduction`` reads a link's parameter off the batch that
+the links before it map:
 
-* an itemset or sequence batch is an ``Incidence`` whose entries keep
-  their order within a row, each row's entries together;
-* a graph batch is a vertex ``Incidence`` and an edge ``Incidence`` of
-  (head, tail) pairs;
-* ``fis2seq`` is the identity, ``fis2tree`` adds the root and the edges
-  (x, root), ``seq2dag`` an arc per ``np.triu_indices(k, 1)`` pair of a
-  length-k row, ``g2bdg3`` the stops, the path edges and one cross edge
-  per edge, and ``g2fis``/``dirg2fis`` a marker (v, v) per vertex and a
-  pair per edge: the item rows.
+* an itemset or sequence batch is an ``Incidence``, a graph batch a
+  vertex ``Incidence`` and an edge ``Incidence`` of (head, tail) pairs;
+* a row's entries may come in any order and its rows interleaved, but a
+  sequence's entries keep their order within a row; a link lists the
+  entries it adds after the ones it carries;
+* ``fis2seq`` puts each row's items in ascending order, ``fis2tree``
+  adds the root and the edges (x, root), ``seq2dag`` an arc from each
+  event to each later one of its row, ``g2bdg3`` the stops, the path
+  edges and one cross edge per edge, and ``g2fis``/``dirg2fis`` a marker
+  (v, v) per vertex and a pair per edge: the item rows.
 
 A label at or above 2**63, or a stop past int64, is kept as a Python int
-in an object array, as ``incidence.number`` does.  A batch map refuses
-what ``_forward`` refuses with the same message, so a transaction is
-reported alike on either path.  It refuses a batch of label pairs as a
-whole (``_plain``), and ``_forward`` then says which pattern a link
-refuses, and in what words.
+in an object array, as ``incidence.number`` does.  ``fis2seq`` and
+``seq2dag`` carry label pairs; the other links read plain labels, and
+refuse label pairs by their kind, naming the first (``_plain``).
 
 Every reduction id lives in one table, which says how the reduction is
 bound from a database on its source side (``bind_reduction``, used to
@@ -73,12 +76,11 @@ used to invert and for ``preimage(<rid>)``).
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
 from operator import itemgetter
 
 import numpy as np
 
-from .core import Database, label_columns, pattern_batch
+from .core import Database, batch_patterns, label_columns, pattern_batch
 from .domains import (
     BOUNDED_DEGREE, DAG, DIGRAPH, GRAPH, ITEMSET, SEQUENCE, TREE,
     GraphClass, Itemset, LabelledGraph, Sequence,
@@ -89,7 +91,7 @@ from .errors import (
     ReductionIdError,
 )
 from .feasibility import PreimageExistsAnd
-from .incidence import Incidence
+from .incidence import Incidence, gathered, number
 
 
 class Reduction:
@@ -109,40 +111,45 @@ class Reduction:
         self._check_target(q)
         return self._inverse(q)
 
+    def _forward(self, p):
+        """The image of ``p``: the batch map of a batch of one pattern."""
+        return self._map([p])[0]
+
+    def _map(self, patterns):
+        """The images of the source patterns in the list ``patterns``."""
+        return batch_patterns(self.target_domain, self._batch(
+            pattern_batch(self.source_domain, patterns)))
+
     def _inverse(self, q):
-        """The preimage of ``q``, or None: the candidate that ``_decode``
-        reads off ``q``, kept when the forward map sends it back to ``q``.
-        A ``PatternError`` from either map means that ``q`` has none."""
+        return self._inverses([q])[0]
+
+    def _inverses(self, qs):
+        """The preimage of each target pattern in the list ``qs``, or None:
+        the candidate that ``_decode`` reads off it, kept when the batch
+        map sends it back.  The candidates are mapped together; when the
+        map refuses the batch, each is mapped alone, so that a refusal
+        voids only its own candidate.  A ``PatternError`` from either map
+        means that a pattern has no preimage."""
+        candidates = [_attempt(self._decode, q) for q in qs]
+        found = [p for p in candidates if p is not None]
         try:
-            p = self._decode(q)
-            return p if p is not None and self._forward(p) == q else None
+            images = self._map(found)
         except PatternError:
-            return None
+            images = [_attempt(self._forward, p) for p in found]
+        images = iter(images)  # one image per candidate found, in order
+        return [p if p is not None and next(images) == q else None
+                for p, q in zip(candidates, qs)]
 
     def _decode(self, q):
         """The one source pattern whose image ``q`` can be, or None: a
         valid source pattern, which is the preimage of ``q`` if ``q`` has
-        one (``_forward`` decides)."""
+        one (the forward map decides)."""
         raise NotImplementedError
-
-    def _incidence(self, patterns):
-        """The ``Incidence`` of the itemset images of the source patterns
-        in the list ``patterns``, one row each.  Their labels are all plain
-        ints or all label pairs."""
-        if self.target_domain != ITEMSET:
-            raise NotImplementedError(f"{self.id} does not map into itemsets")
-        try:
-            return self._batch(pattern_batch(self.source_domain, patterns))
-        except PatternError:
-            for p in patterns:  # the first one refused raises, in its words
-                self._forward(p)
-            raise
 
     def _batch(self, batch):
         """The batch of the images of the patterns in ``batch``, a batch of
         source patterns (see the module docstring).  It raises
-        ``PatternError`` when ``_forward`` refuses one of them, in the same
-        words, or when it holds label pairs (``_plain``)."""
+        ``PatternError`` when it cannot map one of them."""
         raise NotImplementedError
 
     def induced_feasibility(self, phi_source):
@@ -167,13 +174,25 @@ class Reduction:
                 f"got {pattern_domain(q)}")
 
 
-def _plain(incidence):
-    """The one label column of ``incidence``.  The batch maps read plain
-    labels only, and refuse a batch of label pairs as a whole; ``_forward``
-    then tells which pattern a link refuses, and in what words."""
-    if len(incidence.labels) != 1:
-        raise PatternError("a batch map reads plain labels only")
-    return incidence.labels[0]
+def _attempt(f, x):
+    """``f(x)``, or None when it raises ``PatternError``."""
+    try:
+        return f(x)
+    except PatternError:
+        return None
+
+
+def _plain(incidence, link):
+    """The one label column of ``incidence``, whose labels ``link`` reads
+    as plain ints.  It refuses label pairs, naming the first of the first
+    row in the pattern's own order: for an itemset, whose batch lists a
+    row's entries in any order, the smallest."""
+    columns, rows = incidence.labels, incidence.rows
+    if len(columns) == 1 or not len(rows):
+        return columns[0]
+    pairs = zip(*(c[rows == rows[0]].tolist() for c in columns))
+    first = min(pairs) if link.source_domain == ITEMSET else next(pairs)
+    raise PatternError(f"{link.id} needs plain int labels, got {first!r}")
 
 
 @dataclass(frozen=True)
@@ -192,21 +211,10 @@ class ItemsetToStar(Reduction):
     target_domain = GRAPH
     target_class = GraphClass(TREE)
 
-    def _forward(self, p: Itemset) -> LabelledGraph:
-        for x in p.items:
-            if not isinstance(x, int):
-                raise PatternError(f"{self.id} needs plain int labels, got {x!r}")
-            if x >= self.root:
-                raise PatternError(
-                    f"item {x} collides with root label {self.root}")
-        return LabelledGraph(frozenset(p.items) | {self.root},
-                             frozenset((x, self.root) for x in p.items))
-
     def _batch(self, items):
-        x = _plain(items)
+        x = _plain(items, self)
         collides = x >= self.root
         if collides.any():
-            # the rows are in order and sorted, as _forward reads them
             raise PatternError(f"item {x[collides.argmax()]} collides with "
                                f"root label {self.root}")
         fits = x.dtype != object and self.root < 2**63
@@ -237,12 +245,9 @@ class ItemsetToSequence(Reduction):
     source_domain = ITEMSET
     target_domain = SEQUENCE
 
-    def _forward(self, p: Itemset) -> Sequence:
-        # the items are distinct valid labels of one kind
-        return Sequence._trusted(p.items)
-
     def _batch(self, items):
-        return items
+        # a sequence keeps the order of a row's entries: the items ascending
+        return gathered(items, number(items.labels)[1])
 
     def _decode(self, q: Sequence):
         # distinct valid labels of one kind, sorted
@@ -277,25 +282,9 @@ class GraphToBoundedDegree(Reduction):
         """The vertex on whose path the stop ``x`` lies."""
         return (x - 1) // self.n + 1
 
-    def _forward(self, p: LabelledGraph) -> LabelledGraph:
-        # labels are positive and of one kind, so the largest decides
-        top = max(p.vertices)
-        if not isinstance(top, int) or top > self.n:
-            raise PatternError(f"vertex label {top!r} outside 1..{self.n}")
-        vertices = {self._stop(v, i)
-                    for v in p.vertices for i in range(1, self.n + 1)}
-        edges = {(self._stop(v, i), self._stop(v, i + 1))
-                 for v in p.vertices for i in range(1, self.n)}
-        for a, b in p.edges:
-            edges.add((self._stop(a, b), self._stop(b, a)))
-        # stops are positive ints, and every edge joins two of them smaller
-        # first: a path runs upwards, and for a < b the cross edge's stop
-        # (a-1)n + b lies below (b-1)n + a
-        return LabelledGraph._trusted(frozenset(vertices), frozenset(edges))
-
     def _batch(self, graphs):
         vertices, edges = graphs
-        v, (a, b), n = _plain(vertices), edges.labels, self.n
+        v, (a, b), n = _plain(vertices, self), edges.labels, self.n
         outside = v > n
         if outside.any():
             row = vertices.rows[outside].min()
@@ -305,6 +294,9 @@ class GraphToBoundedDegree(Reduction):
             v, a, b = (c.astype(object) for c in (v, a, b))
         stops = (v[:, None] - 1) * n + np.arange(1, n + 1)
         on_path = np.repeat(vertices.rows, n - 1)
+        # every edge joins two stops smaller first: a path runs upwards,
+        # and for a < b the cross edge's stop (a-1)n + b lies below
+        # (b-1)n + a
         return (
             Incidence((stops.ravel(),), np.repeat(vertices.rows, n),
                       vertices.n_rows),
@@ -329,28 +321,6 @@ class GraphToBoundedDegree(Reduction):
             frozenset((path[a], path[b]) for a, b in q.edges
                       if path[a] != path[b]))
         return g if is_connected(g) else None
-
-
-class _Markers(dict):
-    """The marker pair (v, v) of each label, made once and then shared by
-    every edge itemset that ``forward`` builds, and so by every image of
-    ``reduce_database``.  A fresh pair for each vertex of each graph would
-    be most of the objects that building an image database allocates, and
-    so most of what sets off the garbage collector: on graphs-wide (seed
-    1, median of 7, 2 vCPUs) ``reduce_database`` takes 0.12 s with the
-    table and 0.20-0.21 s with fresh pairs.  The pairs are immutable, so
-    sharing them changes no result; the table is emptied when it reaches
-    2**16 labels, so it stays small.  The miner makes no pairs: the batch
-    maps keep the two ends of each item in numpy."""
-
-    def __missing__(self, v):
-        if len(self) >= 1 << 16:
-            self.clear()
-        self[v] = marker = (v, v)
-        return marker
-
-
-_MARKERS = _Markers()
 
 
 @dataclass(frozen=True)
@@ -381,21 +351,11 @@ class GraphToEdgeItemset(Reduction):
         object.__setattr__(self, "source_domain",
                            DIGRAPH if self.directed else GRAPH)
 
-    def _forward(self, p: LabelledGraph) -> Itemset:
-        # a graph has a vertex, and its labels are of one kind, so any one
-        # label shows whether they are plain ints (before it gets a marker)
-        v = next(iter(p.vertices))
-        if not isinstance(v, int):
-            raise PatternError(f"{self.id} needs plain int labels, got {v!r}")
-        # the graph validated its labels and edges, and markers never
-        # collide with edges since self-loops are rejected
-        return Itemset._trusted(tuple(sorted(
-            [*map(_MARKERS.__getitem__, p.vertices), *p.edges])))
-
     def _batch(self, graphs):
         vertices, edges = graphs
-        v, (heads, tails) = _plain(vertices), edges.labels
-        # a marker (v, v) per vertex, then the edges
+        v, (heads, tails) = _plain(vertices, self), edges.labels
+        # a marker (v, v) per vertex, then the edges; markers never collide
+        # with edges, since graphs have no self-loops
         return Incidence((np.concatenate((v, heads)),
                           np.concatenate((v, tails))),
                          np.concatenate((vertices.rows, edges.rows)),
@@ -426,36 +386,22 @@ class SequenceToDag(Reduction):
     target_domain = DIGRAPH
     target_class = GraphClass(DAG)
 
-    def _forward(self, p: Sequence) -> LabelledGraph:
-        if not p.events:
-            raise PatternError("the empty sequence has no graph image")
-        # the events are distinct valid labels of one kind, so the
-        # tournament on them is a valid graph as it stands
-        return LabelledGraph._trusted(frozenset(p.events),
-                                      frozenset(combinations(p.events, 2)),
-                                      directed=True)
-
     def _batch(self, seq):
-        events = _plain(seq)
         sizes = np.bincount(seq.rows, minlength=seq.n_rows)
         if not sizes.all():
             raise PatternError("the empty sequence has no graph image")
-        starts = np.cumsum(sizes) - sizes
-        heads, tails, rows = [events[:0]], [events[:0]], [seq.rows[:0]]
-        # the rows of one length k make a (rows, k) matrix of entries, and
-        # each pair of its columns i < j an arc
-        for k in np.flatnonzero(np.bincount(sizes)).tolist():
-            if k < 2:
-                continue
-            owners = np.flatnonzero(sizes == k)
-            at = starts[owners, None] + np.arange(k)
-            i, j = np.triu_indices(k, 1)
-            heads.append(events[at[:, i]].ravel())
-            tails.append(events[at[:, j]].ravel())
-            rows.append(np.repeat(owners, len(i)))
-        # the events are the vertices
-        return seq, Incidence((np.concatenate(heads), np.concatenate(tails)),
-                              np.concatenate(rows), seq.n_rows)
+        seq = gathered(seq)
+        # an arc from each event to each later event of its row
+        at = np.arange(len(seq.rows))
+        later = np.cumsum(sizes)[seq.rows] - at - 1
+        heads = np.repeat(at, later)
+        tails = heads + 1 + np.arange(len(heads)) \
+            - np.repeat(np.cumsum(later) - later, later)
+        # the events are the vertices; an arc between label pairs has the
+        # components of its head and then of its tail
+        return seq, Incidence(
+            tuple(c[e] for e in (heads, tails) for c in seq.labels),
+            seq.rows[heads], seq.n_rows)
 
     def _decode(self, q: LabelledGraph):
         # a tournament's order puts each vertex before all it points to
@@ -495,11 +441,6 @@ class Composed(Reduction):
             labels = r.source_labels(labels)
         return labels
 
-    def _forward(self, p):
-        for r in self.links:
-            p = r._forward(p)
-        return p
-
     def _batch(self, batch):
         for r in self.links:
             batch = r._batch(batch)
@@ -517,24 +458,13 @@ class Composed(Reduction):
 # database-level application
 
 def reduce_database(r: Reduction, db: Database) -> Database:
-    """Apply ``r`` to every transaction.  Each distinct transaction is
-    mapped once, and equal transactions share its one (immutable) image.  A
-    transaction the map rejects (wrong labels, empty sequence, ...) raises
-    with the index where it first occurs."""
-    if db.domain != r.source_domain:
-        raise DomainMismatchError(
-            f"{r.id} reduces {r.source_domain} databases, got {db.domain}")
-    images = {}
-    out = []
-    for i, t in enumerate(db.transactions):
-        q = images.get(t)
-        if q is None:
-            try:
-                q = images[t] = r._forward(t)
-            except PatternError as e:
-                raise DatabaseError(f"cannot reduce: {e}", i) from e
-        out.append(q)
-    return Database(r.target_domain, tuple(out), r.target_class)
+    """Apply ``r`` to every transaction: the patterns of the batch of their
+    images (``encode_rows``), validated as a database.  A transaction the
+    map rejects (wrong labels, empty sequence, ...) raises with the index
+    where it first occurs."""
+    return Database(r.target_domain,
+                    batch_patterns(r.target_domain, encode_rows(r, db)),
+                    r.target_class)
 
 
 def encode_rows(r: Reduction, db: Database, skip=None):
@@ -572,12 +502,13 @@ def lift_results(r: Reduction, results) -> tuple:
     """Pull mining results back through ``r``.  Every pattern must invert;
     anything off the image means the caller's pipeline is broken, so that
     raises rather than being dropped silently."""
-    out = []
+    results = list(results)
     for q in results:
-        p = r.inverse(q)
+        r._check_target(q)
+    out = r._inverses(results)
+    for q, p in zip(results, out):
         if p is None:
             raise NoPreimageError(f"{r.id}: no preimage for {q!r}")
-        out.append(p)
     return tuple(sorted(out, key=canonical_key))
 
 
@@ -592,9 +523,10 @@ def invert_database(rid: str, db: Database) -> Database:
         raise DomainMismatchError(
             f"{r.id} inverts {r.target_domain} databases, got {db.domain}")
     r = bind_from_target(rid, db)
-    sources = {}
+    distinct = list(dict.fromkeys(db.transactions))
+    sources = dict(zip(distinct, r._inverses(distinct)))
     for i, t in enumerate(db.transactions):
-        if t not in sources and sources.setdefault(t, r._inverse(t)) is None:
+        if sources[t] is None:
             raise DatabaseError(f"no preimage under {r.id}", i)
     return Database(r.source_domain, tuple(map(sources.get, db.transactions)))
 

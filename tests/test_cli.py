@@ -125,6 +125,40 @@ def test_reduce_and_invert_round_trip_bdg3(capsys, graphs_file, tmp_path):
             == mio.write_database(mio.load_database(graphs_file, GRAPH)))
 
 
+def test_reduce_carries_pair_labels_through_seq2dag(capsys, tmp_path):
+    # a tournament on label pairs, written as it was when seq2dag built
+    # its images one pattern at a time
+    p = tmp_path / "pairs.db"
+    p.write_text("1,2 2,3\n2,3 1,1\n")
+    code, out, err = run(capsys, ["reduce", "--input", str(p),
+                                  "--domain", "sequence",
+                                  "--reduce", "seq2dag"])
+    assert code == 0, err
+    assert out == ("d\nt # 0\nv 1,2\nv 2,3\ne 1,2 2,3\n"
+                   "t # 1\nv 1,1\nv 2,3\ne 2,3 1,1\n")
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    (["mine", "--domain", "sequence", "--tau", "1"], "1,2 2,3\n",
+     "dirg2fis needs plain int labels, got (1, 2)"),
+    (["reduce", "--domain", "graph", "--reduce", "g2bdg3"],
+     "t # 0\nv 1,2\n", "g2bdg3 needs plain int labels, got (1, 2)"),
+    (["mine", "--domain", "graph", "--tau", "1",
+      "--reduce", "compose:g2bdg3,g2fis"], "t # 0\nv 3,4\n",
+     "g2bdg3 needs plain int labels, got (3, 4)"),
+], ids=["sequence-first-pair", "g2bdg3-reduce", "g2bdg3-mine"])
+def test_pair_labels_are_refused_by_kind(capsys, tmp_path, argv, text,
+                                         message):
+    """A link that reads plain labels refuses label pairs by their kind,
+    naming the first pair of the transaction in its own order."""
+    p = tmp_path / "pairs.db"
+    p.write_text(text)
+    code, _, err = run(capsys, argv + ["--input", str(p)])
+    assert code == 3
+    assert err == f"error:validation: transaction 0: cannot reduce: " \
+                  f"{message}\n"
+
+
 @pytest.mark.parametrize("rid", [
     "bogus", "compose:fis2tree", "compose:fis2seq,,seq2dag"])
 def test_bad_reduction_id_is_a_usage_error(capsys, items_file, rid):

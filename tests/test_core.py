@@ -1,16 +1,21 @@
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from maxpat.core import (
-    Database, check_tau, graph_db, is_frequent, is_maximal_feasible,
-    itemset_db, sequence_db, support,
+    Database, batch_patterns, check_tau, graph_db, is_frequent,
+    is_maximal_feasible, itemset_db, pattern_batch, sequence_db, support,
 )
 from maxpat.domains import (
-    DIGRAPH, GRAPH, BOUNDED_DEGREE, DAG, TREE,
+    DIGRAPH, GRAPH, ITEMSET, SEQUENCE, BOUNDED_DEGREE, DAG, TREE,
     GraphClass, Itemset, LabelledGraph, Sequence,
 )
 from maxpat.errors import DatabaseError, DomainMismatchError
 from maxpat.feasibility import ALWAYS, CONNECTED_EDGES
+from maxpat.incidence import Incidence
+from maxpat.synth import random_db
 
 
 def edge(u, v):
@@ -67,6 +72,55 @@ def test_universe():
     assert db.universe == {1, 2, 5}
     gdb = graph_db([edge(1, 2)])
     assert gdb.universe == {1, 2}
+
+
+def _relabelled(p, label):
+    """``p`` with every plain label x renamed ``label(x)``."""
+    if isinstance(p, LabelledGraph):
+        return LabelledGraph({label(v) for v in p.vertices},
+                             {(label(a), label(b)) for a, b in p.edges},
+                             p.directed)
+    return type(p)([label(x) for x in p])
+
+
+def _interleaved(incidence, rng, ordered):
+    """``incidence`` with its entries shuffled, the rows interleaved; with
+    ``ordered`` each row's slots take its entries in order."""
+    order = np.array(rng.sample(range(len(incidence.rows)),
+                                len(incidence.rows)), dtype=np.intp)
+    if ordered:
+        slots = np.argsort(incidence.rows[order], kind="stable")
+        order[slots] = np.argsort(incidence.rows, kind="stable")
+    return Incidence(tuple(c[order] for c in incidence.labels),
+                     incidence.rows[order], incidence.n_rows)
+
+
+@pytest.mark.parametrize("kind", ["plain", "huge", "pairs", "huge-pairs"])
+@pytest.mark.parametrize("domain", [ITEMSET, SEQUENCE, GRAPH, DIGRAPH])
+def test_batch_patterns_inverts_pattern_batch(domain, kind):
+    """``batch_patterns`` reads back the patterns that ``pattern_batch``
+    reads, entry for entry, on plain labels and label pairs, past int64
+    too, and empty itemsets and sequences; so it does with the rows of
+    the batch interleaved and each row's entries shuffled, but for a
+    sequence's, which keep their order.  Equal labels share one
+    object."""
+    rng = random.Random(f"{domain}-{kind}")
+    shift = 2**64 if "huge" in kind else 0
+
+    def label(x):
+        return (x + shift, 2 * x + shift) if "pairs" in kind else x + shift
+    for _ in range(6):
+        ps = tuple(_relabelled(p, label) for p in random_db(rng, domain))
+        batch = pattern_batch(domain, ps)
+        got = batch_patterns(domain, batch)
+        assert got == ps and list(map(repr, got)) == list(map(repr, ps))
+        parts = batch if domain in (GRAPH, DIGRAPH) else (batch,)
+        mixed = [_interleaved(b, rng, domain == SEQUENCE) for b in parts]
+        assert batch_patterns(domain, mixed if len(mixed) == 2
+                              else mixed[0]) == ps
+        if domain in (ITEMSET, SEQUENCE):
+            entries = [x for p in got for x in p]
+            assert len(set(map(id, entries))) == len(set(entries))
 
 
 def test_support_is_multiset_count():

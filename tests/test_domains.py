@@ -7,6 +7,8 @@ from hypothesis import given, strategies as st
 
 from conftest import _one_larger, _one_smaller
 from maxpat import miner
+from maxpat.core import batch_patterns
+from maxpat.incidence import label_array
 from maxpat.domains import (
     DIGRAPH, GRAPH, ITEMSET, SEQUENCE,
     BOUNDED_DEGREE, DAG, DIRECTED, GENERAL, TREE,
@@ -335,7 +337,7 @@ def _grow(domain, level, k, alphabet):
     of ``level``, all of level ``k`` (None at level 0; a graph's level is
     its edge count + 1) over ``alphabet``, as source rows (a lone vertex v
     is the code of (v, v)), and the rows it grows as patterns
-    (``miner._source``)."""
+    (``core.batch_patterns`` of ``miner._row_batch``)."""
     alphabet = sorted(alphabet)
     rank = {x: i for i, x in enumerate(alphabet)}
     n = len(alphabet)
@@ -350,7 +352,9 @@ def _grow(domain, level, k, alphabet):
     rows = None if level is None else np.array(
         [row(p) for p in level], dtype=np.intp).reshape(len(level), width)
     grown = miner._grow(rows, k, n, domain)
-    return [miner._source(domain, alphabet, q) for q in grown.tolist()]
+    labels = label_array(lambda: iter(alphabet), n)
+    return list(batch_patterns(domain, miner._row_batch(domain, grown,
+                                                        labels)))
 
 
 def _check_grown(grown, want):

@@ -11,7 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import ITEMSET_ENCODINGS, _one_larger, _one_smaller
 from maxpat import _kernels, io, miner, reductions
-from maxpat.core import Database, graph_db, itemset_db, sequence_db, support
+from maxpat.core import (
+    Database, batch_patterns, graph_db, itemset_db, sequence_db, support,
+)
 from maxpat.domains import (
     DIGRAPH, GRAPH, ITEMSET, SEQUENCE, Itemset, LabelledGraph, Sequence,
     item_labels, pattern_leq, pattern_size,
@@ -1041,8 +1043,8 @@ def test_grown_levels_are_numbered_forward_images(rid):
                     r, miner._grow(grown, k, len(alphabet), domain), labels,
                     items)
                 k += 1
-                sources = [miner._source(domain, alphabet, q)
-                           for q in grown.tolist()]
+                sources = list(batch_patterns(
+                    domain, miner._row_batch(domain, grown, labels)))
                 want = {}
                 for q in {q for p in level or [None]
                           for q in _one_larger(domain, p, alphabet)

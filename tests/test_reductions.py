@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from maxpat import reductions
-from maxpat.core import Database, graph_db, itemset_db
+from maxpat.core import Database, graph_db, itemset_db, pattern_batch
 from maxpat.domains import (
     DIGRAPH, GRAPH, ITEMSET, SEQUENCE, DAG, TREE,
     Itemset, LabelledGraph, Sequence, item_labels, pattern_domain,
@@ -21,7 +21,7 @@ from maxpat.incidence import Incidence
 from maxpat.miner import mine_max_ffis
 from maxpat.oracle import enumerate_patterns, oracle_max
 from maxpat.reductions import (
-    _MARKERS, REDUCTION_IDS, Composed, GraphToBoundedDegree,
+    REDUCTION_IDS, Composed, GraphToBoundedDegree,
     GraphToEdgeItemset, ItemsetToSequence, ItemsetToStar, Reduction,
     SequenceToDag,
     bind_from_target, bind_reduction, encode_rows, invert_database,
@@ -323,11 +323,11 @@ def _with_repeats(rng, db, n_txns=40):
                                  "compose:seq2dag,dirg2fis", "fis2tree"])
 def test_reduce_database_maps_each_distinct_transaction_once(rid):
     """The image database equals the validating per-transaction
-    construction, and equal transactions share one image."""
+    construction, on databases where most transactions repeat."""
     rng = random.Random(rid)
     domain = bind_reduction(rid).source_domain
     kw = {"allow_empty": False} if domain == SEQUENCE else {}
-    shared = 0
+    repeats = 0
     for _ in range(8):
         db = _with_repeats(rng, random_db(rng, domain, n_txns=6, **kw))
         r = bind_reduction(rid, db)
@@ -335,12 +335,16 @@ def test_reduce_database_maps_each_distinct_transaction_once(rid):
         want = Database(r.target_domain,
                         tuple(r.forward(t) for t in db), r.target_class)
         assert got == want
-        first = {}
-        for t, image in zip(db, got.transactions):
-            assert first.setdefault(t, image) is image
-        assert len({id(x) for x in got.transactions}) == len(set(db))
-        shared += len(db) - len(set(db))
-    assert shared > 100
+        repeats += len(db) - len(set(db))
+    assert repeats > 100
+
+
+@pytest.mark.parametrize("rid", REDUCTION_IDS + ("compose:fis2tree,g2fis",))
+def test_reduce_database_of_an_empty_database(rid):
+    r = bind_reduction(rid)
+    got = reduce_database(r, Database(r.source_domain))
+    assert got == Database(r.target_domain, (), r.target_class)
+    assert len(got) == 0
 
 
 @pytest.mark.parametrize("rid, txns, first", [
@@ -368,10 +372,10 @@ def test_invert_database_inverts_each_distinct_transaction_once(
     the source."""
     calls = []
 
-    def recorded(self, q, _fn=Reduction._inverse):
-        calls.append(q)
-        return _fn(self, q)
-    monkeypatch.setattr(Reduction, "_inverse", recorded)
+    def recorded(self, qs, _fn=Reduction._inverses):
+        calls.extend(qs)
+        return _fn(self, qs)
+    monkeypatch.setattr(Reduction, "_inverses", recorded)
     rng = random.Random(rid)
     domain = bind_reduction(rid).source_domain
     kw = {"allow_empty": False} if domain == SEQUENCE else {}
@@ -393,10 +397,10 @@ def test_invert_database_reports_a_repeated_rejection_at_its_first_index(
         monkeypatch):
     calls = []
 
-    def recorded(self, q, _fn=Reduction._inverse):
-        calls.append(q)
-        return _fn(self, q)
-    monkeypatch.setattr(Reduction, "_inverse", recorded)
+    def recorded(self, qs, _fn=Reduction._inverses):
+        calls.extend(qs)
+        return _fn(self, qs)
+    monkeypatch.setattr(Reduction, "_inverses", recorded)
     # an edge pair without the markers of its ends images no graph
     db = itemset_db([{(1, 1)}, {(1, 1)}, {(1, 2)}, {(1, 1)}, {(1, 2)}])
     with pytest.raises(DatabaseError) as ei:
@@ -812,10 +816,8 @@ def test_edge_itemset_forward_frozen_against_validated_construction(g, items):
 @pytest.mark.parametrize("directed", [False, True])
 def test_edge_itemset_forward_rejects_pair_labels(directed):
     g = graph({(1, 2), (2, 3)}, {((1, 2), (2, 3))}, directed=directed)
-    markers = dict(_MARKERS)
     with pytest.raises(PatternError):
         GraphToEdgeItemset(directed=directed).forward(g)
-    assert _MARKERS == markers  # rejected before any label got a marker
 
 
 @pytest.mark.parametrize("directed", [False, True])
@@ -823,15 +825,14 @@ def test_edge_itemset_image_items_reject_pair_labels(directed):
     # the item rows of the image (the map that encodes transactions and a
     # step climb's grown levels) refuse pair labels as forward does
     g = graph({(1, 2), (2, 3)}, {((1, 2), (2, 3))}, directed=directed)
-    markers = dict(_MARKERS)
     with pytest.raises(PatternError):
-        GraphToEdgeItemset(directed=directed)._incidence([g])
-    assert _MARKERS == markers  # rejected before any label got a marker
+        GraphToEdgeItemset(directed=directed)._batch(
+            pattern_batch(DIGRAPH if directed else GRAPH, [g]))
 
 
 # ---------------------------------------------------------------------------
 # batch maps: every link maps flat arrays of patterns at once, and must map
-# each pattern as forward does
+# each pattern to the image its docstring spells out
 
 
 def _column(labels):
@@ -839,22 +840,39 @@ def _column(labels):
                     else object)
 
 
-def _reference_batch(domain, patterns):
+def _components(x):
+    """The plain labels that spell out ``x``: a label, a label pair, or an
+    edge between either."""
+    return sum(map(_components, x), ()) if isinstance(x, tuple) else (x,)
+
+
+def _reference_batch(domain, patterns, rng=None):
     """The batch of ``patterns``, built one label at a time: itemsets and
     sequences as an incidence of their entries in order, graphs as one of
-    their vertices and one of their (head, tail) edges."""
-    def incidence(rows, width):
-        flat = [x for row in rows for x in row]
-        columns = list(zip(*flat)) if flat and width == 2 else [[]] * width
-        return Incidence(
-            tuple(_column(list(c)) for c in (columns if width == 2 else
-                                             [flat])),
+    their vertices and one of their (head, tail) edges, a column per
+    component of a label pair.  With ``rng`` the rows are interleaved at
+    random, a sequence's entries kept in order and any other row's
+    entries shuffled."""
+    def incidence(rows, width, ordered=False):
+        flat = [_components(x) for row in rows for x in row]
+        columns = list(zip(*flat)) if flat else [[]] * width
+        batch = Incidence(
+            tuple(_column(list(c)) for c in columns),
             np.array([i for i, row in enumerate(rows) for _ in row],
                      dtype=np.intp), len(rows))
+        if rng is None:
+            return batch
+        order = np.array(rng.sample(range(len(flat)), len(flat)),
+                         dtype=np.intp)
+        if ordered:  # each row's slots take its entries in order
+            slots = np.argsort(batch.rows[order], kind="stable")
+            order[slots] = np.argsort(batch.rows, kind="stable")
+        return Incidence(tuple(c[order] for c in batch.labels),
+                         batch.rows[order], batch.n_rows)
     if domain in (GRAPH, DIGRAPH):
         return (incidence([sorted(g.vertices) for g in patterns], 1),
                 incidence([sorted(g.edges) for g in patterns], 2))
-    return incidence([tuple(p) for p in patterns], 1)
+    return incidence([tuple(p) for p in patterns], 1, domain == SEQUENCE)
 
 
 def _batch_rows(domain, batch):
@@ -877,6 +895,33 @@ def _image_row(q):
     if isinstance(q, LabelledGraph):
         return (q.vertices, q.edges)
     return tuple(q)
+
+
+def _reference_image(r, p):
+    """The image of ``p`` under ``r`` as the docstring of each link spells
+    it out, built through the validating constructors: a chain folds its
+    links left to right."""
+    if isinstance(r, Composed):
+        for link in r.links:
+            p = _reference_image(link, p)
+        return p
+    if isinstance(r, ItemsetToStar):
+        return graph(set(p.items) | {r.root}, {(x, r.root) for x in p.items})
+    if isinstance(r, ItemsetToSequence):
+        return Sequence(sorted(p.items))
+    if isinstance(r, GraphToBoundedDegree):
+        def stop(v, i):
+            return (v - 1) * r.n + i
+        return graph(
+            {stop(v, i) for v in p.vertices for i in range(1, r.n + 1)},
+            {(stop(v, i), stop(v, i + 1))
+             for v in p.vertices for i in range(1, r.n)}
+            | {(stop(a, b), stop(b, a)) for a, b in p.edges})
+    if isinstance(r, GraphToEdgeItemset):
+        return Itemset([(v, v) for v in p.vertices] + list(p.edges))
+    assert isinstance(r, SequenceToDag)
+    return graph(p.events, {(a, b) for i, a in enumerate(p.events)
+                            for b in p.events[i + 1:]}, directed=True)
 
 
 def _shifted(db, shift):
@@ -903,11 +948,11 @@ _BATCHED = REDUCTION_IDS + (
 @pytest.mark.parametrize("rid", _BATCHED)
 def test_batch_maps_agree_with_forward(rid):
     """Each link's batch map, and each chain's, gives every pattern of a
-    batch the image ``forward`` gives it, row for row; so does
-    ``_incidence``, which reads the patterns in bulk, for a map into
-    itemsets.  Labels past int64 too, where the map allows them: the path
-    bundle makes as many stops per vertex as its largest label, so stops
-    past int64 (a label above 3 * 10**9) cannot be built at all."""
+    batch the image that the link's docstring spells out, row for row,
+    with the batch's rows in order or interleaved; and so does
+    ``forward``.  Labels past int64 too, where the map allows them: the
+    path bundle makes as many stops per vertex as its largest label, so
+    stops past int64 (a label above 3 * 10**9) cannot be built at all."""
     rng = random.Random(rid)
     domain = bind_reduction(rid).source_domain
     checked = 0
@@ -919,45 +964,71 @@ def test_batch_maps_agree_with_forward(rid):
             patterns = list(db) + [random_subpattern(rng, t) for t in db]
             if "seq2dag" in rid:  # which pictures no empty sequence
                 patterns = [p for p in patterns if pattern_size(p)]
-            want = [_image_row(r.forward(p)) for p in patterns]
-            got = r._batch(_reference_batch(domain, patterns))
-            assert _batch_rows(r.target_domain, got) == want, (rid, shift)
-            if r.target_domain == ITEMSET:
-                got = r._incidence(patterns)
-                assert got.n_rows == len(patterns)
-                assert _batch_rows(ITEMSET, got) == want
+            want = [_reference_image(r, p) for p in patterns]
+            assert [r.forward(p) for p in patterns] == want, (rid, shift)
+            want = list(map(_image_row, want))
+            for order in (None, rng):
+                got = r._batch(_reference_batch(domain, patterns, order))
+                assert _batch_rows(r.target_domain, got) == want, (rid, shift)
             checked += len(patterns)
     assert checked > 50
 
 
-@pytest.mark.parametrize("r, p", [
-    (ItemsetToStar(5), Itemset([3, 5, 7])),
-    (Composed(ItemsetToStar(5), GraphToEdgeItemset()), Itemset([1, 6])),
-    (bind_reduction("compose:fis2tree,g2fis"), Itemset([(1, 2), (2, 3)])),
-    (GraphToBoundedDegree(3), graph({2, 5, 7}, {(2, 5), (5, 7)})),
+@pytest.mark.parametrize("r, p, message", [
+    (ItemsetToStar(5), Itemset([3, 5, 7]),
+     "item 5 collides with root label 5"),
+    (Composed(ItemsetToStar(5), GraphToEdgeItemset()), Itemset([1, 6]),
+     "item 6 collides with root label 5"),
+    (bind_reduction("compose:fis2tree,g2fis"), Itemset([(1, 2), (2, 3)]),
+     "fis2tree needs plain int labels, got (1, 2)"),
+    (GraphToBoundedDegree(3), graph({2, 5, 7}, {(2, 5), (5, 7)}),
+     "vertex label 7 outside 1..3"),
+    (GraphToBoundedDegree(3), graph({(1, 2)}, set()),
+     "g2bdg3 needs plain int labels, got (1, 2)"),
     (Composed(ItemsetToStar(10), GraphToBoundedDegree(4),
-              GraphToEdgeItemset()), Itemset([1, 2])),
-    (SequenceToDag(), Sequence()),
-    (bind_reduction("compose:fis2seq,seq2dag,dirg2fis"), Itemset()),
-    (bind_reduction("compose:seq2dag,dirg2fis"), Sequence([(1, 2)])),
-    (bind_reduction("compose:seq2dag,dirg2fis"), Sequence([(2, 3), (1, 2)])),
-    (GraphToEdgeItemset(), graph({(1, 2), (2, 3)}, {((1, 2), (2, 3))})),
+              GraphToEdgeItemset()), Itemset([1, 2]),
+     "vertex label 10 outside 1..4"),
+    (SequenceToDag(), Sequence(), "the empty sequence has no graph image"),
+    (bind_reduction("compose:fis2seq,seq2dag,dirg2fis"), Itemset(),
+     "the empty sequence has no graph image"),
+    (bind_reduction("compose:seq2dag,dirg2fis"), Sequence([(1, 2)]),
+     "dirg2fis needs plain int labels, got (1, 2)"),
+    # the first pair in the sequence's own order
+    (bind_reduction("compose:seq2dag,dirg2fis"), Sequence([(2, 3), (1, 2)]),
+     "dirg2fis needs plain int labels, got (2, 3)"),
+    (GraphToEdgeItemset(), graph({(1, 2)}, set()),
+     "g2fis needs plain int labels, got (1, 2)"),
     # pairs made inside the chain, by its first link
-    (bind_reduction("compose:g2fis,fis2tree,g2fis"), graph({1, 2}, {(1, 2)})),
+    (bind_reduction("compose:g2fis,fis2tree,g2fis"), graph({1, 2}, {(1, 2)}),
+     "fis2tree needs plain int labels, got (1, 1)"),
 ], ids=["star-root", "star-chain-root", "star-chain-pairs", "path-bundle",
-        "path-bundle-chain", "dag-empty", "dag-chain-empty", "dag-pair",
-        "dag-pairs", "edge-itemset-pairs", "star-after-edge-itemset"])
-def test_batch_maps_refuse_what_forward_refuses(r, p):
-    """A pattern that ``forward`` rejects is rejected by the batch map, or
-    by ``_incidence`` for a map into itemsets, with the same message."""
-    with pytest.raises(PatternError) as want:
-        r.forward(p)
+        "path-bundle-pairs", "path-bundle-chain", "dag-empty",
+        "dag-chain-empty", "dag-pair", "dag-pairs", "edge-itemset-pairs",
+        "star-after-edge-itemset"])
+def test_batch_maps_refuse_what_forward_refuses(r, p, message):
+    """A pattern that a map cannot take is refused, in these words, by
+    ``forward`` and by the batch map of a batch that holds it."""
     with pytest.raises(PatternError) as got:
-        if r.target_domain == ITEMSET:
-            r._incidence([p])
-        else:
-            r._batch(_reference_batch(r.source_domain, [p]))
-    assert str(got.value) == str(want.value)
+        r.forward(p)
+    assert str(got.value) == message
+    with pytest.raises(PatternError) as got:
+        r._batch(_reference_batch(r.source_domain, [p]))
+    assert str(got.value) == message
+
+
+def test_inverses_void_only_the_candidate_the_map_refuses():
+    """A decoded candidate that the batch map refuses (a leaf above the
+    star's root decodes to an item that collides with it) voids its own
+    target pattern alone, wherever it stands in the list."""
+    r = ItemsetToStar(5)
+    star = graph({1, 2, 5}, {(1, 5), (2, 5)})
+    above = graph({5, 7}, {(5, 7)})
+    lone = graph({3, 5}, {(3, 5)})
+    assert r._decode(above) == Itemset([7])
+    assert r._inverses([star, above, lone, graph({1, 2}, {(1, 2)})]) \
+        == [Itemset([1, 2]), None, Itemset([3]), None]
+    assert r._inverses([above]) == [None]
+    assert r._inverses([]) == []
 
 
 # support transfer: supp(p, db) == supp(f(p), f(db)) for every reduction,
