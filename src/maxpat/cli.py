@@ -315,17 +315,15 @@ def cmd_verify(args) -> int:
             db = random_db(rng, args.domain, **kw)
             if not db.transactions:
                 continue
-            if args.domain in (GRAPH, DIGRAPH):
-                # mine the database as its file parses back, so that the
-                # parser is checked against the oracle too
-                parsed = mio.parse_database(mio.write_database(db),
-                                            args.domain)
-                if parsed != db:
-                    print("PARSE MISMATCH: the written database parses back "
-                          "to another", file=sys.stdout)
-                    _print_instance(n, args, db, 1, args.phi, sys.stdout)
-                    return 4
-                db = parsed
+            # mine the database as its file parses back, so that the
+            # parsers are checked against the oracle too
+            parsed = mio.parse_database(mio.write_database(db), args.domain)
+            if parsed != db:
+                print("PARSE MISMATCH: the written database parses back "
+                      "to another", file=sys.stdout)
+                _print_instance(n, args, db, 1, args.phi, sys.stdout)
+                return 4
+            db = parsed
             chain = _bind_chain(args, db)
             if chain is not None and not _check_reduction_properties(
                     chain, db, rng, sys.stdout):

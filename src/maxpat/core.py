@@ -70,10 +70,16 @@ def pattern_batch(domain, patterns):
         len(patterns), dtype=np.intp), lengths(edge_sets)), len(patterns))
 
 
+def lead_incidence(batch) -> Incidence:
+    """A batch's items or events, or its vertices, which hold the ends of
+    its edges and a row for each graph."""
+    return batch if isinstance(batch, Incidence) else batch[0]
+
+
 def label_columns(batch) -> tuple:
     """The label columns of a batch's items or events, or of its vertices,
     which hold the ends of its edges."""
-    return (batch if isinstance(batch, Incidence) else batch[0]).labels
+    return lead_incidence(batch).labels
 
 
 def batch_patterns(domain, batch) -> tuple:
@@ -115,7 +121,33 @@ def _row_entries(incidence, by_label=False):
     index = gathered(Incidence((index,), rows, incidence.n_rows),
                      index if by_label else None).labels[0]
     cuts = np.cumsum(np.bincount(rows, minlength=incidence.n_rows)).tolist()
-    return list(map(items.__getitem__, index.tolist())), cuts
+    # each entry refers to its item's one object: no int is made per entry
+    table = np.fromiter(items, dtype=object, count=len(items))
+    return table[index].tolist(), cuts
+
+
+def _narrowed(batch):
+    """``batch`` with each int64 array in the narrowest unsigned dtype that
+    holds its values, so that a database holds it in less memory; object
+    arrays stay as they are.  ``_widened`` gives the batch back."""
+    if not isinstance(batch, Incidence):
+        return tuple(map(_narrowed, batch))
+
+    def narrowed(a):
+        if a.dtype == object:
+            return a
+        return a.astype(np.min_scalar_type(int(a.max(initial=0))))
+    return Incidence(tuple(map(narrowed, batch.labels)),
+                     narrowed(batch.rows), batch.n_rows)
+
+
+def _widened(batch):
+    """The batch that ``_narrowed`` holds, in int64 arrays again."""
+    if not isinstance(batch, Incidence):
+        return tuple(map(_widened, batch))
+    return Incidence(tuple(c if c.dtype == object else c.astype(np.int64)
+                           for c in batch.labels),
+                     batch.rows.astype(np.intp), batch.n_rows)
 
 
 class Database:
@@ -129,8 +161,10 @@ class Database:
     (``pattern_batch``) or as both, and makes the one it lacks on first
     use and keeps it: patterns enter a batch through ``pattern_batch`` and
     leave it through ``batch_patterns``.  One built from patterns reads
-    them into its batch once.  A graph database that ``io`` parsed
-    straight into a batch builds its ``transactions`` on first use.
+    them into its batch once.  A database that ``io`` parsed straight into
+    a batch, of itemsets, sequences or graphs, builds its ``transactions``
+    on first use.  The batch is held in the narrowest dtypes that fit
+    (``_narrowed``), and ``batch`` hands out an int64 copy of it.
     ``len``, ``universe`` and the encoding of the transactions
     (``reductions.encode_rows``) read the batch, so mining such a database
     builds no transaction.  Equality and hashing compare the
@@ -159,11 +193,12 @@ class Database:
 
     @classmethod
     def _from_batch(cls, domain: str, batch):
-        """The database of the graph ``batch`` of plain labels, unchecked:
-        its entries come row by row, and its rows are connected graphs that
-        passed every check of ``__init__``."""
+        """The database of the ``batch`` of plain labels, unchecked: its
+        rows passed every check of ``__init__``, and its entries come row
+        by row, an itemset's in label order and without a repeat, as
+        ``pattern_batch`` gives them."""
         db = object.__new__(cls)
-        db._set(domain, None, None, batch)
+        db._set(domain, None, None, _narrowed(batch))
         return db
 
     def _set(self, domain, graph_class, transactions, batch):
@@ -179,16 +214,17 @@ class Database:
     def transactions(self) -> tuple:
         if self._transactions is None:
             object.__setattr__(self, "_transactions", batch_patterns(
-                self.domain, self._batch))
+                self.domain, self.batch))
         return self._transactions
 
     @property
     def batch(self):
-        """The transactions as one batch (``pattern_batch``)."""
+        """The transactions as one batch (``pattern_batch``), in int64
+        arrays."""
         if self._batch is None:
-            object.__setattr__(self, "_batch", pattern_batch(
-                self.domain, self._transactions))
-        return self._batch
+            object.__setattr__(self, "_batch", _narrowed(pattern_batch(
+                self.domain, self._transactions)))
+        return _widened(self._batch)
 
     def _key(self):
         return self.domain, self.transactions, self.graph_class
@@ -208,7 +244,7 @@ class Database:
 
     def __len__(self):
         if self._transactions is None:
-            return self._batch[0].n_rows
+            return lead_incidence(self._batch).n_rows
         return len(self._transactions)
 
     def __iter__(self):

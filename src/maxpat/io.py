@@ -15,20 +15,31 @@ reads a pair or raises, only when that fails.  Writers emit canonical
 order (sorted items, vertex and edge lists) so write-then-parse round-trips
 byte-identically for canonical inputs.
 
-A graph file has two parsers.  The batch parser (``_parse_graph_batch``)
-reads the whole text in numpy, in pieces cut before a ``t`` line, into
-one graph batch: a vertex and an edge ``Incidence`` (see ``reductions``),
-which the ``Database`` holds, building its transactions only when they
-are asked for.  It takes a file of printable ASCII lines, an optional
-first line ``d``, and ``t``/``v``/``e`` lines whose labels are runs of at
-most 18 digits, at least 1, when every block has a vertex, repeats no
-vertex and no edge (an undirected one smaller end first), has no
-self-loop and no edge leaving its vertices, and is connected.  Anything
-else, and any file read against a graph class, goes to the line parser
-(``_parse_graph_lines``), which builds the patterns one block at a time
-and says what is wrong, and where; it also accepts what the batch parser
-leaves to it, such as ``+1``, a pair label, a tab or a repeated edge, as
-it always has.  So both give equal databases, or the same error.
+Itemset, sequence and graph files each have two parsers.  A batch parser
+reads the whole text in numpy, in pieces of about ``_PIECE_CHARS``
+characters, into one batch (see ``reductions``), which the ``Database``
+holds, building its transactions only when they are asked for.  Both
+batch parsers share one tokenizer (``_tokens``): the text must be
+printable ASCII, tokens are runs of characters other than space and
+newline, each ``\\n`` ends a line, and a label (``_labels``) is a run of at
+most 18 digits, at least 1, read a decimal place at a time.
+
+* Lines (``_parse_lines_batch``): each line is one row of an item
+  ``Incidence``; pieces may be cut after any space or newline.  An
+  itemset row is sorted and loses its repeats, as ``Itemset`` does; a
+  sequence row that repeats a label is left to the line parser.
+* Graph blocks (``_parse_graph_batch``): pieces are cut before a ``t``
+  line, and the batch is a vertex and an edge ``Incidence``.  It takes an
+  optional first line ``d`` and ``t``/``v``/``e`` lines when every block
+  has a vertex, repeats no vertex and no edge (an undirected one smaller
+  end first), has no self-loop and no edge leaving its vertices, and is
+  connected.  A file read against a graph class goes to the line parser.
+
+Anything else goes to the line parser (``_parse_lines``,
+``_parse_graph_lines``), which builds the patterns one line or block at a
+time and says what is wrong, and where; it also accepts what the batch
+parsers leave to it, such as ``+1``, a pair label, a tab or a repeated
+edge, as it always has.  So both give equal databases, or the same error.
 """
 
 import sys
@@ -73,28 +84,125 @@ def label_token(x) -> str:
 
 
 # ---------------------------------------------------------------------------
+# the batch parsers' tokenizer
+
+#: characters read into arrays at once: an int64 per character of a piece
+#: fills _kernels._BLOCK_BYTES
+_PIECE_CHARS = _kernels._BLOCK_BYTES // 8
+#: at most this many digits make a label, which then fits in int64
+_DIGITS = 18
+
+
+def _tokens(data: bytes):
+    """The characters of ``data`` with a newline after them, and the start,
+    the end and the line of each token, or None unless ``data`` is
+    printable ASCII: a token is a run of characters other than space and
+    newline, and a line ends at each newline."""
+    b = np.frombuffer(data + b"\n", dtype=np.uint8)
+    newline = b == 10
+    space = newline | (b == 32)
+    if not (space | ((b > 32) & (b < 127))).all():
+        return None  # a tab, a carriage return, a control character
+    step = np.diff(space.view(np.int8), prepend=np.int8(1))
+    starts, ends = np.flatnonzero(step == -1), np.flatnonzero(step == 1)
+    # a token's line is the number of newlines before it
+    return b, starts, ends, np.cumsum(newline)[starts]
+
+
+def _labels(b, at, size):
+    """The labels that the tokens of ``size`` characters at ``at`` in the
+    characters ``b`` spell, read a decimal place at a time, or None unless
+    each is at most ``_DIGITS`` digits and at least 1."""
+    places = int(size.max(initial=0))
+    if places > _DIGITS:
+        return None
+    labels = np.zeros(len(at), dtype=np.int64)
+    for k in range(places):
+        more = size > k
+        digit = b[np.minimum(at + k, len(b) - 1)].astype(np.int64) - ord("0")
+        if (more & ((digit < 0) | (digit > 9))).any():
+            return None
+        labels = np.where(more, labels * 10 + digit, labels)
+    return None if labels.min(initial=1) < 1 else labels
+
+
+# ---------------------------------------------------------------------------
 # itemset / sequence lines
 
 def parse_itemset_db(text: str) -> Database:
-    txns = []
-    for lineno, line in enumerate(text.splitlines(), 1):
-        items = _label_tokens(line.split(), lineno)
-        try:
-            txns.append(Itemset(items))
-        except PatternError as e:
-            raise ParseError(str(e), lineno) from e
-    return Database(ITEMSET, tuple(txns))
+    db = _parse_lines_batch(text, ITEMSET)
+    return _parse_lines(text, ITEMSET) if db is None else db
 
 
 def parse_sequence_db(text: str) -> Database:
+    db = _parse_lines_batch(text, SEQUENCE)
+    return _parse_lines(text, SEQUENCE) if db is None else db
+
+
+def _parse_lines(text: str, domain: str) -> Database:
+    """The itemset or sequence lines of ``text`` read one at a time into
+    patterns; an error names its line."""
+    make = Itemset if domain == ITEMSET else Sequence
     txns = []
     for lineno, line in enumerate(text.splitlines(), 1):
-        events = _label_tokens(line.split(), lineno)
+        labels = _label_tokens(line.split(), lineno)
         try:
-            txns.append(Sequence(events))
+            txns.append(make(labels))
         except PatternError as e:
             raise ParseError(str(e), lineno) from e
-    return Database(SEQUENCE, tuple(txns))
+    return Database(domain, tuple(txns))
+
+
+def _parse_lines_batch(text: str, domain: str):
+    """The database of the itemset or sequence lines ``text`` holds, read
+    in numpy into one ``Incidence``, or None unless ``text`` is printable
+    ASCII lines of plain-int labels that the line parser takes without a
+    repeat in a sequence (see the module docstring).  Each ``\\n`` ends a
+    row, a last line without one is a row too, and an empty line is an
+    empty row.  The text is read in pieces of about ``_PIECE_CHARS``
+    characters, each cut after a space or a newline, so that the arrays
+    of a piece stay small even when a line is long."""
+    try:
+        data = text.encode("ascii")
+    except UnicodeEncodeError:
+        return None
+    labels, rows = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.intp)]
+    lo = n_rows = 0
+    while lo < len(data):
+        cut = lo + _PIECE_CHARS
+        hi = min(data.find(b" ", cut) + 1 or len(data),
+                 data.find(b"\n", cut) + 1 or len(data))
+        tokens = _tokens(data[lo:hi])
+        if tokens is None:
+            return None
+        b, starts, ends, lines = tokens
+        piece = _labels(b, starts, ends - starts)
+        if piece is None:
+            return None
+        # a piece's lines come after the newlines of the pieces before it
+        labels.append(piece)
+        rows.append(lines + n_rows)
+        n_rows += data.count(b"\n", lo, hi)
+        lo = hi
+    n_rows += not data.endswith(b"\n") and bool(data)
+    labels, rows = np.concatenate(labels), np.concatenate(rows)
+    base = int(labels.max(initial=0)) + 1
+    if n_rows * base >= 2**63:
+        return None
+    # a row's labels are sorted and distinct when its keys row * base +
+    # label increase strictly, as those of a written itemset file do
+    keys = rows * base + labels
+    if not (keys[1:] > keys[:-1]).all():
+        # the stable argsort that the link maps use (incidence.gathered):
+        # a first np.sort of int64 pages about 0.3 MiB of numpy in
+        keys = keys[np.argsort(keys, kind="stable")]
+        new = np.ones(len(keys), dtype=bool)
+        new[1:] = keys[1:] != keys[:-1]
+        if domain == ITEMSET:
+            rows, labels = np.divmod(keys[new], base)
+        elif not new.all():
+            return None  # a repeated event
+    return Database._from_batch(domain, Incidence((labels,), rows, n_rows))
 
 
 def write_itemset_db(db: Database) -> str:
@@ -116,13 +224,6 @@ def parse_graph_db(text: str, graph_class=None) -> Database:
         if db is not None:
             return db
     return _parse_graph_lines(text, graph_class)
-
-
-#: characters read into arrays at once: an int64 per character of a piece
-#: fills _kernels._BLOCK_BYTES
-_PIECE_CHARS = _kernels._BLOCK_BYTES // 8
-#: at most this many digits make a label, which then fits in int64
-_DIGITS = 18
 
 
 def _parse_graph_batch(text: str):
@@ -167,15 +268,10 @@ def _graph_piece(data: bytes, directed: bool):
     None when a check fails; the first line must be a ``t`` line.  An
     undirected edge runs from its smaller end, and a block's vertices are
     sorted."""
-    b = np.frombuffer(data + b"\n", dtype=np.uint8)
-    newline = b == 10
-    space = newline | (b == 32)
-    if not (space | ((b > 32) & (b < 127))).all():
-        return None  # a tab, a carriage return, a control character
-    # a token is a run of other characters; the text ends in a newline
-    step = np.diff(space.view(np.int8), prepend=np.int8(1))
-    starts, ends = np.flatnonzero(step == -1), np.flatnonzero(step == 1)
-    line = np.cumsum(newline)[starts]
+    tokens = _tokens(data)
+    if tokens is None:
+        return None
+    b, starts, ends, line = tokens
     first = np.ones(len(starts), dtype=bool)  # a line's first token
     first[1:] = line[1:] != line[:-1]
     heads = np.flatnonzero(first)
@@ -191,18 +287,9 @@ def _graph_piece(data: bytes, directed: bool):
     # the labels: the second token of each "v" line, and the second and
     # third of each "e" line, read a place at a time
     block = np.cumsum(is_t) - 1  # of each line
-    tokens = np.concatenate((heads[is_v], heads[is_e], heads[is_e] + 1)) + 1
-    at, size = starts[tokens], ends[tokens] - starts[tokens]
-    if not len(at) or size.max() > _DIGITS:
-        return None
-    labels = np.zeros(len(at), dtype=np.int64)
-    for k in range(int(size.max())):
-        more = size > k
-        digit = b[np.minimum(at + k, len(b) - 1)].astype(np.int64) - ord("0")
-        if (more & ((digit < 0) | (digit > 9))).any():
-            return None
-        labels = np.where(more, labels * 10 + digit, labels)
-    if labels.min() < 1:
+    at = np.concatenate((heads[is_v], heads[is_e], heads[is_e] + 1)) + 1
+    labels = _labels(b, starts[at], ends[at] - starts[at]) if len(at) else None
+    if labels is None:
         return None
     v, u, w = np.split(labels, np.cumsum([is_v.sum(), is_e.sum()]))
     n_blocks = int(is_t.sum())

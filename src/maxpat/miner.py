@@ -95,12 +95,13 @@ in index space: ``encode_rows`` maps the database's batch of transactions
 (``Database.batch``) through the links of the chain as flat arrays
 (``Reduction._batch``), and the step climb's source rows go through the
 same link maps, numbered among the packed items by ``incidence.lookup``.
-A graph file that ``io`` parsed into a batch is mined without building a
-transaction.  In mode "auto" the step climb answers with the source
-patterns of the maximal images, so no middle pattern, no image
-``Itemset`` and no image ``Database`` is built on the mine path, and
-nothing is decoded or lifted; mode "postfilter" mines images and lifts
-them back (``lift_results``).  The empty itemset /
+An itemset database is climbed from its own batch (``Database.batch``),
+and a file that ``io`` parsed into a batch, of itemsets, sequences or
+graphs, is mined without building a transaction.  In mode "auto" the
+step climb answers with the source patterns of the maximal images, so no
+middle pattern, no image ``Itemset`` and no image ``Database`` is built
+on the mine path, and nothing is decoded or lifted; mode "postfilter"
+mines images and lifts them back (``lift_results``).  The empty itemset /
 sequence, which some chains cannot represent, is left out of the encoding
 and reported directly at the source level when nothing else is frequent.
 ``MiningResult.seconds`` splits a call into encoding, packing, the climb,
@@ -122,7 +123,7 @@ from .domains import (
 from .errors import DomainMismatchError, ExtendError, PatternError
 from .feasibility import ALWAYS, describe, evaluate, evaluate_grown
 from .incidence import (
-    Incidence, item_incidence, label_array, lookup, number,
+    Incidence, label_array, lookup, number,
 )
 # the mine path encodes with encode_rows; reduce_database stays a module
 # attribute because perfbench's tracer wraps it here by name
@@ -414,8 +415,7 @@ def mine_max_ffis(db: Database, tau: int, phi=ALWAYS,
     if db.domain != ITEMSET:
         raise DomainMismatchError(
             f"the levelwise miner works on itemset databases, got {db.domain}")
-    return climb_rows(item_incidence([t.items for t in db.transactions]),
-                      tau, phi, mode)
+    return climb_rows(db.batch, tau, phi, mode)
 
 
 def climb_rows(incidence: Incidence, tau: int, phi=ALWAYS,
@@ -439,7 +439,8 @@ def climb_rows(incidence: Incidence, tau: int, phi=ALWAYS,
     start = perf_counter()
     items, tidsets = _pack(incidence)
     n_items, n_rows = len(items), incidence.n_rows
-    # mine_max_ffis keeps no reference, so its incidence is freed here
+    # no caller keeps the incidence (a database hands out a copy of its
+    # batch), so it is freed here
     del incidence
     tidsets = _padded(tidsets)
     packed = perf_counter()

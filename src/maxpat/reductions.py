@@ -40,16 +40,18 @@ as do ``reduce_database``, ``encode_rows`` and ``invert_database`` once
 they have checked the database's domain.
 
 A database hands over its transactions as flat arrays, a *batch*
-(``Database.batch``): a graph database that ``io`` parsed holds nothing
-else until its transactions are asked for, and one built from patterns
-reads them into a batch once (``core.pattern_batch``).  Every link maps a
-batch to a batch (``_batch``) by plain arithmetic, so no pattern is built
-in the middle of a chain, and ``core.batch_patterns`` reads the patterns
-back off the last batch.  ``encode_rows`` maps a database's batch, which
-for a reduction into itemsets is the item rows that the miner packs;
-the miner's step climb hands its levels to ``_batch`` as batches of its
-own, and ``bind_reduction`` reads a link's parameter off the batch that
-the links before it map:
+(``Database.batch``): a database that ``io`` parsed, of itemsets,
+sequences or graphs, holds nothing else until its transactions are asked
+for, and one built from patterns reads them into a batch once
+(``core.pattern_batch``).  Every link maps a batch to a batch
+(``_batch``) by plain arithmetic, so no pattern is built in the middle
+of a chain, and ``core.batch_patterns`` reads the patterns back off the
+last batch.  ``encode_rows`` maps a database's batch, which for a
+reduction into itemsets is the item rows that the miner packs, and when
+the map refuses the batch it bisects on prefixes of the rows for the
+first refused transaction; the miner's step climb hands its levels to
+``_batch`` as batches of its own, and ``bind_reduction`` reads a link's
+parameter off the batch that the links before it map:
 
 * an itemset or sequence batch is an ``Incidence``, a graph batch a
   vertex ``Incidence`` and an edge ``Incidence`` of (head, tail) pairs;
@@ -80,7 +82,9 @@ from operator import itemgetter
 
 import numpy as np
 
-from .core import Database, batch_patterns, label_columns, pattern_batch
+from .core import (
+    Database, batch_patterns, label_columns, lead_incidence, pattern_batch,
+)
 from .domains import (
     BOUNDED_DEGREE, DAG, DIGRAPH, GRAPH, ITEMSET, SEQUENCE, TREE,
     GraphClass, Itemset, LabelledGraph, Sequence,
@@ -476,11 +480,12 @@ def encode_rows(r: Reduction, db: Database, skip=None):
     each link maps it on in numpy.  No pattern is built or validated, no
     list of items is kept per transaction, and every transaction is
     encoded, repeats included.  A transaction the map rejects raises with
-    the index where it first occurs."""
+    the index where it first occurs, and its own encoding's message."""
     if db.domain != r.source_domain:
         raise DomainMismatchError(
             f"{r.id} reduces {r.source_domain} databases, got {db.domain}")
     batch = db.batch
+    held = None
     if skip is not None:  # renumber the rows that hold an entry
         held = np.bincount(batch.rows, minlength=batch.n_rows) > 0
         batch = Incidence(batch.labels, (np.cumsum(held) - 1)[batch.rows],
@@ -488,7 +493,15 @@ def encode_rows(r: Reduction, db: Database, skip=None):
     try:
         return r._batch(batch)
     except PatternError:
-        # find the first transaction rejected, one at a time
+        found = _first_refused(r, batch)
+        if found is not None:
+            row, e = found
+            raise DatabaseError(
+                f"cannot reduce: {e}",
+                row if held is None else int(np.flatnonzero(held)[row])
+            ) from e
+        # not refused on its own: find the first transaction rejected,
+        # one at a time
         for i, t in enumerate(db):
             if t != skip:
                 try:
@@ -496,6 +509,41 @@ def encode_rows(r: Reduction, db: Database, skip=None):
                 except PatternError as e:
                     raise DatabaseError(f"cannot reduce: {e}", i) from e
         raise
+
+
+def _first_refused(r: Reduction, batch):
+    """The first row of ``batch`` that ``r`` refuses, when the batch is
+    refused, and the error its own pattern raises; None when that pattern
+    maps.  The map refuses row by row, so a prefix of the rows is refused
+    when it holds a refused row, and bisecting on prefixes takes about
+    log2(n) batch maps."""
+    lo, hi = 0, lead_incidence(batch).n_rows  # prefix lo maps, hi not
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            r._batch(_rows(batch, np.arange(mid)))
+            lo = mid
+        except PatternError:
+            hi = mid
+    try:
+        r._forward(batch_patterns(r.source_domain,
+                                  _rows(batch, np.array([lo])))[0])
+    except PatternError as e:
+        return lo, e
+    return None
+
+
+def _rows(batch, keep):
+    """The rows ``keep``, in increasing order, of ``batch``, numbered
+    from 0."""
+    if not isinstance(batch, Incidence):
+        return tuple(_rows(part, keep) for part in batch)
+    at = np.full(batch.n_rows, -1)
+    at[keep] = np.arange(len(keep))
+    new = at[batch.rows]
+    taken = new >= 0
+    return Incidence(tuple(c[taken] for c in batch.labels), new[taken],
+                     len(keep))
 
 
 def lift_results(r: Reduction, results) -> tuple:

@@ -431,3 +431,105 @@ def test_batch_and_line_parsers_agree(piece, monkeypatch):
                 assert fast is None, name
                 off += 1
     assert taken == 3 * len(texts) and off > 18 * len(texts)
+
+
+# ---------------------------------------------------------------------------
+# the two itemset and sequence parsers: the batch parser reads plain-int
+# lines in numpy and leaves anything else to the line parser, so both give
+# the same outcome
+
+def _line_texts(domain, n_skewed):
+    """Seeded files of ``domain``, blank lines for empty transactions
+    among them, ``""`` and ``"\\n"``, and a file of ``n_skewed`` lines of
+    up to 30 labels over 500, drawn with weights i^-0.8 as itemsets-skewed
+    draws them: 3 000 lines span two pieces of the batch parser."""
+    rng = random.Random(domain)
+    for _ in range(4):
+        yield mio.write_database(random_db(rng, domain, n_txns=8))
+    yield ""
+    yield "\n"
+    weights = [i ** -0.8 for i in range(1, 501)]
+    rows = (set(rng.choices(range(1, 501), weights, k=rng.randint(1, 30)))
+            for _ in range(n_skewed))
+    yield "".join(" ".join(map(str, sorted(row) if domain == ITEMSET
+                               else rng.sample(sorted(row), len(row))))
+                  + "\n" for row in rows)
+
+
+def _line_mutants(text, rng, piece):
+    """``text`` changed in each way that takes it off the batch parser,
+    and in each way that keeps it there (``LINE_BATCH_KEEPS``), by name."""
+    lines = text.splitlines(keepends=True)
+    full = [i for i, line in enumerate(lines) if line.strip()]
+    if not full:
+        return {}
+    i = rng.choice(full)
+    x, *rest = lines[i].split()
+
+    def put(*new):
+        return "".join(lines[:i] + list(new) + lines[i + 1:])
+
+    tail = "".join(f" {y}" for y in rest) + "\n"
+    out = {
+        "pair label": put(f"{x},1{tail}"),
+        "plus sign": put(f"+{x}{tail}"),
+        "underscore": put(f"1_{x}{tail}"),
+        "unicode digit": put(f"{x}١{tail}"),
+        "19 digits": put(f"{x:0>19}{tail}"),
+        "2**63": put(f"{2**63 + int(x)}{tail}"),
+        "zero": put(f"0{tail}"),
+        "repeated label": put(f"{x} {x}{tail}"),
+        "unsorted line": put(" ".join(reversed(lines[i].split())) + "\n"),
+        "leading spaces": "".join(" " * rng.randint(0, 2) + line
+                                  for line in lines),
+        "trailing spaces": "".join(line[:-1] + " " * rng.randint(0, 2)
+                                   + "\n" for line in lines),
+        "blank lines": "".join(line + "\n" * (rng.random() < 0.2)
+                               for line in lines),
+        "no final newline": text[:-1],
+        "long line": put(" ".join(map(str, range(1, piece // 4))) + "\n"),
+    }
+    for ch in "\t\r\x0b\x0c\x1c\x1d\x1e":
+        out[f"whitespace {ch!r}"] = put(f"{x}{ch}{tail}")
+    return out
+
+
+LINE_BATCH_KEEPS = ("unsorted line", "leading spaces", "trailing spaces",
+                    "blank lines", "no final newline", "long line")
+
+
+@pytest.mark.parametrize("piece", [64, None], ids=["64", "default"])
+@pytest.mark.parametrize("domain", [ITEMSET, SEQUENCE])
+def test_line_batch_and_line_parsers_agree(domain, piece, monkeypatch):
+    """Every itemset and sequence file, and every mutant of it, parses to
+    an equal database on either parser, or raises the same exception,
+    message and line; plain-int files that the line parser takes, in
+    pieces of ``piece`` characters, take the batch parser.  An itemset
+    line that repeats a label is merged there, and a sequence line that
+    does is left to the line parser."""
+    texts = list(_line_texts(domain, 100 if piece else 3000))
+    if piece is None:
+        piece = mio._PIECE_CHARS
+    monkeypatch.setattr(mio, "_PIECE_CHARS", piece)
+    keeps = LINE_BATCH_KEEPS + (("repeated label",) if domain == ITEMSET
+                                else ())
+    rng = random.Random(piece)
+    taken = off = 0
+    for text in texts:
+        fast = mio._parse_lines_batch(text, domain)
+        # the length is read off the batch, before the transactions exist
+        assert len(fast) == len(text.splitlines())
+        assert fast == mio._parse_lines(text, domain)
+        for name, mutant in _line_mutants(text, rng, piece).items():
+            want = _outcome(lambda t: mio._parse_lines(t, domain), mutant)
+            assert _outcome(lambda t: mio.parse_database(t, domain),
+                            mutant) == want, name
+            fast = mio._parse_lines_batch(mutant, domain)
+            if name in keeps:
+                assert len(fast) == len(want) and fast == want, name
+                taken += 1
+            else:
+                assert fast is None, name
+                off += 1
+    mutated = len(texts) - 2  # "" and "\n" have no label to change
+    assert taken == len(keeps) * mutated and off >= 14 * mutated

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import ITEMSET_ENCODINGS, _one_larger, _one_smaller
-from maxpat import _kernels, io, miner, reductions
+from maxpat import _kernels, core, io, miner, reductions
 from maxpat.core import (
     Database, batch_patterns, graph_db, itemset_db, sequence_db, support,
 )
@@ -476,6 +476,55 @@ def test_mining_a_parsed_graph_file_builds_no_transaction(domain,
         assert db._transactions is None
         assert len(built) == len(res.maximal) > 1
     assert res == mine(io._parse_graph_lines(text), 20)
+    assert db == source
+
+
+@pytest.mark.parametrize("domain", [ITEMSET, SEQUENCE])
+def test_mining_a_parsed_line_file_builds_no_transaction(domain,
+                                                         monkeypatch):
+    """An itemset or sequence file that the batch parser reads is counted,
+    encoded and mined from its batch: ``len``, ``universe``,
+    ``encode_rows`` and ``mine`` build no transaction and no itemset or
+    sequence but the answer's, the items that the join climb judges and
+    the empty pattern that the encoding leaves out; ``mine_max_ffis``
+    reads no pattern into a batch, and the answer is the one mined from
+    the line parser's database."""
+    size = "max_items" if domain == ITEMSET else "max_events"
+    source = random_db(random.Random(domain), domain, n_txns=300,
+                       **{size: 6})
+    text, universe = io.write_database(source), source.universe
+    cls = Itemset if domain == ITEMSET else Sequence
+    built, read = [], []
+    trusted, post_init = cls._trusted, cls.__post_init__
+    read_rows = core.item_incidence
+
+    def counted(_cls, *args):
+        built.append(args)
+        return trusted(*args)
+
+    def validated(self):
+        post_init(self)
+        if len(self):
+            built.append(self)
+
+    def reading(rows):
+        read.append(rows)
+        return read_rows(rows)
+    with monkeypatch.context() as m:
+        m.setattr(cls, "_trusted", classmethod(counted))
+        m.setattr(cls, "__post_init__", validated)
+        m.setattr(core, "item_incidence", reading)
+        db = io.parse_database(text, domain)
+        assert len(db) == 300 and db.universe == universe
+        if domain == SEQUENCE:
+            encode_rows(miner._ENCODINGS[domain], db, skip=Sequence())
+        res = mine(db, 20)
+        assert db._transactions is None and read == []
+        # the join climb judges each frequent item as a one-item itemset
+        judged = res.stats[0].frequent if domain == ITEMSET else 0
+        assert len(built) == len(res.maximal) + judged
+        assert len(res.maximal) > 1
+    assert res == mine(io._parse_lines(text, domain), 20)
     assert db == source
 
 
@@ -960,6 +1009,33 @@ def test_mine_reports_a_rejected_transaction_at_its_first_index(db, first):
     with pytest.raises(PatternError) as own:
         miner._ENCODINGS[db.domain].forward(db.transactions[first])
     assert str(ei.value) == f"transaction {first}: cannot reduce: {own.value}"
+
+
+def test_a_rejected_transaction_is_found_by_bisection(monkeypatch):
+    """A refused batch's first refused row is found by bisecting on
+    prefixes of the rows: on 1 000 transactions, two of them refused,
+    ``encode_rows`` names the first with its own encoding's message in at
+    most 2 * ceil(log2 n) + 2 batch maps."""
+    rng = random.Random(7)
+    txns = [rng.sample(range(1, 9), rng.randint(1, 4)) for _ in range(1000)]
+    txns[997] = txns[998] = ()
+    db = sequence_db(txns)
+    r = bind_reduction("seq2dag")
+    with pytest.raises(PatternError) as own:
+        r.forward(db.transactions[997])
+    maps = []
+    batch = SequenceToDag._batch
+
+    def counted(self, seq):
+        maps.append(seq)
+        return batch(self, seq)
+    monkeypatch.setattr(SequenceToDag, "_batch", counted)
+    with pytest.raises(DatabaseError) as ei:
+        encode_rows(r, db)
+    assert ei.value.index == 997
+    assert str(ei.value) == f"transaction 997: cannot reduce: {own.value}"
+    # (n - 1).bit_length() is ceil(log2 n)
+    assert len(maps) <= 2 * (len(txns) - 1).bit_length() + 2
 
 
 def _relabelled(db, f):
