@@ -1,14 +1,24 @@
-"""Vertical (tidset) support counting.
+"""Vertical (tidset) support counting, and the packing that feeds it.
 
 Each item keeps one bitset over the transactions, packed into uint64 words.
 A candidate's support is the popcount of the AND of its items' bitsets, the
-representation of Eclat (Zaki 2000) and MAFIA (Burdick et al. 2001).  This
-is the one hot loop in the miner, and the only way it counts support.
+representation of Eclat (Zaki 2000) and MAFIA (Burdick et al. 2001).
+``count_supports`` is the only way the miner counts support; the maximality
+filter counts containments with it too.
+
+``pack_rows`` builds every such bitset matrix: the items' tidsets, the
+collected sets of the maximality filter and the label bitsets of the join.
+It scatters its (row, bit) entries into a bool plane, one byte a bit, and
+turns the plane into words with one ``np.packbits``, so a repeated entry
+costs nothing more.  The plane is built a block of rows at a time, each
+block at most ``_BLOCK_BYTES``; a call costs a scatter per entry and a
+byte per bit, where ``np.bitwise_or.at`` cost far more per entry and
+nothing per bit.
 """
 
 import numpy as np
 
-_BLOCK_BYTES = 1 << 20  # bounds each (block, words) intermediate
+_BLOCK_BYTES = 1 << 20  # bounds each block's intermediate and bool plane
 
 
 def backend() -> str:
@@ -36,8 +46,29 @@ def pack_rows(rows, bits, n_rows: int, n_bits: int):
     uint64 bitset matrix: bit ``bits[j]`` of row ``rows[j]`` is set for
     every j.  Repeated pairs set their bit once."""
     words = max(1, (n_bits + 63) // 64)
-    out = np.zeros((n_rows, words), dtype=np.uint64)
-    bits = np.asarray(bits, dtype=np.intp)
-    np.bitwise_or.at(out, (np.asarray(rows, dtype=np.intp), bits >> 6),
-                     np.left_shift(np.uint64(1), (bits & 63).astype(np.uint64)))
+    width = 64 * words
+    flat = np.asarray(rows, dtype=np.intp) * width
+    flat += np.asarray(bits, dtype=np.intp)
+    step = max(1, _BLOCK_BYTES // width)  # rows whose plane fills a block
+    if n_rows <= step:
+        return _packed(flat, n_rows, width)
+    out = np.empty((n_rows, words), dtype=np.uint64)
+    # sorted, each block's entries are one slice
+    flat = np.sort(flat)
+    starts = np.arange(0, n_rows, step)
+    cuts = np.searchsorted(flat, np.append(starts, n_rows) * width)
+    for lo, a, b in zip(starts.tolist(), cuts[:-1].tolist(),
+                        cuts[1:].tolist()):
+        hi = min(lo + step, n_rows)
+        out[lo:hi] = _packed(flat[a:b] - lo * width, hi - lo, width)
     return out
+
+
+def _packed(flat, n_rows: int, width: int):
+    """The ``(n_rows, width // 64)`` uint64 words whose set bits are the
+    positions ``flat`` of one row-major bit plane: one scatter into a bool
+    plane, one ``np.packbits``."""
+    plane = np.zeros(n_rows * width, dtype=bool)
+    plane[flat] = True
+    words = np.packbits(plane, bitorder="little").view("<u8")
+    return words.astype(np.uint64, copy=False).reshape(n_rows, width // 64)

@@ -123,7 +123,7 @@ from .domains import (
 from .errors import DomainMismatchError, ExtendError, PatternError
 from .feasibility import ALWAYS, describe, evaluate, evaluate_grown
 from .incidence import (
-    Incidence, label_array, lookup, number,
+    Incidence, item_incidence, label_array, lookup, number,
 )
 # the mine path encodes with encode_rows; reduce_database stays a module
 # attribute because perfbench's tracer wraps it here by name
@@ -175,13 +175,12 @@ def _pack(incidence: Incidence):
 def _label_bitsets(items):
     """One row of bitset words per item over the plain labels it touches.
     The labels are numbered densely, in sorted order, so sparse labels cost
-    no more words than dense ones."""
-    per_item = [item_labels((x,)) for x in items]
-    code = {x: i for i, x in enumerate(sorted(frozenset().union(*per_item)))}
-    bits = [code[x] for labels in per_item for x in labels]
-    owners = np.repeat(np.arange(len(items), dtype=np.intp),
-                       [len(labels) for labels in per_item])
-    return _kernels.pack_rows(owners, bits, len(items), len(code))
+    no more words than dense ones: a plain item is its own label, and a
+    pair item touches both of its components."""
+    columns = item_incidence([items]).labels
+    labels, bits = np.unique(np.concatenate(columns), return_inverse=True)
+    owners = np.tile(np.arange(len(items), dtype=np.intp), len(columns))
+    return _kernels.pack_rows(owners, bits, len(items), len(labels))
 
 
 def _packing(n_items):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -98,3 +100,60 @@ def test_count_supports_no_transactions():
     cand = np.array([[0], [1]], dtype=np.intp)
     assert _kernels.count_supports(tidsets, cand).tolist() == [0, 0]
     assert _kernels.count_supports(tidsets, cand.reshape(1, 2)).tolist() == [0]
+
+
+@pytest.mark.parametrize("n_bits", [1, 63, 64, 65, 127, 128, 129, 192])
+def test_pack_rows_crosses_block_seams(n_bits, monkeypatch):
+    """With blocks of three rows, a call spans several blocks: entries come
+    in shuffled row order, and the same pairs repeat on both sides of every
+    seam, at the word-edge bits that ``n_bits`` holds."""
+    width = 64 * ((n_bits + 63) // 64)
+    monkeypatch.setattr(_kernels, "_BLOCK_BYTES", 3 * width)
+    rng = np.random.default_rng(n_bits)
+    n_rows = 11
+    edges = [b for b in (0, 63, 64, 127, 128) if b < n_bits] + [n_bits - 1]
+    seams = [r for r in (2, 3, 5, 6, 8, 9) if r < n_rows]
+    rows = np.array([r for r in seams for _ in edges] * 2
+                    + rng.integers(0, n_rows, size=60).tolist())
+    bits = np.array(edges * len(seams) * 2
+                    + rng.integers(0, n_bits, size=60).tolist())
+    order = rng.permutation(len(rows))
+    rows, bits = rows[order], bits[order]
+    out = _kernels.pack_rows(rows, bits, n_rows, n_bits)
+    assert out.tolist() == pack_reference(rows.tolist(), bits.tolist(),
+                                          n_rows, n_bits)
+
+
+@pytest.mark.parametrize("block_bytes", [None, 64])
+@pytest.mark.parametrize("n_rows, n_bits", [(0, 0), (0, 129), (3, 0),
+                                            (5, 64), (5, 130)])
+def test_pack_rows_is_c_contiguous_native_uint64(n_rows, n_bits,
+                                                 block_bytes, monkeypatch):
+    if block_bytes is not None:
+        monkeypatch.setattr(_kernels, "_BLOCK_BYTES", block_bytes)
+    rows = np.arange(n_rows) if n_bits else np.zeros(0, dtype=int)
+    bits = rows % max(1, n_bits)
+    out = _kernels.pack_rows(rows, bits, n_rows, n_bits)
+    assert out.dtype == np.dtype(np.uint64) and out.dtype.isnative
+    assert out.flags.c_contiguous
+    assert out.shape == (n_rows, max(1, (n_bits + 63) // 64))
+    assert out.tolist() == pack_reference(rows.tolist(), bits.tolist(),
+                                          n_rows, n_bits)
+
+
+def test_pack_rows_scratch_is_bounded_by_the_block():
+    """A sparse, wide call (4 000 rows of 4 000 bits, 16 000 entries) packs
+    a block of rows at a time: its bool plane would be 16 MB at once."""
+    rng = np.random.default_rng(8)
+    n_rows = n_bits = 4000
+    rows = rng.integers(0, n_rows, size=16000)
+    bits = rng.integers(0, n_bits, size=16000)
+    tracemalloc.start()
+    try:
+        out = _kernels.pack_rows(rows, bits, n_rows, n_bits)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < out.nbytes + 2 * _kernels._BLOCK_BYTES
+    assert out.tolist() == pack_reference(rows.tolist(), bits.tolist(),
+                                          n_rows, n_bits)

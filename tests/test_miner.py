@@ -914,6 +914,23 @@ def test_level_tables_and_answers_are_pinned(name):
     assert [render_pattern(p) for p in res.maximal] == PINNED[name][1]
 
 
+@pytest.mark.parametrize("domain", [ITEMSET, SEQUENCE, GRAPH])
+def test_tiny_blocks_mine_the_default_answers(domain, monkeypatch):
+    """With blocks of 64 bytes every pack, count and join is split into
+    blocks of a row or a few: the answers and level tables stay those of
+    the default block size, on a pinned instance and on one whose tidsets
+    take two words."""
+    name = {ITEMSET: "itemsets", SEQUENCE: "sequences", GRAPH: "graphs"}
+    db, tau, phi, mode = pinned_instances()[name[domain]]
+    wide = random_db(random.Random(17), domain, n_txns=100)
+    runs = [(db, tau, phi, mode), (wide, 3, ALWAYS, "auto")]
+    want = [mine(*run) for run in runs]
+    monkeypatch.setattr(_kernels, "_BLOCK_BYTES", 64)
+    for run, res in zip(runs, want):
+        got = mine(*run)
+        assert got.maximal == res.maximal and got.stats == res.stats
+
+
 def test_benchmark_wrap_points_are_called(monkeypatch):
     """perfbench times the layers by replacing these module attributes, so
     the miner has to look each one up there, or that layer reads zero.
