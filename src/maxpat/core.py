@@ -122,7 +122,9 @@ def _row_entries(incidence, by_label=False):
                      index if by_label else None).labels[0]
     cuts = np.cumsum(np.bincount(rows, minlength=incidence.n_rows)).tolist()
     # each entry refers to its item's one object: no int is made per entry
-    table = np.fromiter(items, dtype=object, count=len(items))
+    table = np.fromiter(zip(*(c.tolist() for c in items)) if len(items) == 2
+                        else items[0].tolist(), dtype=object,
+                        count=len(items[0]))
     return table[index].tolist(), cuts
 
 

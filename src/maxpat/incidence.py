@@ -5,7 +5,8 @@ Python list of items per transaction.  An itemset database gives one
 directly (``item_incidence``), and a reduction into itemsets gives the
 incidence of a database's images (``reductions.encode_rows``) and of the
 source rows a step climb grows, whose entries ``lookup`` finds among the
-numbered items.  The reductions carry their batches of patterns between
+numbered items, which stay label columns, by the codes of both
+(``_codes``).  The reductions carry their batches of patterns between
 links as incidences too, whose entries ``gathered`` brings together by
 row, and ``core.batch_patterns`` reads patterns back off them with one
 Python object per distinct label (``number``).
@@ -78,21 +79,27 @@ def gathered(incidence, rank=None) -> Incidence:
 _TABLE_CODES = 1 << 16
 
 
+def _codes(labels, base):
+    """The code of each entry of the columns ``labels``
+    (``Incidence.labels``): a plain label itself, and a pair (a, b)
+    a*base + b, ``base`` being above every b, so the codes sort the way the
+    pairs do and no pair is built or hashed.  Codes past int64 are Python
+    ints in an object array."""
+    if len(labels) == 1:
+        return labels[0]
+    a, b = labels
+    if int(a.max(initial=0)) * base + base > 2**63:
+        a = a.astype(object)
+    return a * base + b
+
+
 def number(labels):
     """Number the distinct labels of the columns ``labels``
-    (``Incidence.labels``) in label order: the sorted distinct labels, as
-    ints or pairs, and the index of each entry among them.  A pair (a, b)
-    is numbered by its code a*base + b, with base above every b, so the
-    codes sort the way the pairs do and no pair is built or hashed.  Codes
-    past int64 are Python ints in an object array."""
-    pairs = len(labels) == 2
-    codes = labels[0]
-    if pairs:
-        a, b = labels
-        base = int(b.max(initial=0)) + 1
-        if int(a.max(initial=0)) * base + base > 2**63:
-            a = a.astype(object)
-        codes = a * base + b
+    (``Incidence.labels``) in label order, by their codes (``_codes``): the
+    sorted distinct labels, as columns like ``labels``, and the index of
+    each entry among them."""
+    base = int(labels[-1].max(initial=0)) + 1
+    codes = _codes(labels, base)
     top = int(codes.max(initial=0))
     if codes.dtype != object and top < max(_TABLE_CODES, len(codes)):
         present = np.zeros(top + 1, dtype=bool)
@@ -101,22 +108,22 @@ def number(labels):
         index = (np.cumsum(present) - 1)[codes]
     else:
         distinct, index = np.unique(codes, return_inverse=True)
-    items = distinct.tolist()
-    if pairs:
-        items = [divmod(c, base) for c in items]
-    return items, index
+    if len(labels) == 1:
+        return (distinct,), index
+    return (distinct // base, distinct % base), index
 
 
 def lookup(items, labels) -> np.ndarray:
     """The index among ``items``, the sorted distinct items that ``number``
     returns, of each entry of the columns ``labels`` (``Incidence.labels``),
-    or -1 for an entry that is no item.  The items and the entries are
-    numbered together, so a pair is found by its code as ``number`` gives
-    it, past int64 too, with the base above every second label of both."""
-    known = item_incidence([items]).labels
-    if len(known) != len(labels):  # entries of the other kind
+    or -1 for an entry that is no item.  A pair is found by its code, with
+    the base above every second label of both, which keeps the items'
+    codes sorted; past int64 too."""
+    if len(items) != len(labels) or not len(items[0]):
         return np.full(len(labels[0]), -1)
-    distinct, index = number(tuple(map(np.concatenate, zip(known, labels))))
-    at = np.full(len(distinct), -1)
-    at[index[:len(items)]] = np.arange(len(items))
-    return at[index[len(items):]]
+    base = int(max(items[-1].max(), labels[-1].max(initial=0))) + 1
+    known, codes = _codes(items, base), _codes(labels, base)
+    if known.dtype != codes.dtype:
+        known, codes = known.astype(object), codes.astype(object)
+    at = np.minimum(np.searchsorted(known, codes), len(known) - 1)
+    return np.where(known[at] == codes, at, -1)

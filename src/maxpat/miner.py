@@ -88,13 +88,14 @@ counts each level's containments at once.  The step climb pads a row at
 the end with a padding item, numbered after the items, whose tidset is all
 ones: a grown graph level images to sets of two sizes, and still counts in
 one call.  Labels are validated once, where the database is built, and
-the patterns made from rows are not checked again.
+stay label columns; the itemsets and source patterns made from rows
+(``core.batch_patterns``) are not checked again.
 
 Other domains are mined by encoding into itemsets through a reduction,
 in index space: ``encode_rows`` maps the database's batch of transactions
 (``Database.batch``) through the links of the chain as flat arrays
 (``Reduction._batch``), and the step climb's source rows go through the
-same link maps, numbered among the packed items by ``incidence.lookup``.
+same link maps, found among the packed items by ``incidence.lookup``.
 An itemset database is climbed from its own batch (``Database.batch``),
 and a file that ``io`` parsed into a batch, of itemsets, sequences or
 graphs, is mined without building a transaction.  In mode "auto" the
@@ -117,14 +118,11 @@ import numpy as np
 from . import _kernels
 from .core import Database, batch_patterns, check_tau
 from .domains import (
-    DIGRAPH, GRAPH, ITEMSET, SEQUENCE,
-    Itemset, Sequence, canonical_key, item_labels,
+    DIGRAPH, GRAPH, ITEMSET, SEQUENCE, Itemset, Sequence, canonical_key,
 )
 from .errors import DomainMismatchError, ExtendError, PatternError
 from .feasibility import ALWAYS, describe, evaluate, evaluate_grown
-from .incidence import (
-    Incidence, item_incidence, label_array, lookup, number,
-)
+from .incidence import Incidence, label_array, lookup, number
 # the mine path encodes with encode_rows; reduce_database stays a module
 # attribute because perfbench's tracer wraps it here by name
 from .reductions import (  # noqa: F401
@@ -164,23 +162,30 @@ class MiningResult:
 
 
 def _pack(incidence: Incidence):
-    """The distinct items of ``incidence`` in label order, and one bitset
-    per item over its rows: bit r of item i is set when row r holds
-    item i."""
+    """The distinct items of ``incidence`` in label order, as label columns
+    (``incidence.number``), and one bitset per item over its rows: bit r of
+    item i is set when row r holds item i."""
     items, index = number(incidence.labels)
-    return items, _kernels.pack_rows(index, incidence.rows, len(items),
+    return items, _kernels.pack_rows(index, incidence.rows, len(items[0]),
                                      incidence.n_rows)
 
 
 def _label_bitsets(items):
-    """One row of bitset words per item over the plain labels it touches.
-    The labels are numbered densely, in sorted order, so sparse labels cost
-    no more words than dense ones: a plain item is its own label, and a
-    pair item touches both of its components."""
-    columns = item_incidence([items]).labels
-    labels, bits = np.unique(np.concatenate(columns), return_inverse=True)
-    owners = np.tile(np.arange(len(items), dtype=np.intp), len(columns))
-    return _kernels.pack_rows(owners, bits, len(items), len(labels))
+    """One row of bitset words per item of the columns ``items`` over the
+    plain labels it touches, numbered densely, in sorted order, so sparse
+    labels cost no more words than dense ones: a plain item is its own
+    label, and a pair item touches both of its components."""
+    (labels,), bits = number((np.concatenate(items),))
+    owners = np.tile(np.arange(len(items[0]), dtype=np.intp), len(items))
+    return _kernels.pack_rows(owners, bits, len(items[0]), len(labels))
+
+
+def _itemsets(items, rows):
+    """The itemsets that the rows of the index matrix ``rows`` name among
+    the label columns ``items``, the padding item left out."""
+    real = rows < len(items[0])
+    return batch_patterns(ITEMSET, Incidence(
+        tuple(c[rows[real]] for c in items), np.nonzero(real)[0], len(rows)))
 
 
 def _packing(n_items):
@@ -345,7 +350,7 @@ def _images(step, rows, labels, items):
     order = np.lexsort((index, images.rows))
     owner = images.rows[order]
     width = np.bincount(owner, minlength=len(rows)).max(initial=0)
-    out = np.full((len(rows), width), len(items), dtype=np.intp)
+    out = np.full((len(rows), width), len(items[0]), dtype=np.intp)
     out[owner, np.arange(len(owner)) - np.searchsorted(owner, owner)] \
         = index[order]
     # an item the database lacks (-1) sorts first, and has support 0
@@ -374,12 +379,11 @@ def _maximal_among(levels, n_items):
     return [_kernels.count_supports(tidsets, m) == 1 for m in levels]
 
 
-def _bottom(tidsets, items, itemset, n_rows, tau, phi, step, sources):
+def _bottom(tidsets, items, n_rows, tau, phi, step, sources):
     """The answer of a climb that collected nothing: the one set it never
     counts, the empty itemset, or under the step climb the image of the
     empty source pattern (with ``sources``, the pattern), where the domain
-    and the chain have one, if it is frequent and feasible.  ``itemset``
-    names the itemset of an index row."""
+    and the chain have one, if it is frequent and feasible."""
     if step is None:
         return [Itemset()] if n_rows >= tau and evaluate(phi, Itemset()) \
             else []
@@ -392,12 +396,12 @@ def _bottom(tidsets, items, itemset, n_rows, tau, phi, step, sources):
     except PatternError:  # seq2dag cannot picture <>
         return []
     # every image into itemsets ends in an edge itemset, which has an item
-    if not len(image) \
-            or _kernels.count_supports(tidsets, image)[0] < tau \
+    found = _itemsets(items, image)  # of the one row, or of none
+    if not found or _kernels.count_supports(tidsets, image)[0] < tau \
             or not evaluate_grown(phi, step, lambda: empty,
-                                  partial(itemset, image[0])):
+                                  lambda: found[0]):
         return []
-    return [empty if sources else itemset(image[0])]
+    return [empty if sources else found[0]]
 
 
 def mine_max_ffis(db: Database, tau: int, phi=ALWAYS,
@@ -437,18 +441,16 @@ def climb_rows(incidence: Incidence, tau: int, phi=ALWAYS,
     # itemsets
     start = perf_counter()
     items, tidsets = _pack(incidence)
-    n_items, n_rows = len(items), incidence.n_rows
+    n_items, n_rows = len(items[0]), incidence.n_rows
     # no caller keeps the incidence (a database hands out a copy of its
     # batch), so it is freed here
     del incidence
     tidsets = _padded(tidsets)
     packed = perf_counter()
 
-    def itemset(row):
-        return Itemset._trusted(tuple(items[i] for i in row if i < n_items))
-
     if step is not None:
-        alphabet = sorted(step.source_labels(item_labels(items)))
+        (touched,), _ = number((np.concatenate(items),))
+        alphabet = sorted(step.source_labels(frozenset(touched.tolist())))
         labels = label_array(lambda: iter(alphabet), len(alphabet))
         domain = step.source_domain
 
@@ -468,17 +470,18 @@ def climb_rows(incidence: Incidence, tau: int, phi=ALWAYS,
         frequent = current[hit]
         if step is not None:
             grown = grown[hit]
-            # the level's source patterns are built together, the first
-            # time a conjunct reads one
+            # the level's source patterns and images are built together,
+            # the first time a conjunct reads one
             level_sources = cache(partial(patterns, grown))
+            level_images = cache(partial(_itemsets, items, frequent))
             ok = [evaluate_grown(phi, step,
                                  lambda i=i: level_sources()[i],
-                                 partial(itemset, s))
-                  for i, s in enumerate(frequent.tolist())]
+                                 lambda i=i: level_images()[i])
+                  for i in range(len(frequent))]
         elif prune and level > 1:  # the merge hint kept feasible unions
             ok = np.ones(len(frequent), dtype=bool)
         else:
-            ok = [evaluate(phi, itemset(s)) for s in frequent.tolist()]
+            ok = [evaluate(phi, p) for p in _itemsets(items, frequent)]
         ok = np.array(ok, dtype=bool)
         feasible = frequent[ok]
         stats.append(LevelStats(level, len(current), len(frequent),
@@ -504,11 +507,10 @@ def climb_rows(incidence: Incidence, tau: int, phi=ALWAYS,
             maximal = [p for rows, m in zip(found, keep)
                        for p in patterns(rows[m])]
         else:
-            maximal = [itemset(s) for rows, m in zip(collected, keep)
-                       for s in rows[m].tolist()]
+            maximal = [p for rows, m in zip(collected, keep)
+                       for p in _itemsets(items, rows[m])]
     else:
-        maximal = _bottom(tidsets, items, itemset, n_rows, tau, phi, step,
-                          sources)
+        maximal = _bottom(tidsets, items, n_rows, tau, phi, step, sources)
     maximal = tuple(sorted(maximal, key=canonical_key))
     seconds = {"encode": 0.0, "pack": packed - start,
                "climb": climbed - packed,

@@ -279,9 +279,6 @@ class GraphToBoundedDegree(Reduction):
     target_domain = GRAPH
     target_class = GraphClass(BOUNDED_DEGREE, 3)
 
-    def _stop(self, v, i):
-        return (v - 1) * self.n + i
-
     def _path(self, x):
         """The vertex on whose path the stop ``x`` lies."""
         return (x - 1) // self.n + 1
@@ -500,14 +497,6 @@ def encode_rows(r: Reduction, db: Database, skip=None):
                 f"cannot reduce: {e}",
                 row if held is None else int(np.flatnonzero(held)[row])
             ) from e
-        # not refused on its own: find the first transaction rejected,
-        # one at a time
-        for i, t in enumerate(db):
-            if t != skip:
-                try:
-                    r._forward(t)
-                except PatternError as e:
-                    raise DatabaseError(f"cannot reduce: {e}", i) from e
         raise
 
 

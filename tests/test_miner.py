@@ -596,7 +596,7 @@ def test_generate_matches_bucket_join(block_bytes, monkeypatch):
     unclosed = families = 0
     for labels, m, fam in _join_families(rng):
         survivors = np.array(fam, dtype=np.intp).reshape(-1, m)
-        item_bits = miner._label_bitsets(labels)
+        item_bits = miner._label_bitsets(item_incidence([labels]).labels)
         labels_of = [item_labels(labels[i] for i in s) for s in fam]
         wants = [_bucket_join(fam, labels_of, hint) for _, hint in _HINTS]
         for (phi, _), want in zip(_HINTS, wants):
@@ -981,7 +981,7 @@ def test_climb_packs_the_rows_of_the_image_database(rid, monkeypatch):
 
     def recorded(incidence, _fn=miner._pack):
         items, tidsets = _fn(incidence)
-        packed.append((incidence, items, tidsets))
+        packed.append((incidence, _listed(items), tidsets))
         return items, tidsets
     monkeypatch.setattr(miner, "_pack", recorded)
     rng = random.Random(rid)
@@ -1125,7 +1125,8 @@ def test_grown_levels_are_numbered_forward_images(rid):
             db = _relabelled(random_db(rng, domain, n_txns=6),
                              lambda x: 2 * x + shift)
             r = bind_reduction(rid, db)
-            items, tidsets = miner._pack(encode_rows(r, db, skip=empty))
+            columns, tidsets = miner._pack(encode_rows(r, db, skip=empty))
+            items = _listed(columns)
             index = {x: i for i, x in enumerate(items)}
             alphabet = sorted(r.source_labels(item_labels(items))
                               | {1 + shift})
@@ -1134,7 +1135,7 @@ def test_grown_levels_are_numbered_forward_images(rid):
             while level != []:
                 grown, rows = miner._images(
                     r, miner._grow(grown, k, len(alphabet), domain), labels,
-                    items)
+                    columns)
                 k += 1
                 sources = list(batch_patterns(
                     domain, miner._row_batch(domain, grown, labels)))
@@ -1169,7 +1170,7 @@ def test_lookup_finds_numbered_items_and_nothing_else():
     second label reaches the base (its code would be another pair's), and
     an entry of the other kind; past int64 as below it."""
     def find(items, *columns):
-        return lookup(items, tuple(
+        return lookup(item_incidence([items]).labels, tuple(
             np.array(c, dtype=object if max(c, default=0) >= 2**63 else None)
             for c in columns)).tolist()
 
@@ -1212,6 +1213,13 @@ def test_mining_result_reports_seconds_per_phase():
         if domain == ITEMSET:
             assert res.seconds["encode"] == 0
         assert res == mine(db, 3)  # timings take no part in equality
+
+
+def _listed(columns):
+    """The items that ``miner._pack`` numbers as label columns, as a list
+    of labels or of label pairs."""
+    lists = [c.tolist() for c in columns]
+    return lists[0] if len(lists) == 1 else list(zip(*lists))
 
 
 def _packed_rows(items, tidsets, n_rows):
@@ -1258,7 +1266,8 @@ def test_flat_packing_matches_nested_construction(txns, monkeypatch):
     mine_max_ffis(db, 1)
     (items, tidsets), = packed
     want = _nested_tidsets(db)
-    assert items == sorted({x for t in db.transactions for x in t.items})
+    assert _listed(items) == sorted(
+        {x for t in db.transactions for x in t.items})
     assert tidsets.dtype == want.dtype
     assert tidsets.shape == want.shape and np.array_equal(tidsets, want)
 

@@ -353,6 +353,9 @@ def test_reduce_database_of_an_empty_database(rid):
                graph({(1, 2)}, set())], 0),
     ("seq2dag", [Sequence([1, 2]), Sequence(), Sequence([2]), Sequence(),
                  Sequence()], 1),
+    ("fis2tree", [Itemset(), Itemset([2]), Itemset([1, 3])], 1),
+    ("g2bdg3", [graph({1}, set()), graph({1, 2}, {(1, 2)}),
+                graph({3}, set())], 1),
 ])
 def test_reduce_database_reports_a_repeated_rejection_at_its_first_index(
         rid, txns, first):
