@@ -4,21 +4,30 @@ Each item keeps one bitset over the transactions, packed into uint64 words.
 A candidate's support is the popcount of the AND of its items' bitsets, the
 representation of Eclat (Zaki 2000) and MAFIA (Burdick et al. 2001).
 ``count_supports`` is the only way the miner counts support; the maximality
-filter counts containments with it too.
+filter counts containments with it too.  It gathers and ANDs a block of
+candidates at a time, each block's words at most ``_CACHE_BYTES`` (256
+KiB), so that the block, its temporary and its popcounts stay in cache and
+in the heap that glibc reuses.  Blocks of 1 MiB are mapped afresh and handed
+back on every call: on itemsets-skewed, about a thousand minor page faults
+per mine.  The join climb's pair blocks (``miner._generate``) are sized the
+same way.
 
 ``pack_rows`` builds every such bitset matrix: the items' tidsets, the
 collected sets of the maximality filter and the label bitsets of the join.
 It scatters its (row, bit) entries into a bool plane, one byte a bit, and
 turns the plane into words with one ``np.packbits``, so a repeated entry
 costs nothing more.  The plane is built a block of rows at a time, each
-block at most ``_BLOCK_BYTES``; a call costs a scatter per entry and a
-byte per bit, where ``np.bitwise_or.at`` cost far more per entry and
-nothing per bit.
+block at most ``_BLOCK_BYTES`` (1 MiB); a call costs a scatter per entry
+and a byte per bit, where ``np.bitwise_or.at`` cost far more per entry and
+nothing per bit.  Its blocks are not cache-sized: cutting a plane into
+several needs the entries grouped by block, and graphs-wide's, in two
+sorted runs, take longer to sort than to pack.
 """
 
 import numpy as np
 
 _BLOCK_BYTES = 1 << 20  # bounds each block's intermediate and bool plane
+_CACHE_BYTES = 1 << 18  # bounds each count and join block's gathered words
 
 
 def backend() -> str:
@@ -31,7 +40,7 @@ def count_supports(tidsets, cand_idx):
     with k >= 1."""
     n_cand, k = cand_idx.shape
     out = np.empty(n_cand, dtype=np.int64)
-    step = max(1, _BLOCK_BYTES // (tidsets.shape[1] * tidsets.itemsize))
+    step = max(1, _CACHE_BYTES // (tidsets.shape[1] * tidsets.itemsize))
     for lo in range(0, n_cand, step):
         idx = cand_idx[lo:lo + step]
         acc = tidsets[idx[:, 0]]

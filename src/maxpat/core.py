@@ -256,8 +256,8 @@ class Database:
     def universe(self) -> frozenset:
         """The plain labels occurring in the transactions; a label pair
         contributes both of its components."""
-        return frozenset(np.unique(np.concatenate(
-            label_columns(self.batch))).tolist())
+        (labels,), _ = number((np.concatenate(label_columns(self.batch)),))
+        return frozenset(labels.tolist())
 
 
 def itemset_db(transactions) -> Database:

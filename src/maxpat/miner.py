@@ -76,7 +76,8 @@ skipped when the bitsets share no label, which is exactly when the union is
 disconnected.  In mode "auto" every predicate without a step reduction is
 ``ALWAYS``, connectivity or their conjunction, and any other one is refused
 at level 1, so the union of two feasible sets is feasible iff the hint
-keeps the pair: the climb evaluates level 1 alone.
+keeps the pair: the climb evaluates level 1 alone, and under ``ALWAYS``,
+which accepts every set, not even that.
 
 The climb runs on item indices (``climb_rows``).  Items are numbered once,
 in label order, so rows sort like the itemsets they name, from one flat
@@ -261,13 +262,15 @@ def _generate(survivors, item_bits, phi):
     starts = np.flatnonzero(fresh)
     ends = np.append(starts[1:], len(order))
     later = np.repeat(ends, ends - starts) - 1 - np.arange(len(order))
-    # blocks of entries whose unions fill about _BLOCK_BYTES each bound the
-    # intermediates; a block keeps only its distinct unions, packed
-    budget = max(1, _kernels._BLOCK_BYTES // (8 * (m + 1)))
+    # blocks of entries whose unions fill about _CACHE_BYTES each bound the
+    # intermediates (see ``_kernels``); a block keeps only its distinct
+    # unions, packed
+    budget = max(1, _kernels._CACHE_BYTES // (8 * (m + 1)))
     pairs = np.cumsum(later)
-    cuts = np.unique(np.concatenate((
+    cuts = np.concatenate((
         [0], np.searchsorted(pairs, np.arange(budget, pairs[-1], budget)),
-        [len(order)])))
+        [len(order)]))
+    cuts = cuts[np.diff(cuts, prepend=-1) > 0]  # non-decreasing: dedupe
     blocks = []
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         count = later[lo:hi]
@@ -478,7 +481,9 @@ def climb_rows(incidence: Incidence, tau: int, phi=ALWAYS,
                                  lambda i=i: level_sources()[i],
                                  lambda i=i: level_images()[i])
                   for i in range(len(frequent))]
-        elif prune and level > 1:  # the merge hint kept feasible unions
+        elif phi == ALWAYS or (prune and level > 1):
+            # ALWAYS accepts all, and past level 1 the merge hint kept
+            # feasible unions
             ok = np.ones(len(frequent), dtype=bool)
         else:
             ok = [evaluate(phi, p) for p in _itemsets(items, frequent)]

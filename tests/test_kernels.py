@@ -1,4 +1,5 @@
 import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -83,10 +84,31 @@ def test_count_supports_crosses_block_seams(monkeypatch):
     rng = np.random.default_rng(5)
     txn, tidsets = random_tidsets(rng, 130)
     # five candidate rows of three words per block, so 23 rows span five
-    monkeypatch.setattr(_kernels, "_BLOCK_BYTES", 5 * tidsets[0].nbytes)
+    monkeypatch.setattr(_kernels, "_CACHE_BYTES", 5 * tidsets[0].nbytes)
     idx, cand = random_candidates(rng, 23, 3)
     assert np.array_equal(_kernels.count_supports(tidsets, idx),
                           brute(txn, cand))
+
+
+def test_count_supports_scratch_is_bounded():
+    """Tens of thousands of candidates over tidsets of 16 words are counted
+    a block at a time: gathered at once, their words would be 5 MB, twice
+    over."""
+    rng = np.random.default_rng(9)
+    txn, tidsets = random_tidsets(rng, 1000)
+    k3 = np.array(list(combinations(range(8), 3)), dtype=np.intp)
+    pick = rng.integers(0, len(k3), size=40000)
+    idx = k3[pick]
+    tracemalloc.start()
+    try:
+        out = _kernels.count_supports(tidsets, idx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < out.nbytes + 3 * _kernels._CACHE_BYTES
+    cand = np.zeros((len(k3), 8), dtype=bool)
+    np.put_along_axis(cand, k3, True, axis=1)
+    assert np.array_equal(out, brute(txn, cand)[pick])
 
 
 def test_count_supports_empty_candidates():

@@ -520,9 +520,8 @@ def test_mining_a_parsed_line_file_builds_no_transaction(domain,
             encode_rows(miner._ENCODINGS[domain], db, skip=Sequence())
         res = mine(db, 20)
         assert db._transactions is None and read == []
-        # the join climb judges each frequent item as a one-item itemset
-        judged = res.stats[0].frequent if domain == ITEMSET else 0
-        assert len(built) == len(res.maximal) + judged
+        # under ALWAYS neither climb builds a pattern it does not answer
+        assert len(built) == len(res.maximal)
         assert len(res.maximal) > 1
     assert res == mine(io._parse_lines(text, domain), 20)
     assert db == source
@@ -591,7 +590,7 @@ def test_generate_matches_bucket_join(block_bytes, monkeypatch):
     bucket join, order included, under every merge hint; with a tiny block
     size every level is split into many blocks of a few pairs."""
     if block_bytes is not None:
-        monkeypatch.setattr(_kernels, "_BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(_kernels, "_CACHE_BYTES", block_bytes)
     rng = random.Random(59)
     unclosed = families = 0
     for labels, m, fam in _join_families(rng):
@@ -627,8 +626,9 @@ def test_auto_join_climb_judges_level_one_alone(monkeypatch):
     the union of the two feasible sets is feasible, so every candidate that
     ``_generate`` hands the auto climb from level 2 on is connected, and
     the climb evaluates only the frequent sets of level 1.  Postfilter
-    evaluates every frequent set.  Either evaluates the empty itemset when
-    nothing was collected (``_bottom``)."""
+    evaluates every frequent set.  Neither evaluates a set under
+    ``ALWAYS``, which accepts them all, and either evaluates the empty
+    itemset when nothing was collected (``_bottom``)."""
     generated = []
     evaluated = []
 
@@ -653,14 +653,16 @@ def test_auto_join_climb_judges_level_one_alone(monkeypatch):
                 evaluated.clear()
                 auto = mine_max_ffis(db, tau, phi)
                 bottom = not any(s.feasible_frequent for s in auto.stats)
-                assert len(evaluated) == auto.stats[0].frequent + bottom
+                judged = phi != ALWAYS
+                assert len(evaluated) == judged * auto.stats[0].frequent \
+                    + bottom
                 for rows in generated if phi != ALWAYS else ():
                     joined += len(rows)
                     assert all(connected_edge_itemset([items[i] for i in row])
                                for row in rows.tolist())
                 evaluated.clear()
                 post = mine_max_ffis(db, tau, phi, mode="postfilter")
-                assert len(evaluated) == sum(
+                assert len(evaluated) == judged * sum(
                     s.frequent for s in post.stats) + bottom
     assert joined > 1000
 
@@ -918,7 +920,7 @@ def test_level_tables_and_answers_are_pinned(name):
 def test_tiny_blocks_mine_the_default_answers(domain, monkeypatch):
     """With blocks of 64 bytes every pack, count and join is split into
     blocks of a row or a few: the answers and level tables stay those of
-    the default block size, on a pinned instance and on one whose tidsets
+    the default block sizes, on a pinned instance and on one whose tidsets
     take two words."""
     name = {ITEMSET: "itemsets", SEQUENCE: "sequences", GRAPH: "graphs"}
     db, tau, phi, mode = pinned_instances()[name[domain]]
@@ -926,6 +928,7 @@ def test_tiny_blocks_mine_the_default_answers(domain, monkeypatch):
     runs = [(db, tau, phi, mode), (wide, 3, ALWAYS, "auto")]
     want = [mine(*run) for run in runs]
     monkeypatch.setattr(_kernels, "_BLOCK_BYTES", 64)
+    monkeypatch.setattr(_kernels, "_CACHE_BYTES", 64)
     for run, res in zip(runs, want):
         got = mine(*run)
         assert got.maximal == res.maximal and got.stats == res.stats
@@ -936,7 +939,8 @@ def test_benchmark_wrap_points_are_called(monkeypatch):
     the miner has to look each one up there, or that layer reads zero.
     Mining through a reduction in mode auto lifts nothing, and its step
     climb asks ``evaluate_grown``, so the join climb of an itemset database
-    is what calls ``evaluate``."""
+    is what calls ``evaluate``, at level 1 of a predicate other than
+    ``ALWAYS``."""
     targets = [(_kernels, "count_supports"), (_kernels, "pack_rows"),
                (miner, "evaluate"), (miner, "encode_rows"),
                (miner, "climb_rows")]
@@ -949,7 +953,8 @@ def test_benchmark_wrap_points_are_called(monkeypatch):
     db = graph_db([LabelledGraph(frozenset({1, 2, 3}),
                                  frozenset({(1, 2), (2, 3)}))] * 2)
     assert mine(db, 2).maximal == db.transactions[:1]
-    assert mine(itemset_db([{1, 2}] * 2), 2).maximal == (Itemset({1, 2}),)
+    edges = itemset_db([{(1, 2), (2, 3)}] * 2)
+    assert mine(edges, 2, CONNECTED_EDGES).maximal == edges.transactions[:1]
     assert calls == {name for _, name in targets}
 
     # the encoded size is Σ len(image) over the encoded transactions: equal
@@ -1286,6 +1291,22 @@ from maxpat.miner import mine_max_ffis
 res = mine_max_ffis(itemset_db(json.loads(sys.argv[1])), int(sys.argv[2]))
 print(json.dumps([sorted(p.items) for p in res.maximal]))
 '''
+
+
+def test_mining_itemsets_leaves_numpy_ma_unloaded():
+    """``np.unique`` without ``return_inverse`` imports ``numpy.ma`` on
+    first use, a megabyte that a mine would load for nothing: neither the
+    join climb nor ``Database.universe`` calls it."""
+    code = ("import sys\n"
+            "from maxpat.core import itemset_db\n"
+            "from maxpat.miner import mine\n"
+            "db = itemset_db([[1, 2, 3], [1, 2], [2, 3], [1, 3]] * 50)\n"
+            "assert len(mine(db, 60).maximal) == 3 and len(db.universe) == 3\n"
+            "print('numpy.ma' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
 
 
 def _capped_mine(txns, tau):
