@@ -329,10 +329,9 @@ def cmd_verify(args) -> int:
                     chain, db, rng, sys.stdout):
                 _print_instance(n, args, db, 1, args.phi, sys.stdout)
                 return 4
+            phis = [ALWAYS] + ([parse_phi(args.phi, db)]
+                               if args.phi != "always" else [])
             for tau in range(1, len(db.transactions) + 1):
-                phis = [ALWAYS]
-                if args.phi != "always":
-                    phis.append(parse_phi(args.phi, db))
                 for phi in phis:
                     if not _check_one(db, tau, phi, sys.stdout, chain):
                         _print_instance(n, args, db, tau, describe(phi),

@@ -296,7 +296,7 @@ def is_maximal_feasible(p, db: Database, tau: int, phi, supersets=None) -> bool:
     brute-force enumeration from the oracle is used, subject to its size
     guard.
     """
-    from .feasibility import evaluate  # local import, avoids a cycle
+    from .feasibility import accepted, evaluate  # local, avoids a cycle
     check_tau(tau)
     if not evaluate(phi, p):
         return False
@@ -305,8 +305,5 @@ def is_maximal_feasible(p, db: Database, tau: int, phi, supersets=None) -> bool:
     if supersets is None:
         from .oracle import enumerate_patterns
         supersets = enumerate_patterns(db)
-    for q in supersets:
-        if q != p and pattern_leq(p, q) and evaluate(phi, q) \
-                and support(q, db) >= tau:
-            return False
-    return True
+    above = [q for q in supersets if q != p and pattern_leq(p, q)]
+    return not any(support(q, db) >= tau for q in accepted(phi, above))

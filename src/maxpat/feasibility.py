@@ -9,25 +9,34 @@ describable in constant space:
                                 predicate holds on it
 * ``And``                    -- finite conjunction of the above
 
-Each predicate carries its own behaviour: ``evaluate(p)``,
-``evaluate_grown``, ``describe()``, ``merge_hint`` and ``step_reduction``.
-The module functions ``evaluate``, ``evaluate_grown`` and ``describe`` are
-the entry points and refuse anything else.
+Each predicate carries its own behaviour: ``evaluate(p)``, ``judge``,
+``describe()``, ``merge_hint`` and ``step_reduction``.  The module
+functions ``evaluate``, ``judge`` and ``describe`` are the entry points
+and refuse anything else.  ``evaluate`` judges one pattern, the reference
+for ``judge``, which the miner asks about a whole list: it takes a
+callable ``patterns`` that builds the list, and answers a bool per
+pattern or True for all, as ``merge_hint`` does; ``accepted``, which the
+oracle asks, keeps the patterns of a list that ``judge`` accepts.
+``ALWAYS`` builds nothing; a preimage predicate checks each pattern's
+domain, finds every preimage with one ``Reduction._inverses`` call and
+judges them as one list; a conjunction judges each conjunct on what the
+ones before it accepted, as ``evaluate`` short-circuits, and stops once
+nothing is left.
 
 A predicate may name a ``step_reduction``: a reduction among whose images
 lies every set the predicate accepts.  Every preimage predicate names its
 reduction, and the miner then climbs through the images of source
-patterns grown one element at a time.  It asks ``evaluate_grown`` about
-each frequent image, with two thunks that build the source pattern it
-grew and the image: a preimage predicate on the step reduction itself
-judges that source, since the source is the image's preimage
-(``inverse(forward(q)) == q``), so no image is decoded; any other
-conjunct judges the image.  Each is built only for a conjunct that reads
-it, so ``ALWAYS`` and a bare preimage on the step build nothing.  A
-predicate without a step reduction prunes the join climb, so it must be
-split-stable: every feasible set of size m has feasible subsets of every
-smaller positive size, which licenses levelwise pruning even though
-connectivity is not anti-monotone.  ``AlwaysTrue``,
+patterns grown one element at a time.  It judges each level of frequent
+images with one ``judge`` call, handing it ``step`` and a second callable
+``sources`` that builds the source patterns it grew: a preimage predicate
+on the step reduction itself judges those sources, since each is its
+image's preimage (``inverse(forward(q)) == q``), so no image is decoded;
+any other conjunct judges the images.  Each list is built only for a
+conjunct that reads it, so ``ALWAYS`` and a bare preimage on the step
+build no image.  A predicate without a step reduction prunes the join
+climb, so it must be split-stable: every feasible set of size m has
+feasible subsets of every smaller positive size, which licenses levelwise
+pruning even though connectivity is not anti-monotone.  ``AlwaysTrue``,
 ``ConnectedEdgeItemset`` and their conjunctions are the predicates without
 one, and all of them are.
 
@@ -37,12 +46,13 @@ labels as a row of uint64 bitset words, and survivor ``a[i]`` pairs with
 ``b[i]``.  The answer is a boolean per pair, or True for every pair; a
 False must mean that the union of the pair is infeasible.  On two
 feasible sets the hint of a predicate without a step reduction is exact,
-True meaning a feasible union, so the miner evaluates only the first
-level of a pruned join climb.
+True meaning a feasible union, so the miner judges only the first level
+of a pruned join climb.
 """
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
+from itertools import compress
 
 import numpy as np
 
@@ -58,8 +68,8 @@ class Predicate:
     def merge_hint(self, labels, a, b):
         return True
 
-    def evaluate_grown(self, step, source, image):
-        return self.evaluate(image())
+    def judge(self, patterns, step=None, sources=None):
+        return [self.evaluate(p) for p in patterns()]
 
 
 @dataclass(frozen=True)
@@ -67,7 +77,7 @@ class AlwaysTrue(Predicate):
     def evaluate(self, p):
         return True
 
-    def evaluate_grown(self, step, source, image):
+    def judge(self, patterns, step=None, sources=None):
         return True
 
     def describe(self):
@@ -109,11 +119,20 @@ class PreimageExistsAnd(Predicate):
         q = self.reduction.inverse(p)
         return q is not None and evaluate(self.inner, q)
 
-    def evaluate_grown(self, step, source, image):
+    def judge(self, patterns, step=None, sources=None):
         if self.reduction == step:
-            # the inner predicate judges the source, built only when read
-            return evaluate_grown(self.inner, None, None, source)
-        return self.evaluate(image())
+            # the inner predicate judges the sources, built only when read
+            return judge(self.inner, sources)
+        qs = patterns()
+        for q in qs:  # as inverse does, refuse a pattern off the domain
+            self.reduction._check_target(q)
+        preimages = self.reduction._inverses(qs)
+        ok = np.array([p is not None for p in preimages], dtype=bool)
+        inner = judge(self.inner,
+                      lambda: [p for p in preimages if p is not None])
+        if not np.all(inner):
+            ok[ok] = inner
+        return ok
 
     def describe(self):
         if self.inner == ALWAYS:
@@ -137,9 +156,23 @@ class And(Predicate):
     def evaluate(self, p):
         return all(evaluate(part, p) for part in self.parts)
 
-    def evaluate_grown(self, step, source, image):
-        return all(evaluate_grown(part, step, source, image)
-                   for part in self.parts)
+    def judge(self, patterns, step=None, sources=None):
+        # each conjunct judges only what the ones before it accepted
+        patterns, sources = cache(patterns), sources and cache(sources)
+        ok = True
+        for part in self.parts:
+            kept = None if ok is True else np.flatnonzero(ok)
+            if kept is not None and not len(kept):
+                return ok
+            part_ok = judge(part, _picked(patterns, kept), step,
+                            _picked(sources, kept))
+            if np.all(part_ok):
+                continue
+            if kept is None:
+                ok = np.array(part_ok, dtype=bool)
+            else:
+                ok[kept] = part_ok
+        return ok
 
     def describe(self):
         return "∧".join(describe(part) for part in self.parts)
@@ -174,11 +207,27 @@ def evaluate(phi, p) -> bool:
     return _check(phi).evaluate(p)
 
 
-def evaluate_grown(phi, step, source, image) -> bool:
-    """Evaluate a feasibility predicate on the image under ``step`` of a
-    source pattern the step climb grew: ``source()`` builds the pattern
-    and ``image()`` its image, each only for a conjunct that reads it."""
-    return _check(phi).evaluate_grown(step, source, image)
+def judge(phi, patterns, step=None, sources=None):
+    """Judge a list of patterns at once: a bool per pattern of
+    ``patterns()``, or True for all.  Under a step climb, ``sources()``
+    lists the source pattern grown for each, whose image under ``step`` it
+    is; each list is built only for a conjunct that reads it."""
+    return _check(phi).judge(patterns, step, sources)
+
+
+def accepted(phi, patterns) -> list:
+    """The patterns of the list ``patterns`` that ``phi`` accepts, judged
+    with one ``judge`` call, in their order."""
+    ok = judge(phi, lambda: patterns)
+    return list(patterns) if np.all(ok) else list(compress(patterns, ok))
+
+
+def _picked(build, kept):
+    """``build``, or, when ``kept`` is an index array, a callable building
+    only the entries at ``kept`` of its list."""
+    if build is None or kept is None:
+        return build
+    return lambda: list(map(build().__getitem__, kept))
 
 
 def describe(phi) -> str:

@@ -30,12 +30,14 @@ itemset or a sequence of length k+1 loses any one element.  A connected
 graph with an edge has a leaf edge or a non-bridge edge; removing it (a
 leaf edge with its leaf) leaves a connected graph with one edge fewer, so
 a graph's level is its edge count plus one.  The predicate only filters
-what the climb counts, and judges the source pattern the climb grew
-(``feasibility.evaluate_grown``).  The join climb would instead count
-every frequent subset of the encoding on the way, most of which are no
-image at all: through ``seq2dag``∘``dirg2fis`` a length-k sequence is
-k + k(k-1)/2 items, and through ``fis2tree``∘``g2bdg3``∘``g2fis`` a
-k-itemset is (k+1)(2r-1) + k items, r being the star's root label.
+what the climb counts: one ``feasibility.judge`` call judges each level
+of frequent images, and a preimage conjunct through the step reduction
+judges the source patterns the climb grew in place of their images.  The
+join climb would instead count every frequent subset of the encoding on
+the way, most of which are no image at all: through
+``seq2dag``∘``dirg2fis`` a length-k sequence is k + k(k-1)/2 items, and
+through ``fis2tree``∘``g2bdg3``∘``g2fis`` a k-itemset is (k+1)(2r-1) + k
+items, r being the star's root label.
 
 A level of the step climb is one intp matrix of source rows: ranks in
 the alphabet, the sorted source labels that the items can stand for
@@ -76,8 +78,8 @@ skipped when the bitsets share no label, which is exactly when the union is
 disconnected.  In mode "auto" every predicate without a step reduction is
 ``ALWAYS``, connectivity or their conjunction, and any other one is refused
 at level 1, so the union of two feasible sets is feasible iff the hint
-keeps the pair: the climb evaluates level 1 alone, and under ``ALWAYS``,
-which accepts every set, not even that.
+keeps the pair: the climb judges level 1 alone, and under ``ALWAYS``,
+which accepts every set, builds no itemset even for that.
 
 The climb runs on item indices (``climb_rows``).  Items are numbered once,
 in label order, so rows sort like the itemsets they name, from one flat
@@ -111,7 +113,7 @@ the maximality filter and lifting.
 """
 
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import partial
 from time import perf_counter
 
 import numpy as np
@@ -122,7 +124,7 @@ from .domains import (
     DIGRAPH, GRAPH, ITEMSET, SEQUENCE, Itemset, Sequence, canonical_key,
 )
 from .errors import DomainMismatchError, ExtendError, PatternError
-from .feasibility import ALWAYS, describe, evaluate, evaluate_grown
+from .feasibility import ALWAYS, describe, evaluate, judge
 from .incidence import Incidence, label_array, lookup, number
 # the mine path encodes with encode_rows; reduce_database stays a module
 # attribute because perfbench's tracer wraps it here by name
@@ -388,8 +390,8 @@ def _bottom(tidsets, items, n_rows, tau, phi, step, sources):
     empty source pattern (with ``sources``, the pattern), where the domain
     and the chain have one, if it is frequent and feasible."""
     if step is None:
-        return [Itemset()] if n_rows >= tau and evaluate(phi, Itemset()) \
-            else []
+        return [Itemset()] if n_rows >= tau \
+            and np.all(judge(phi, lambda: [Itemset()])) else []
     empty = _empty_pattern(step.source_domain)
     if empty is None:
         return []
@@ -401,8 +403,7 @@ def _bottom(tidsets, items, n_rows, tau, phi, step, sources):
     # every image into itemsets ends in an edge itemset, which has an item
     found = _itemsets(items, image)  # of the one row, or of none
     if not found or _kernels.count_supports(tidsets, image)[0] < tau \
-            or not evaluate_grown(phi, step, lambda: empty,
-                                  lambda: found[0]):
+            or not np.all(judge(phi, lambda: found, step, lambda: [empty])):
         return []
     return [empty if sources else found[0]]
 
@@ -438,7 +439,7 @@ def climb_rows(incidence: Incidence, tau: int, phi=ALWAYS,
     prune = mode == "auto"
     step = phi.step_reduction if prune else None
     if step is not None and step.target_domain != ITEMSET:
-        step = None  # accepts no itemset at all, which evaluate reports
+        step = None  # accepts no itemset at all, which judge reports
 
     # index order is label order, so sorted index tuples sort like their
     # itemsets
@@ -473,21 +474,13 @@ def climb_rows(incidence: Incidence, tau: int, phi=ALWAYS,
         frequent = current[hit]
         if step is not None:
             grown = grown[hit]
-            # the level's source patterns and images are built together,
-            # the first time a conjunct reads one
-            level_sources = cache(partial(patterns, grown))
-            level_images = cache(partial(_itemsets, items, frequent))
-            ok = [evaluate_grown(phi, step,
-                                 lambda i=i: level_sources()[i],
-                                 lambda i=i: level_images()[i])
-                  for i in range(len(frequent))]
-        elif phi == ALWAYS or (prune and level > 1):
-            # ALWAYS accepts all, and past level 1 the merge hint kept
-            # feasible unions
-            ok = np.ones(len(frequent), dtype=bool)
-        else:
-            ok = [evaluate(phi, p) for p in _itemsets(items, frequent)]
-        ok = np.array(ok, dtype=bool)
+        # past level 1 of a pruned join climb the merge hint kept only
+        # feasible unions; otherwise the predicate judges the level, from
+        # its images or, under the step climb, the sources it grew
+        ok = True if step is None and prune and level > 1 else judge(
+            phi, partial(_itemsets, items, frequent), step,
+            None if step is None else partial(patterns, grown))
+        ok = slice(None) if np.all(ok) else np.asarray(ok, dtype=bool)
         feasible = frequent[ok]
         stats.append(LevelStats(level, len(current), len(frequent),
                                 len(feasible)))

@@ -2,12 +2,15 @@
 
 Enumerates every candidate subpattern of every transaction, computes support
 by scanning, and filters maximality quadratically.  No pruning, no sharing
-with the miner beyond the pattern types themselves; the point is to be an
-independent authority the miner can be checked against.  A hard size guard
+with the miner beyond the pattern types and the predicates' list form
+(``feasibility.accepted``), which the tests also replace with
+``evaluate`` on each pattern; the point is to be an independent authority
+the miner can be checked against.  A hard size guard
 keeps the exponential cost honest: instances above it raise instead of
 silently taking forever, and callers are expected to use the miner there.
 """
 
+from collections import Counter
 from itertools import combinations
 
 from .core import Database, check_tau, support
@@ -17,7 +20,7 @@ from .domains import (
     canonical_key, is_connected, pattern_leq, pattern_size,
 )
 from .errors import OracleGuardError
-from .feasibility import evaluate
+from .feasibility import accepted
 
 #: both the label-universe size and the per-transaction size must stay at or
 #: below this for the oracle to accept an instance
@@ -98,8 +101,8 @@ def enumerate_patterns(db: Database) -> list:
 def oracle_max(db: Database, tau: int, phi) -> tuple:
     """All maximal feasible frequent patterns, canonically ordered."""
     check_tau(tau)
-    good = [p for p in enumerate_patterns(db)
-            if evaluate(phi, p) and support(p, db) >= tau]
+    good = [p for p in accepted(phi, enumerate_patterns(db))
+            if support(p, db) >= tau]
     out = []
     for p in good:
         if not any(q != p and pattern_leq(p, q) for q in good):
@@ -111,11 +114,7 @@ def oracle_all_feasible_frequent(db: Database, tau: int, phi) -> dict:
     """Per-size counts {size: (frequent, feasible_frequent)} over all
     frequent patterns, the shape the stats tables are built from."""
     check_tau(tau)
-    counts = {}
-    for p in enumerate_patterns(db):
-        if support(p, db) < tau:
-            continue
-        size = pattern_size(p)
-        freq, feas = counts.get(size, (0, 0))
-        counts[size] = (freq + 1, feas + 1 if evaluate(phi, p) else feas)
-    return dict(sorted(counts.items()))
+    frequent = [p for p in enumerate_patterns(db) if support(p, db) >= tau]
+    feasible = Counter(map(pattern_size, accepted(phi, frequent)))
+    counts = Counter(map(pattern_size, frequent))
+    return {size: (n, feasible[size]) for size, n in sorted(counts.items())}

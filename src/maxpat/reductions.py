@@ -113,7 +113,7 @@ class Reduction:
 
     def inverse(self, q):
         self._check_target(q)
-        return self._inverse(q)
+        return self._inverses([q])[0]
 
     def _forward(self, p):
         """The image of ``p``: the batch map of a batch of one pattern."""
@@ -123,9 +123,6 @@ class Reduction:
         """The images of the source patterns in the list ``patterns``."""
         return batch_patterns(self.target_domain, self._batch(
             pattern_batch(self.source_domain, patterns)))
-
-    def _inverse(self, q):
-        return self._inverses([q])[0]
 
     def _inverses(self, qs):
         """The preimage of each target pattern in the list ``qs``, or None:

@@ -6,7 +6,9 @@ import pytest
 from maxpat.cli import main, parse_graph_class, parse_phi
 from maxpat.core import Database, itemset_db
 from maxpat.domains import BOUNDED_DEGREE, TREE
-from maxpat.feasibility import ALWAYS, And, ConnectedEdgeItemset, PreimageExistsAnd
+from maxpat.feasibility import (
+    ALWAYS, And, ConnectedEdgeItemset, PreimageExistsAnd, evaluate,
+)
 
 ITEMS = "1 2\n1 2\n2 3\n"
 GRAPHS = """\
@@ -338,7 +340,12 @@ def test_verify_random_draws_edge_itemsets_for_their_preimages(
             "--phi", phi]
     code, out, _ = run(capsys, argv)
     assert code == 0 and "checks passed" in out
-    monkeypatch.setattr(miner, "evaluate_grown", lambda *args: False)
+    # refuse what the step climb grows; the join climb judges as before
+    monkeypatch.setattr(
+        miner, "judge",
+        lambda phi, patterns, step=None, sources=None, _fn=miner.judge:
+        [False] * len(patterns()) if step is not None
+        else _fn(phi, patterns, step, sources))
     code, out, _ = run(capsys, argv)
     assert code == 4 and "MISMATCH" in out
 
@@ -563,3 +570,25 @@ def test_output_flag_writes_file(capsys, items_file, tmp_path):
     assert code == 0
     assert out == ""
     assert "{1 2}" in out_path.read_text().splitlines()
+
+
+@pytest.mark.parametrize("domain,phi", [
+    ("itemset", "preimage(g2fis)"), ("itemset", "preimage(dirg2fis)"),
+    ("itemset", "connected-edges & preimage(g2fis)"),
+    ("itemset", "preimage(g2fis) & connected-edges"),
+    ("itemset", "connected-edges"), ("sequence", "preimage(fis2seq)"),
+    ("graph", "preimage(fis2tree)"), ("digraph", "preimage(seq2dag)")])
+def test_verify_random_against_an_oracle_judging_one_pattern_at_a_time(
+        capsys, monkeypatch, domain, phi):
+    """The miner judges each level with ``feasibility.judge`` and the
+    oracle judges its list with it too, so ``verify --random`` alone would
+    not catch a list form that answers unlike ``evaluate``: here the oracle
+    judges each pattern with ``evaluate`` and the miner still matches."""
+    import maxpat.oracle as oracle
+
+    monkeypatch.setattr(oracle, "accepted", lambda phi, patterns: [
+        p for p in patterns if evaluate(phi, p)])
+    code, out, _ = run(capsys, ["verify", "--random", "20", "--domain",
+                                domain, "--seed", "1", "--phi", phi])
+    assert code == 0 and "checks passed" in out, out
+

@@ -209,12 +209,12 @@ def _climb(monkeypatch, reduced, tau, phi, grow):
     asked the predicate about them."""
     asked = []
 
-    def recorded(phi, step, source, image, _fn=miner.evaluate_grown):
-        asked.append(source())
-        return _fn(phi, step, source, image)
+    def recorded(phi, patterns, step, sources, _fn=miner.judge):
+        asked.extend(sources())
+        return _fn(phi, patterns, step, sources)
     with monkeypatch.context() as m:
         m.setattr(miner, "_grow", grow)
-        m.setattr(miner, "evaluate_grown", recorded)
+        m.setattr(miner, "judge", recorded)
         res = mine_max_ffis(reduced, tau, phi)
     return res, asked[:sum(s.frequent for s in res.stats)]
 
@@ -301,10 +301,10 @@ def test_step_climb_on_pair_itemsets_that_are_not_images():
                       PreimageExistsAnd(SequenceToDag(), ALWAYS))
 
 
-def _judging_images(phi, step, source, image):
-    """A step climb's judgement in which every conjunct asks about the
-    image: the reference for ``evaluate_grown``."""
-    return evaluate(phi, image())
+def _judging_images(phi, patterns, step=None, sources=None):
+    """A step climb's judgement in which every conjunct asks about each
+    image alone: the reference for ``judge``."""
+    return [evaluate(phi, p) for p in patterns()]
 
 
 def _source_predicates(db):
@@ -341,7 +341,7 @@ def test_step_climb_answers_with_the_lifted_sources(rid, monkeypatch):
             for tau in range(1, len(db) + 1):
                 got = mine_via_reduction(r, db, tau, phi)
                 with monkeypatch.context() as m:
-                    m.setattr(miner, "evaluate_grown", _judging_images)
+                    m.setattr(miner, "judge", _judging_images)
                     ref = mine_max_ffis(images, tau, r.induced_feasibility(phi))
                 want = lift_results(r, ref.maximal)
                 if not want and empty is not None and tau <= len(db) \
@@ -390,11 +390,11 @@ def test_step_climb_builds_images_only_for_conjuncts_that_read_them(
             And((CONNECTED_EDGES, PreimageExistsAnd(chain, ALWAYS))): True}
     built = dict.fromkeys(phis, 0)
 
-    def counting(phi, step, source, image, _fn=miner.evaluate_grown):
+    def counting(phi, patterns, step, sources, _fn=miner.judge):
         def build():
             built[phi] += 1
-            return image()
-        return _fn(phi, step, source, build)
+            return patterns()
+        return _fn(phi, build, step, sources)
     runs = 0
     for _ in range(30):
         db = _noisy_images(rng, rng.randint(2, 5), rng.randint(1, 6))
@@ -402,10 +402,10 @@ def test_step_climb_builds_images_only_for_conjuncts_that_read_them(
         for phi in phis:
             for tau in range(1, len(db) + 1):
                 with monkeypatch.context() as m:
-                    m.setattr(miner, "evaluate_grown", counting)
+                    m.setattr(miner, "judge", counting)
                     got = mine_max_ffis(db, tau, phi)
                     sources = miner.climb_rows(rows, tau, phi, sources=True)
-                    m.setattr(miner, "evaluate_grown", _judging_images)
+                    m.setattr(miner, "judge", _judging_images)
                     ref = mine_max_ffis(db, tau, phi)
                 assert got == ref and got.stats == ref.stats, (db, tau)
                 assert got.maximal == oracle_max(db, tau, phi), (db, tau)
@@ -625,10 +625,11 @@ def test_auto_join_climb_judges_level_one_alone(monkeypatch):
     """Without a step reduction, the merge hint keeps a pair exactly when
     the union of the two feasible sets is feasible, so every candidate that
     ``_generate`` hands the auto climb from level 2 on is connected, and
-    the climb evaluates only the frequent sets of level 1.  Postfilter
-    evaluates every frequent set.  Neither evaluates a set under
-    ``ALWAYS``, which accepts them all, and either evaluates the empty
-    itemset when nothing was collected (``_bottom``)."""
+    the climb judges only the frequent sets of level 1.  Postfilter
+    judges every frequent set.  Neither builds a set to judge under
+    ``ALWAYS``, which accepts them all, and under any other predicate
+    either judges the empty itemset when nothing was collected
+    (``_bottom``)."""
     generated = []
     evaluated = []
 
@@ -636,11 +637,14 @@ def test_auto_join_climb_judges_level_one_alone(monkeypatch):
         generated.append(_fn(survivors, item_bits, phi))
         return generated[-1]
 
-    def counted(phi, p, _fn=miner.evaluate):
-        evaluated.append(p)
-        return _fn(phi, p)
+    def counted(phi, patterns, *args, _fn=miner.judge):
+        def build():
+            built = patterns()
+            evaluated.extend(built)
+            return built
+        return _fn(phi, build, *args)
     monkeypatch.setattr(miner, "_generate", recorded)
-    monkeypatch.setattr(miner, "evaluate", counted)
+    monkeypatch.setattr(miner, "judge", counted)
     rng = random.Random(67)
     joined = 0
     for _ in range(60):
@@ -654,16 +658,16 @@ def test_auto_join_climb_judges_level_one_alone(monkeypatch):
                 auto = mine_max_ffis(db, tau, phi)
                 bottom = not any(s.feasible_frequent for s in auto.stats)
                 judged = phi != ALWAYS
-                assert len(evaluated) == judged * auto.stats[0].frequent \
-                    + bottom
+                assert len(evaluated) == judged * (auto.stats[0].frequent
+                                                   + bottom)
                 for rows in generated if phi != ALWAYS else ():
                     joined += len(rows)
                     assert all(connected_edge_itemset([items[i] for i in row])
                                for row in rows.tolist())
                 evaluated.clear()
                 post = mine_max_ffis(db, tau, phi, mode="postfilter")
-                assert len(evaluated) == judged * sum(
-                    s.frequent for s in post.stats) + bottom
+                assert len(evaluated) == judged * (sum(
+                    s.frequent for s in post.stats) + bottom)
     assert joined > 1000
 
 
@@ -935,14 +939,14 @@ def test_tiny_blocks_mine_the_default_answers(domain, monkeypatch):
 
 
 def test_benchmark_wrap_points_are_called(monkeypatch):
-    """perfbench times the layers by replacing these module attributes, so
-    the miner has to look each one up there, or that layer reads zero.
-    Mining through a reduction in mode auto lifts nothing, and its step
-    climb asks ``evaluate_grown``, so the join climb of an itemset database
-    is what calls ``evaluate``, at level 1 of a predicate other than
-    ``ALWAYS``."""
+    """perfbench times the layers by replacing module attributes, so the
+    miner has to look each of these up there, or that layer reads zero.
+    Mining through a reduction in mode auto lifts nothing, and either
+    climb judges its levels with ``judge``, the feasibility layer's wrap
+    point (perfbench's tracer still wraps ``evaluate``, which no climb
+    calls)."""
     targets = [(_kernels, "count_supports"), (_kernels, "pack_rows"),
-               (miner, "evaluate"), (miner, "encode_rows"),
+               (miner, "judge"), (miner, "encode_rows"),
                (miner, "climb_rows")]
     calls = set()
     for mod, name in targets:
