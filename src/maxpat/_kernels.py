@@ -10,7 +10,10 @@ KiB), so that the block, its temporary and its popcounts stay in cache and
 in the heap that glibc reuses.  Blocks of 1 MiB are mapped afresh and handed
 back on every call: on itemsets-skewed, about a thousand minor page faults
 per mine.  The join climb's pair blocks (``miner._generate``) are sized the
-same way.
+same way.  A block's popcounts, a uint8 per word, are summed a row each by
+one product with a vector of float64 ones, one call for the block, where a
+sum along the rows runs its inner loop once a row; the sums are exact,
+being integers far below 2**53.
 
 ``pack_rows`` builds every such bitset matrix: the items' tidsets, the
 collected sets of the maximality filter and the label bitsets of the join.
@@ -40,13 +43,16 @@ def count_supports(tidsets, cand_idx):
     with k >= 1."""
     n_cand, k = cand_idx.shape
     out = np.empty(n_cand, dtype=np.int64)
+    ones = np.ones(tidsets.shape[1])
     step = max(1, _CACHE_BYTES // (tidsets.shape[1] * tidsets.itemsize))
     for lo in range(0, n_cand, step):
         idx = cand_idx[lo:lo + step]
-        acc = tidsets[idx[:, 0]]
+        # ``take`` copies whole rows, cheaper than ``tidsets[idx[:, 0]]``
+        acc = tidsets.take(idx[:, 0], axis=0)
         for j in range(1, k):
-            acc &= tidsets[idx[:, j]]
-        out[lo:lo + step] = np.bitwise_count(acc).sum(axis=1)
+            acc &= tidsets.take(idx[:, j], axis=0)
+        # exact: every partial sum is an integer no larger than a row's bits
+        out[lo:lo + step] = np.bitwise_count(acc) @ ones
     return out
 
 

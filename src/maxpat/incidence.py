@@ -101,13 +101,26 @@ def number(labels):
     base = int(labels[-1].max(initial=0)) + 1
     codes = _codes(labels, base)
     top = int(codes.max(initial=0))
+    shift = len(codes).bit_length()
     if codes.dtype != object and top < max(_TABLE_CODES, len(codes)):
         present = np.zeros(top + 1, dtype=bool)
         present[codes] = True
         distinct = np.flatnonzero(present)
         index = (np.cumsum(present) - 1)[codes]
-    else:
+    elif codes.dtype == object or top.bit_length() + shift > 63:
         distinct, index = np.unique(codes, return_inverse=True)
+    else:
+        # each key carries its entry's position in the bits below its code,
+        # so one plain sort does the work of np.unique's argsort
+        keys = codes << shift
+        keys |= np.arange(len(codes))
+        keys.sort()
+        ranked = keys >> shift
+        fresh = np.ones(len(keys), dtype=bool)
+        np.not_equal(ranked[1:], ranked[:-1], out=fresh[1:])
+        distinct = ranked[fresh]
+        index = np.empty(len(keys), dtype=np.intp)
+        index[keys & ((1 << shift) - 1)] = np.cumsum(fresh) - 1
     if len(labels) == 1:
         return (distinct,), index
     return (distinct // base, distinct % base), index

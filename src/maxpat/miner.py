@@ -64,15 +64,17 @@ Candidates of the join climb at level k are unions of two surviving
 survivor enters once per column, as that column's item keyed by its other
 k-2 items; sorting the entries brings equal keys together in runs, and each
 pair of entries in a run is one union, the survivor of the first with the
-item of the second.  A k-set is built once per pair of its surviving
-(k-1)-subsets, so the unions are deduplicated as sorted rows, packed into
-int64 words several item indices to a word: first within each block of
-pairs, which keeps only its distinct unions and so bounds the memory, then
-across the level.  The lexicographic prefix join familiar from
-unconstrained mining would be incomplete here: the two connected
-(k-1)-subsets that witness a connected k-set need not share a prefix (a
-three-edge path is the union of its two overlapping two-edge halves, which
-differ in their first item).  The predicate's merge hint judges all pairs
+item of the second.  That item is put in its place in the first's sorted
+row (``_inserted``), moving left past each larger item a column at a time,
+so no row is sorted on its own.  A k-set is built once per pair of its
+surviving (k-1)-subsets, so the unions are deduplicated, packed into int64
+words several item indices to a word: first within each block of pairs,
+which keeps only its distinct unions and so bounds the memory, then across
+the level when it took more than one block.  The lexicographic prefix join
+familiar from unconstrained mining would be incomplete here: the two
+connected (k-1)-subsets that witness a connected k-set need not share a
+prefix (a three-edge path is the union of its two overlapping two-edge
+halves, which differ in their first item).  The predicate's merge hint judges all pairs
 at once from bitsets of the survivors' labels; for connectivity a pair is
 skipped when the bitsets share no label, which is exactly when the union is
 disconnected.  In mode "auto" every predicate without a step reduction is
@@ -242,6 +244,21 @@ def _unique_words(words):
     return [w[order[fresh]] for w in words]
 
 
+def _inserted(rows, new):
+    """The sorted rows of the index matrix ``rows``, each with the entry of
+    ``new`` beside it put in its place, as one (column-major) matrix: the
+    new entry moves left past every larger one, a column at a time, so no
+    row is sorted on its own."""
+    n, m = rows.shape
+    out = np.empty((n, m + 1), dtype=np.intp, order="F")
+    carry = new
+    for j in range(m - 1, -1, -1):
+        np.maximum(rows[:, j], carry, out=out[:, j + 1])
+        carry = np.minimum(rows[:, j], carry)
+    out[:, 0] = carry
+    return out
+
+
 def _generate(survivors, item_bits, phi):
     """Next-level candidates: the sorted unions of survivor pairs sharing
     all but one item, as the rows of an index matrix in ascending order.
@@ -282,10 +299,11 @@ def _generate(survivors, item_bits, phi):
         keep = phi.merge_hint(labels, owner[a], owner[b])
         if not np.all(keep):
             a, b = a[keep], b[keep]
-        cand = np.column_stack((survivors[owner[a]], dropped[b]))
-        cand.sort(axis=1)
+        cand = _inserted(survivors[owner[a]], dropped[b])
         blocks.append(_unique_words(_row_words(cand, n_items)))
-    words = _unique_words([np.concatenate(ws) for ws in zip(*blocks)])
+    # one block's unions are distinct and sorted already
+    words = blocks[0] if len(blocks) == 1 else _unique_words(
+        [np.concatenate(ws) for ws in zip(*blocks)])
     return _word_rows(words, m + 1, n_items)
 
 
@@ -308,8 +326,7 @@ def _grow(rows, level, n, domain):
             u, x = np.minimum(u, x), np.maximum(u, x)
         codes = u * n + x
         fresh = (u != x) & (edges[owner] != codes[:, None]).all(axis=1)
-        grown = np.column_stack((edges[owner[fresh]], codes[fresh]))
-        grown.sort(axis=1)
+        grown = _inserted(edges[owner[fresh]], codes[fresh])
         return _word_rows(_unique_words(_row_words(grown, n * n)), level,
                           n * n)
     # an itemset gains a rank above its last, a sequence one it lacks

@@ -111,6 +111,19 @@ def test_count_supports_scratch_is_bounded():
     assert np.array_equal(out, brute(txn, cand)[pick])
 
 
+def test_count_supports_is_exact_past_2_24_bits():
+    """A row of 2**24 + 1 set bits (2 MiB of words) counts exactly, alone
+    and ANDed with itself, as int64: summed in float32 or in an int
+    narrower than 32 bits, its popcounts would lose the last bit."""
+    tidsets = np.zeros((1, 2**18 + 1), dtype=np.uint64)
+    tidsets[0, :-1] = ~np.uint64(0)
+    tidsets[0, -1] = 1
+    for cand in ([[0]], [[0, 0]]):
+        out = _kernels.count_supports(tidsets, np.array(cand, dtype=np.intp))
+        assert out.dtype == np.int64
+        assert out.tolist() == [2**24 + 1]
+
+
 def test_count_supports_empty_candidates():
     tidsets = _kernels.pack_rows([0], [0], 1, 1)
     out = _kernels.count_supports(tidsets, np.zeros((0, 1), dtype=np.intp))

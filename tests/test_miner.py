@@ -609,6 +609,31 @@ def test_generate_matches_bucket_join(block_bytes, monkeypatch):
     assert unclosed > families // 2
 
 
+def test_inserted_matches_a_row_sort():
+    """``_inserted`` puts each row's new entry in its place, as sorting
+    the row with it would: rows of width 0 to 8, no rows, new entries
+    below, between and above a row's, over plain item indices and over
+    the edge codes a * n + b (a < b) of a graph level."""
+    rng = np.random.default_rng(30)
+    n = 9
+    codes = np.array([a * n + b for a in range(n) for b in range(a + 1, n)])
+    for universe in (np.arange(20), codes):
+        for m in range(9):
+            for count in (0, 1, 60):
+                picks = [rng.choice(universe, m + 1, replace=False)
+                         for _ in range(count)]
+                rows = np.array([np.sort(p[:m]) for p in picks],
+                                dtype=np.intp).reshape(count, m)
+                new = np.array([p[m] for p in picks], dtype=np.intp)
+                got = miner._inserted(rows, new)
+                assert got.dtype == np.intp and got.shape == (count, m + 1)
+                assert np.array_equal(
+                    got, np.sort(np.column_stack((rows, new)), axis=1))
+    rows = np.array([[2, 4, 6]] * 4, dtype=np.intp)
+    assert miner._inserted(rows, np.array([0, 3, 5, 7])).tolist() == [
+        [0, 2, 4, 6], [2, 3, 4, 6], [2, 4, 5, 6], [2, 4, 6, 7]]
+
+
 def test_constrained_candidates_never_exceed_unconstrained():
     rng = random.Random(29)
     for _ in range(25):
@@ -1206,6 +1231,39 @@ def test_lookup_finds_numbered_items_and_nothing_else():
                            for c in labels)
             items, index = number(labels)
             assert lookup(items, labels).tolist() == index.tolist()
+
+
+@pytest.mark.parametrize("kind", ["plain", "pairs", "chain", "wide",
+                                  "past-int64"])
+def test_number_past_the_table_matches_a_reference(kind):
+    """Codes past the lookup table are numbered by one sort of keys that
+    carry each entry's position, or by ``np.unique`` when they are too
+    wide for that or past int64: either way the sorted distinct labels,
+    int64 or, past it, Python ints, and each entry's index among them, as
+    a sorted set and a dict find them.  ``chain`` has the pairs (x, x) and
+    (x, x + 1) of a path bundle, dense components whose codes still pass
+    the table."""
+    rng = np.random.default_rng(31)
+
+    def drawn(top, count=5000):
+        pool = rng.choice(np.arange(1, top, top // 997), 300, replace=False)
+        return rng.choice(pool, count)
+
+    x = rng.integers(1, 5000, size=20000)
+    labels = {"plain": (drawn(2**40),),
+              "pairs": (drawn(2**20), drawn(2**20)),
+              "chain": (x, x + rng.integers(0, 2, size=len(x))),
+              "wide": (drawn(2**62),),
+              "past-int64": (drawn(2**62).astype(object) * 8,
+                             drawn(2**20))}[kind]
+    items, index = number(labels)
+    entries = list(zip(*(c.tolist() for c in labels)))
+    want = sorted(set(entries))
+    assert list(zip(*(c.tolist() for c in items))) == want
+    assert {c.dtype for c in items} == {
+        np.dtype(object if kind == "past-int64" else np.int64)}
+    at = {e: i for i, e in enumerate(want)}
+    assert index.tolist() == [at[e] for e in entries]
 
 
 def test_mining_result_reports_seconds_per_phase():
