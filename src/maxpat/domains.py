@@ -15,6 +15,8 @@ The containment order is plain inclusion per domain:
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import DomainMismatchError, PatternError
 
 ITEMSET = "itemset"
@@ -212,35 +214,13 @@ class LabelledGraph:
         return f"LabelledGraph([{vs}], [{es}])"
 
 
-def connected_components(vertices, edges):
-    """The connected components of the undirected view of ``edges`` over
-    ``vertices``, as sets, found one at a time.  They split an edge list
-    into graphs; whether a graph is connected is for ``spans`` to say."""
-    adj = {v: [] for v in vertices}
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = set()
-    for start in adj:
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        yield comp
-        seen |= comp
-
-
 def spans(vertices, edges) -> bool:
     """Whether the undirected view of ``edges`` joins ``vertices``, which
     hold every endpoint, into one component (no vertices make none); an
-    edge (a, a) adds nothing.  Union-find with path halving and no
-    recursion, which answers early when there are fewer than n - 1 edges
-    or once one component is left."""
+    edge (a, a) adds nothing.  The form for one pattern: union-find with
+    path halving and no recursion, in plain Python, which answers early
+    when there are fewer than n - 1 edges or once one component is left.
+    ``component_roots`` is the form for many vertices at once."""
     n = len(vertices)
     if len(edges) < n - 1:
         return False
@@ -257,6 +237,28 @@ def spans(vertices, edges) -> bool:
             if n == 1:
                 return True
     return n == 1
+
+
+def component_roots(n, heads, tails):
+    """For each vertex 0..n-1, the least vertex it reaches in the
+    undirected view of the edges ``heads[i]``--``tails[i]`` (arrays of
+    vertex numbers); an edge (a, a) adds nothing.  The form for a batch:
+    each vertex points at the least vertex it is known to reach; an edge
+    hooks the larger of its ends' targets onto the smaller, and pointer
+    jumping flattens the result, until no edge joins two targets."""
+    comp = np.arange(n)
+    while True:
+        hooked = comp.copy()
+        np.minimum.at(hooked, comp[heads], comp[tails])
+        np.minimum.at(hooked, comp[tails], comp[heads])
+        while True:
+            jumped = hooked[hooked]
+            if (jumped == hooked).all():
+                break
+            hooked = jumped
+        if (hooked == comp).all():
+            return comp
+        comp = hooked
 
 
 def is_connected(g: LabelledGraph) -> bool:

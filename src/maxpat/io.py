@@ -7,7 +7,8 @@
   lines; a single ``d`` line before the first block marks the database as
   directed.
 * edge lists: one file per transaction, ``src dst`` per line; self-loops
-  are skipped with a warning.
+  are skipped with a warning.  A file of more than one component (as
+  ``domains.component_roots`` finds) is refused, or split into them.
 
 Label tokens are plain ints ("7") or pairs ("3,1").  The parsers read a
 token as a plain int first and fall back to ``parse_label_token``, which
@@ -33,7 +34,8 @@ most 18 digits, at least 1, read a decimal place at a time.
   optional first line ``d`` and ``t``/``v``/``e`` lines when every block
   has a vertex, repeats no vertex and no edge (an undirected one smaller
   end first), has no self-loop and no edge leaving its vertices, and is
-  connected.  A file read against a graph class goes to the line parser.
+  connected, which ``domains.component_roots`` finds for all blocks at
+  once.  A file read against a graph class goes to the line parser.
 
 Anything else goes to the line parser (``_parse_lines``,
 ``_parse_graph_lines``), which builds the patterns one line or block at a
@@ -50,9 +52,9 @@ from . import _kernels
 from .core import Database
 from .domains import (
     DIGRAPH, GRAPH, ITEMSET, SEQUENCE,
-    Itemset, LabelledGraph, Sequence, connected_components,
+    Itemset, LabelledGraph, Sequence, component_roots,
 )
-from .errors import ParseError, PatternError
+from .errors import DatabaseError, ParseError, PatternError
 from .incidence import Incidence
 
 
@@ -312,25 +314,9 @@ def _graph_piece(data: bytes, directed: bool):
     edges = np.sort(iu * len(keys) + iw)
     if (edges[1:] == edges[:-1]).any():
         return None  # a repeated edge
-    # connectivity: each vertex points at the least vertex it is known to
-    # reach; an edge hooks the larger of its ends' targets onto the
-    # smaller, and pointer jumping flattens the result, until no edge
-    # joins two targets.  A block is connected when every vertex then
-    # points at its block's first.
-    comp = np.arange(len(keys))
-    while True:
-        hooked = comp.copy()
-        np.minimum.at(hooked, comp[iu], comp[iw])
-        np.minimum.at(hooked, comp[iw], comp[iu])
-        while True:
-            jumped = hooked[hooked]
-            if (jumped == hooked).all():
-                break
-            hooked = jumped
-        if (hooked == comp).all():
-            break
-        comp = hooked
-    if (comp != np.repeat(np.cumsum(counts) - counts, counts)).any():
+    # a block is connected when each of its vertices reaches its first
+    if (component_roots(len(keys), iu, iw)
+            != np.repeat(np.cumsum(counts) - counts, counts)).any():
         return None
     vrows, v = np.divmod(keys, base)
     return v, vrows, u, w, erows, n_blocks
@@ -410,8 +396,8 @@ def write_graph_db(db: Database) -> str:
 def ingest_edge_lists(paths, components="keep", directed=False,
                       warn=_warn_stderr) -> Database:
     """One transaction per file.  ``components='split'`` turns each
-    connected component into its own transaction instead of failing on a
-    disconnected file."""
+    connected component into its own transaction, from the one with the
+    least vertex on, instead of refusing a disconnected file."""
     if components not in ("keep", "split"):
         raise ValueError("components must be 'keep' or 'split'")
     txns = []
@@ -425,7 +411,10 @@ def ingest_edge_lists(paths, components="keep", directed=False,
                 continue
             if len(toks) != 2:
                 raise ParseError(f"{path}: expected 'src dst'", lineno)
-            u, v = _label_tokens(toks, lineno)
+            try:
+                u, v = _label_tokens(toks, None)
+            except ParseError as e:
+                raise ParseError(f"{path}: {e}", lineno) from None
             if u == v:
                 warn(f"{path}:{lineno}: skipping self-loop on {u}")
                 continue
@@ -434,21 +423,27 @@ def ingest_edge_lists(paths, components="keep", directed=False,
             warn(f"{path}: no usable edges, skipping file")
             continue
         # the whole file is one graph first, so that its labels are checked
-        # (one kind, say) before components are sorted by them
+        # (one kind, say) before its vertices are sorted and numbered
         g = LabelledGraph(frozenset(x for e in edges for x in e),
                           frozenset(edges), directed=directed)
-        if components == "split":
-            comps = sorted(connected_components(g.vertices, g.edges),
-                           key=sorted)
-            where = {v: i for i, comp in enumerate(comps) for v in comp}
-            parts = [[] for _ in comps]
-            for e in g.edges:
-                parts[where[e[0]]].append(e)
-            for comp, part in zip(comps, parts):
-                txns.append(LabelledGraph(frozenset(comp), frozenset(part),
-                                          directed=directed))
-        else:
-            txns.append(g)
+        vertices = sorted(g.vertices)
+        number = {x: i for i, x in enumerate(vertices)}
+        heads, tails = np.array([(number[u], number[v])
+                                 for u, v in g.edges]).T
+        roots = component_roots(len(vertices), heads, tails).tolist()
+        # a component's root is its least vertex, met first in sorted order
+        parts = {}
+        for x, r in zip(vertices, roots):
+            parts.setdefault(r, ([], []))[0].append(x)
+        if components == "keep" and len(parts) > 1:
+            raise DatabaseError(f"{path}: graph transactions must be "
+                                "connected")
+        for e in g.edges:
+            parts[roots[number[e[0]]]][1].append(e)
+        # the parts of a validated graph need no validation of their own
+        txns.extend(LabelledGraph._trusted(frozenset(vs), frozenset(es),
+                                           directed)
+                    for vs, es in parts.values())
     return Database(DIGRAPH if directed else GRAPH, tuple(txns))
 
 

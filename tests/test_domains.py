@@ -13,7 +13,7 @@ from maxpat.domains import (
     DIGRAPH, GRAPH, ITEMSET, SEQUENCE,
     BOUNDED_DEGREE, DAG, DIRECTED, GENERAL, TREE,
     GraphClass, Itemset, LabelledGraph, Sequence,
-    canonical_key, connected_components, is_acyclic, is_connected,
+    canonical_key, component_roots, is_acyclic, is_connected,
     item_labels, pattern_domain, pattern_leq, pattern_size, spans,
     undirected_degrees, validate_class,
 )
@@ -142,10 +142,18 @@ def test_connectivity_and_degrees():
     assert undirected_degrees(path) == {1: 1, 2: 2, 3: 1}
 
 
-def _bfs_connected(vertices, edges):
-    # the reference: one breadth-first component that holds every vertex
-    return bool(vertices) and \
-        len(next(connected_components(vertices, edges))) == len(vertices)
+def _ends(edges):
+    # the heads and the tails of numbered edges, as component_roots takes them
+    return (np.array([e[i] for e in edges], dtype=np.intp) for i in (0, 1))
+
+
+def _batch_connected(vertices, edges):
+    # the reference: the batch routine, hook and jump rather than union-find,
+    # over the vertices numbered; it finds one root when they are connected
+    number = {x: i for i, x in enumerate(vertices)}
+    roots = component_roots(len(number), *_ends(
+        [(number[u], number[v]) for u, v in edges]))
+    return bool(number) and not roots.any()
 
 
 def test_connectivity_agrees_with_bfs():
@@ -163,12 +171,12 @@ def test_connectivity_agrees_with_bfs():
         p = rng.random()
         edges = [e for e in pairs if rng.random() < p / 2]
         g = LabelledGraph(frozenset(labels), frozenset(edges), directed)
-        assert is_connected(g) == _bfs_connected(g.vertices, g.edges), g
+        assert is_connected(g) == _batch_connected(g.vertices, g.edges), g
 
         # pair items over plain labels, with markers (a, a)
         items = {(rng.randint(1, 6), rng.randint(1, 6))
                  for _ in range(rng.randint(0, 7))}
-        assert connected_edge_itemset(items) == _bfs_connected(
+        assert connected_edge_itemset(items) == _batch_connected(
             item_labels(items), [(a, b) for a, b in items if a != b]), items
 
 
@@ -187,6 +195,43 @@ def test_connectivity_of_a_long_path():
     assert not connected_edge_itemset(links + [(2, 4), (1, 1)])
     assert not is_connected(LabelledGraph(vertices,
                                           frozenset(links + [(2, 4)])))
+    # the batch routine on the same lists, vertex x numbered x - 1
+    numbered = [(u - 1, v - 1) for u, v in links]
+    assert not component_roots(n, *_ends(numbered + [(0, 1)])).any()
+    roots = component_roots(n, *_ends(numbered + [(1, 3)]))
+    assert roots[0] == 0 and (roots[1:] == 1).all()
+
+
+def _check_roots(n, edges):
+    # the roots split 0..n-1 into groups with no edge between two of them,
+    # each rooted at its least vertex and joined, by spans, into one
+    roots = component_roots(n, *_ends(edges)).tolist()
+    assert len(roots) == n
+    assert all(roots[u] == roots[v] for u, v in edges)
+    groups = {}
+    for x, r in enumerate(roots):
+        groups.setdefault(r, set()).add(x)
+    for r, group in groups.items():
+        assert r == min(group)
+        assert spans(group, [e for e in edges if e[0] in group]), group
+    return roots
+
+
+def test_component_roots_agrees_with_spans():
+    assert _check_roots(0, []) == []
+    assert _check_roots(1, []) == [0]
+    assert _check_roots(1, [(0, 0)]) == [0]
+    assert _check_roots(4, [(2, 2)]) == [0, 1, 2, 3]  # isolated vertices
+    assert _check_roots(4, [(3, 1), (1, 3), (3, 1), (2, 0)]) == [0, 1, 0, 1]
+    rng = random.Random(11)
+    for _ in range(2000):
+        n = rng.randint(1, 16)
+        # random ends, some alike, and some edges twice
+        edges = [(rng.randrange(n), rng.randrange(n))
+                 for _ in range(rng.randint(0, 2 * n))]
+        edges += rng.sample(edges, len(edges) // 4)
+        rng.shuffle(edges)
+        _check_roots(n, edges)
 
 
 def test_acyclicity():

@@ -160,6 +160,56 @@ def test_edge_list_split_components(tmp_path):
     assert warnings == []
 
 
+def test_edge_list_split_directed_and_label_pairs(tmp_path):
+    # arcs keep their direction, an opposing pair is two arcs, and the
+    # components come from the least vertex on
+    f = tmp_path / "arcs.edges"
+    f.write_text("9 7\n3 2\n2 1\n8 9\n1 2\n")
+    db = mio.ingest_edge_lists([f], components="split", directed=True)
+    assert db.domain == DIGRAPH
+    assert db.transactions == (
+        graph({1, 2, 3}, {(1, 2), (2, 1), (3, 2)}, directed=True),
+        graph({7, 8, 9}, {(9, 7), (8, 9)}, directed=True))
+
+    g = tmp_path / "pairs.edges"
+    g.write_text("5,5 6,6\n1,2 1,1\n2,1 6,6\n")
+    db = mio.ingest_edge_lists([g], components="split")
+    assert db.transactions == (
+        graph({(1, 1), (1, 2)}, {((1, 1), (1, 2))}),
+        graph({(2, 1), (5, 5), (6, 6)}, {((5, 5), (6, 6)), ((2, 1), (6, 6))}))
+
+
+def test_edge_list_keep_names_the_disconnected_file(tmp_path, capsys):
+    # a skipped file before it must not shift what the error names
+    loops = tmp_path / "only-self-loops.edges"
+    loops.write_text("1 1\n2 2\n")
+    split = tmp_path / "disconnected.edges"
+    split.write_text("1 2\n3 4\n")
+    with pytest.raises(DatabaseError, match="disconnected.edges: graph "
+                       "transactions must be connected"):
+        mio.ingest_edge_lists([loops, split], warn=lambda msg: None)
+    code = main(["mine", "--input", str(loops), str(split), "--format",
+                 "edges", "--domain", "graph", "--tau", "1"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert f"error:validation: {split}: graph transactions must be " \
+        "connected" in err
+    assert "transaction 0" not in err
+
+
+def test_edge_list_bad_label_names_the_file(tmp_path, capsys):
+    f = tmp_path / "bad.edges"
+    f.write_text("1 2\nx 3\n")
+    with pytest.raises(ParseError, match="bad label token 'x'") as e:
+        mio.ingest_edge_lists([f])
+    assert e.value.line == 2
+    code = main(["mine", "--input", str(f), "--format", "edges",
+                 "--domain", "graph", "--tau", "1"])
+    assert code == 2
+    assert capsys.readouterr().err == \
+        f"error:parse: line 2: {f}: bad label token 'x'\n"
+
+
 @pytest.mark.parametrize("components", ["keep", "split"])
 def test_edge_list_mixing_label_kinds_is_refused(tmp_path, capsys,
                                                  components):
