@@ -15,8 +15,8 @@ one product with a vector of float64 ones, one call for the block, where a
 sum along the rows runs its inner loop once a row; the sums are exact,
 being integers far below 2**53.
 
-``pack_rows`` builds every such bitset matrix: the items' tidsets, the
-collected sets of the maximality filter and the label bitsets of the join.
+``pack_rows`` builds both such bitset matrices: the items' tidsets, and
+the collected sets of the maximality filter.
 It scatters its (row, bit) entries into a bool plane, one byte a bit, and
 turns the plane into words with one ``np.packbits``, so a repeated entry
 costs nothing more.  The plane is built a block of rows at a time, each

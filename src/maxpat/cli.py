@@ -18,7 +18,7 @@ import re
 import sys
 
 from . import io as mio
-from .core import Database, support
+from .core import Database, batch_patterns, support
 from .domains import (
     BOUNDED_DEGREE, DAG, DIGRAPH, DIRECTED, GENERAL, GRAPH, ITEMSET,
     SEQUENCE, TREE, GraphClass, pattern_leq, validate_class,
@@ -33,7 +33,8 @@ from .feasibility import (
 from .miner import MODES, mine, mine_via_reduction
 from .oracle import oracle_max
 from .reductions import (
-    bind_from_target, bind_reduction, invert_database, reduce_database,
+    bind_from_target, bind_reduction, encode_rows, invert_database,
+    reduce_database,
 )
 from .synth import random_db, random_subpattern
 
@@ -226,7 +227,8 @@ def _check_reduction_properties(chain, db: Database, rng, out,
     back to itself, order is preserved and reflected on sampled subpattern
     pairs, and support carries over unchanged.
     """
-    target_db = reduce_database(chain, db)
+    # unvalidated: a database of them would refuse an image off the class
+    images = batch_patterns(chain.target_domain, encode_rows(chain, db))
 
     def fail(what, detail):
         print(f"PROPERTY VIOLATION {what}: {detail}", file=out)
@@ -239,7 +241,6 @@ def _check_reduction_properties(chain, db: Database, rng, out,
             return None
 
     pool = []
-    images = target_db.transactions
     back = chain._inverses(list(images))
     for i, (t, img) in enumerate(zip(db.transactions, images)):
         if chain.target_class is not None and not validate_class(
@@ -259,6 +260,7 @@ def _check_reduction_properties(chain, db: Database, rng, out,
     if not pool:
         print(f"ok: {chain.id} (empty database, nothing to sample)", file=out)
         return True
+    target_db = Database(chain.target_domain, images, chain.target_class)
 
     for _ in range(samples):
         (p, fp), (q, fq) = rng.choice(pool), rng.choice(pool)
@@ -370,12 +372,9 @@ def cmd_stats(args) -> int:
         raise _usage("stats needs a non-trivial --phi to compare against")
     tau = _resolve_tau(args, db)
 
-    lines = [f"# levels tau={tau} phi={describe(phi)}",
-             "level\tcandidates\tfrequent\tfeasible"]
     res = mine(db, tau, phi, mode="postfilter")
-    for s in res.stats:
-        lines.append(f"{s.level}\t{s.candidates}\t{s.frequent}\t"
-                     f"{s.feasible_frequent}")
+    lines = [f"# levels tau={tau} phi={describe(phi)}",
+             *mio.render_levels(res.stats)]
 
     lo, hi = 1, len(db.transactions)
     if args.tau_range:

@@ -401,7 +401,7 @@ def canonical_key(p):
 
 def item_labels(items) -> frozenset:
     """The plain labels that ``items`` touch; a label pair contributes both
-    of its components, which is what the connectivity merge test needs."""
+    of its components, the vertices of the graph that pair items spell."""
     out = set()
     for x in items:
         if isinstance(x, tuple):

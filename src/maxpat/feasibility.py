@@ -40,14 +40,14 @@ pruning even though connectivity is not anti-monotone.  ``AlwaysTrue``,
 ``ConnectedEdgeItemset`` and their conjunctions are the predicates without
 one, and all of them are.
 
-The join climb asks ``merge_hint(labels, a, b)`` once per level, for all
-pairs of surviving sets at once: ``labels`` holds each survivor's plain
-labels as a row of uint64 bitset words, and survivor ``a[i]`` pairs with
-``b[i]``.  The answer is a boolean per pair, or True for every pair; a
-False must mean that the union of the pair is infeasible.  On two
-feasible sets the hint of a predicate without a step reduction is exact,
-True meaning a feasible union, so the miner judges only the first level
-of a pruned join climb.
+The join climb asks ``merge_hint(items, x, y)`` only when it joins
+single items, once per block of pairs: ``items`` are its label columns,
+and item ``x[i]`` pairs with ``y[i]``.  The answer is a boolean per pair,
+or True for every pair; a False must mean an infeasible union.  On two
+feasible items the hint of a predicate without a step reduction is exact.
+Any later pair is two feasible sets sharing an item, and under these
+predicates their union is feasible, so the miner judges only the first
+level of a pruned join climb.
 """
 
 from dataclasses import dataclass
@@ -65,7 +65,7 @@ class Predicate:
 
     step_reduction = None
 
-    def merge_hint(self, labels, a, b):
+    def merge_hint(self, items, x, y):
         return True
 
     def judge(self, patterns, step=None, sources=None):
@@ -98,10 +98,11 @@ class ConnectedEdgeItemset(Predicate):
     def describe(self):
         return "connected-edges"
 
-    def merge_hint(self, labels, a, b):
-        # the union of two connected edge sets is connected iff their label
-        # sets intersect, so disjoint pairs can be skipped wholesale
-        return (labels[a] & labels[b]).any(axis=1)
+    def merge_hint(self, items, x, y):
+        # two items have a connected union iff they share a label, which
+        # may stand in either column of each
+        return reduce(np.logical_or, (c[x] == d[y] for c in items
+                                      for d in items))
 
 
 @dataclass(frozen=True)
@@ -177,9 +178,9 @@ class And(Predicate):
     def describe(self):
         return "∧".join(describe(part) for part in self.parts)
 
-    def merge_hint(self, labels, a, b):
+    def merge_hint(self, items, x, y):
         return reduce(np.logical_and,
-                      (p.merge_hint(labels, a, b) for p in self.parts), True)
+                      (p.merge_hint(items, x, y) for p in self.parts), True)
 
 
 ALWAYS = AlwaysTrue()

@@ -471,10 +471,16 @@ def render_result(res) -> str:
            f"# maximal {len(res.maximal)}"]
     out.extend(render_pattern(p) for p in res.maximal)
     out.append("# levels")
-    out.append("level\tcandidates\tfrequent\tfeasible")
-    for s in res.stats:
-        out.append(f"{s.level}\t{s.candidates}\t{s.frequent}\t{s.feasible_frequent}")
+    out.extend(render_levels(res.stats))
     return "\n".join(out) + "\n"
+
+
+def render_levels(stats) -> list:
+    """The lines of a level table: a header, then one tab-separated row
+    per level of ``stats``."""
+    return ["level\tcandidates\tfrequent\tfeasible"] + [
+        f"{s.level}\t{s.candidates}\t{s.frequent}\t{s.feasible_frequent}"
+        for s in stats]
 
 
 # ---------------------------------------------------------------------------

@@ -74,13 +74,13 @@ the level when it took more than one block.  The lexicographic prefix join
 familiar from unconstrained mining would be incomplete here: the two
 connected (k-1)-subsets that witness a connected k-set need not share a
 prefix (a three-edge path is the union of its two overlapping two-edge
-halves, which differ in their first item).  The predicate's merge hint judges all pairs
-at once from bitsets of the survivors' labels; for connectivity a pair is
-skipped when the bitsets share no label, which is exactly when the union is
-disconnected.  In mode "auto" every predicate without a step reduction is
-``ALWAYS``, connectivity or their conjunction, and any other one is refused
-at level 1, so the union of two feasible sets is feasible iff the hint
-keeps the pair: the climb judges level 1 alone, and under ``ALWAYS``,
+halves, which differ in their first item).  Only the join of single items
+asks the predicate's merge hint, for all pairs at once; for connectivity a
+pair is skipped when its items share no label, exactly when their union is
+disconnected, and any later pair shares an item.  In mode "auto" every
+predicate without a step reduction is ``ALWAYS``, connectivity or their
+conjunction, and any other one is refused at level 1, so every union the
+climb builds is feasible: it judges level 1 alone, and under ``ALWAYS``,
 which accepts every set, builds no itemset even for that.
 
 The climb runs on item indices (``climb_rows``).  Items are numbered once,
@@ -175,16 +175,6 @@ def _pack(incidence: Incidence):
                                      incidence.n_rows)
 
 
-def _label_bitsets(items):
-    """One row of bitset words per item of the columns ``items`` over the
-    plain labels it touches, numbered densely, in sorted order, so sparse
-    labels cost no more words than dense ones: a plain item is its own
-    label, and a pair item touches both of its components."""
-    (labels,), bits = number((np.concatenate(items),))
-    owners = np.tile(np.arange(len(items[0]), dtype=np.intp), len(items))
-    return _kernels.pack_rows(owners, bits, len(items[0]), len(labels))
-
-
 def _itemsets(items, rows):
     """The itemsets that the rows of the index matrix ``rows`` name among
     the label columns ``items``, the padding item left out."""
@@ -259,16 +249,16 @@ def _inserted(rows, new):
     return out
 
 
-def _generate(survivors, item_bits, phi):
+def _generate(survivors, items, phi):
     """Next-level candidates: the sorted unions of survivor pairs sharing
     all but one item, as the rows of an index matrix in ascending order.
-    ``survivors`` holds distinct sorted rows of item indices and
-    ``item_bits`` each item's labels (``_label_bitsets``)."""
+    ``survivors`` holds distinct sorted rows of indices among the label
+    columns ``items``; two single items are joined only when
+    ``phi.merge_hint`` keeps the pair."""
     n, m = survivors.shape
     if n < 2:
         return np.empty((0, m + 1), dtype=np.intp)
-    n_items = len(item_bits)
-    labels = np.bitwise_or.reduce(item_bits[survivors], axis=1)
+    n_items = len(items[0])
     # one entry per survivor and column: the column's item, keyed by the
     # survivor's other items; equal keys sort into runs
     keys = [np.concatenate(ws) for ws in zip(*(
@@ -296,9 +286,10 @@ def _generate(survivors, item_bits, phi):
         a = np.repeat(np.arange(lo, hi), count)
         b = a + 1 + np.arange(len(a)) - np.repeat(np.cumsum(count) - count,
                                                   count)
-        keep = phi.merge_hint(labels, owner[a], owner[b])
-        if not np.all(keep):
-            a, b = a[keep], b[keep]
+        if m == 1:  # later pairs share an item (see the module docstring)
+            keep = phi.merge_hint(items, dropped[a], dropped[b])
+            if not np.all(keep):
+                a, b = a[keep], b[keep]
         cand = _inserted(survivors[owner[a]], dropped[b])
         blocks.append(_unique_words(_row_words(cand, n_items)))
     # one block's unions are distinct and sorted already
@@ -480,7 +471,6 @@ def climb_rows(incidence: Incidence, tau: int, phi=ALWAYS,
         grown, current = _images(step, _grow(None, 0, len(labels), domain),
                                  labels, items)
     else:
-        item_bits = _label_bitsets(items)
         current = np.arange(n_items, dtype=np.intp).reshape(-1, 1)
     stats = []
     collected = []  # each level's feasible rows
@@ -509,11 +499,11 @@ def climb_rows(incidence: Incidence, tau: int, phi=ALWAYS,
                 step, _grow(grown, level - 1, len(labels), domain), labels,
                 items)
             continue
-        # the merge hint is sound in both modes: any feasible set of size
+        # a pruned climb joins feasible sets only: any feasible set of size
         # >= 2 keeps two one-smaller feasible subsets (drop a marker or a
-        # leaf/cycle edge), so a climb through feasible sets never needs a
-        # pruned join
-        current = _generate(feasible if prune else frequent, item_bits, phi)
+        # leaf/cycle edge); postfilter joins every frequent set
+        current = _generate(feasible, items, phi) if prune \
+            else _generate(frequent, items, ALWAYS)
     climbed = perf_counter()
 
     if any(map(len, collected)):

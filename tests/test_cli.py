@@ -350,6 +350,28 @@ def test_verify_random_draws_edge_itemsets_for_their_preimages(
     assert code == 4 and "MISMATCH" in out
 
 
+def test_verify_reduce_reports_a_class_violation(capsys, monkeypatch):
+    """An image off the chain's advertised class is a property violation
+    with a replayable instance, not a database refused on the way."""
+    from maxpat import io as mio
+    from maxpat.domains import GraphClass
+    from maxpat.reductions import GraphToBoundedDegree
+
+    monkeypatch.setattr(GraphToBoundedDegree, "target_class",
+                        GraphClass(TREE))
+    code, out, err = run(capsys, ["verify", "--random", "5", "--domain",
+                                  "graph", "--reduce", "g2bdg3", "--seed",
+                                  "1"])
+    assert code == 4 and err == ""
+    lines = out.splitlines()
+    assert lines[0].startswith("PROPERTY VIOLATION class: image of "
+                               "transaction ")
+    assert lines[0].endswith(" leaves tree")
+    body = lines[lines.index("--- instance") + 1:lines.index("--- end")]
+    assert len(mio.parse_database("".join(line + "\n" for line in body),
+                                  "graph"))
+
+
 def test_verify_reduce_domain_mismatch_is_usage_error(capsys):
     code, _, err = run(capsys, ["verify", "--random", "1",
                                 "--domain", "sequence", "--reduce", "g2fis"])

@@ -79,23 +79,41 @@ def test_split_stability_is_real_not_just_a_flag():
 
 def test_mergeable_soundness_exhaustive():
     """The connectivity merge hint, asked as the join climb asks it (every
-    pair at once, over label bitsets), may only reject a pair whose union
-    really is infeasible, and accepts only pairs whose label sets
-    intersect; checked exhaustively for all pairs of connected sets over 4
-    labels."""
+    pair of single items at once, over the label columns), keeps a pair
+    exactly when the union of the two items is connected; checked
+    exhaustively over 4 labels, with the labels as int64 and as Python
+    ints in object columns."""
     pool = [(a, b) for a in range(1, 5) for b in range(a, 5)]
-    sets = [frozenset(c) for k in (1, 2) for c in combinations(pool, k)
-            if connected_edge_itemset(c)]
-    labels = np.array([[sum(1 << (x - 1) for x in item_labels(s))]
-                       for s in sets], dtype=np.uint64)
-    a, b = (ix.ravel() for ix in np.indices((len(sets), len(sets))))
-    hint = CONNECTED_EDGES.merge_hint(labels, a, b)
-    assert hint.shape == a.shape
-    for i, j, ok in zip(a, b, hint):
-        if ok:
-            assert item_labels(sets[i]) & item_labels(sets[j]), (i, j)
-        else:
-            assert not connected_edge_itemset(sets[i] | sets[j]), (i, j)
+    x, y = (ix.ravel() for ix in np.indices((len(pool), len(pool))))
+    for dtype in (np.int64, object):
+        items = tuple(np.array(c, dtype=dtype) for c in zip(*pool))
+        for phi in (CONNECTED_EDGES, And((ALWAYS, CONNECTED_EDGES))):
+            hint = phi.merge_hint(items, x, y)
+            assert hint.dtype == bool and hint.shape == x.shape
+            assert hint.tolist() == [
+                connected_edge_itemset({pool[i], pool[j]})
+                for i, j in zip(x, y)]
+    # plain columns: two distinct items share no label
+    plain = (np.arange(1, 5),)
+    assert not CONNECTED_EDGES.merge_hint(
+        plain, np.array([0, 1]), np.array([1, 3])).any()
+    assert ALWAYS.merge_hint(plain, x, y) is True
+
+
+def test_connected_sets_sharing_an_item_have_a_connected_union():
+    """Past the first join the climb asks no merge hint: it joins only two
+    sets that share all but one item, and two connected edge sets that
+    share an item have a connected union.  Exhaustive over the connected
+    sets over 4 labels, every one of which is in ``connected``."""
+    pool = [(a, b) for a in range(1, 5) for b in range(a, 5)]
+    connected = {frozenset(c) for k in range(1, len(pool) + 1)
+                 for c in combinations(pool, k) if connected_edge_itemset(c)}
+    pairs = 0
+    for s, t in combinations(connected, 2):
+        if s & t:
+            assert s | t in connected, (s, t)
+            pairs += 1
+    assert pairs > 250000
 
 
 def test_item_labels():

@@ -31,7 +31,9 @@ from maxpat.miner import (
     count_maximal, extend, extendible, extendible_k, mine, mine_max_ffis,
     mine_via_reduction,
 )
-from maxpat.oracle import enumerate_patterns, oracle_max
+from maxpat.oracle import (
+    enumerate_patterns, oracle_all_feasible_frequent, oracle_max,
+)
 from maxpat.reductions import (
     GraphToEdgeItemset, ItemsetToSequence, ItemsetToStar, SequenceToDag,
     Composed, bind_from_target, bind_reduction, encode_rows, lift_results,
@@ -78,9 +80,30 @@ def test_modes_agree_on_connectivity():
             a = mine_max_ffis(db, tau, CONNECTED_EDGES, mode="auto")
             b = mine_max_ffis(db, tau, CONNECTED_EDGES, mode="postfilter")
             assert a.maximal == b.maximal
-            # same generator in both modes, so the level tables line up too
-            assert [(s.level, s.candidates) for s in a.stats] == \
-                   [(s.level, s.candidates) for s in b.stats]
+            # postfilter joins every frequent set, auto the feasible ones
+            assert len(a.stats) <= len(b.stats)
+            for s_auto, s_post in zip(a.stats, b.stats):
+                assert s_auto.level == s_post.level
+                assert s_auto.candidates <= s_post.candidates
+
+
+def test_postfilter_level_table_counts_every_frequent_set():
+    """Postfilter mines on frequency alone, so its level table counts
+    every frequent set of each size, and the feasible ones among them, as
+    the oracle does: the table ``maxpat stats`` prints."""
+    differ = 0
+    for seed in range(100):
+        db = random_itemset_db(random.Random(seed), n_labels=5, n_txns=6,
+                               max_items=4, pair_items=True)
+        for tau in (1, 2):
+            post = mine_max_ffis(db, tau, CONNECTED_EDGES, mode="postfilter")
+            auto = mine_max_ffis(db, tau, CONNECTED_EDGES)
+            want = oracle_all_feasible_frequent(db, tau, CONNECTED_EDGES)
+            want.pop(0, None)  # the empty itemset has no level
+            assert {s.level: (s.frequent, s.feasible_frequent)
+                    for s in post.stats if s.frequent} == want, (seed, tau)
+            differ += auto.stats != post.stats
+    assert differ > 100
 
 
 def test_auto_mode_proxy_matches_postfilter_on_bare_preimage():
@@ -582,6 +605,9 @@ def _join_families(rng):
         pick = sorted(rng.sample(range(20), 15))
         yield list(range(1, 21)), m, [c for c in combinations(pick, m)
                                       if rng.random() < 0.6]
+    # labels past int64 stay Python ints in object columns
+    yield [(2**64, 2**64 + 1), (2**64 + 1, 2**65), (2**65 + 1, 2**65 + 1)], \
+        1, [(0,), (1,), (2,)]
 
 
 @pytest.mark.parametrize("block_bytes", [None, 512])
@@ -595,11 +621,11 @@ def test_generate_matches_bucket_join(block_bytes, monkeypatch):
     unclosed = families = 0
     for labels, m, fam in _join_families(rng):
         survivors = np.array(fam, dtype=np.intp).reshape(-1, m)
-        item_bits = miner._label_bitsets(item_incidence([labels]).labels)
+        items = item_incidence([labels]).labels
         labels_of = [item_labels(labels[i] for i in s) for s in fam]
         wants = [_bucket_join(fam, labels_of, hint) for _, hint in _HINTS]
         for (phi, _), want in zip(_HINTS, wants):
-            got = miner._generate(survivors, item_bits, phi)
+            got = miner._generate(survivors, items, phi)
             assert got.dtype == np.intp and got.shape[1] == m + 1
             assert list(map(tuple, got.tolist())) == want, (labels, fam, phi)
         members = set(fam)
@@ -647,9 +673,10 @@ def test_constrained_candidates_never_exceed_unconstrained():
 
 
 def test_auto_join_climb_judges_level_one_alone(monkeypatch):
-    """Without a step reduction, the merge hint keeps a pair exactly when
-    the union of the two feasible sets is feasible, so every candidate that
-    ``_generate`` hands the auto climb from level 2 on is connected, and
+    """Without a step reduction, the merge hint keeps two feasible items
+    exactly when their union is feasible, and two feasible sets sharing an
+    item have a feasible union, so every candidate that ``_generate``
+    hands the auto climb from level 2 on is connected, and
     the climb judges only the frequent sets of level 1.  Postfilter
     judges every frequent set.  Neither builds a set to judge under
     ``ALWAYS``, which accepts them all, and under any other predicate
@@ -658,8 +685,8 @@ def test_auto_join_climb_judges_level_one_alone(monkeypatch):
     generated = []
     evaluated = []
 
-    def recorded(survivors, item_bits, phi, _fn=miner._generate):
-        generated.append(_fn(survivors, item_bits, phi))
+    def recorded(survivors, items, phi, _fn=miner._generate):
+        generated.append(_fn(survivors, items, phi))
         return generated[-1]
 
     def counted(phi, patterns, *args, _fn=miner.judge):
@@ -931,7 +958,7 @@ PINNED = {
         [(1, 5, 5, 5), (2, 8, 5, 5), (3, 5, 1, 1)],
         ["{1,2 2,3}", "{1,3 2,3 3,4}", "{1,4 3,4}"]),
     "trap-postfilter": (
-        [(1, 5, 5, 5), (2, 8, 5, 5), (3, 5, 1, 1)],
+        [(1, 5, 5, 5), (2, 10, 5, 5), (3, 5, 1, 1)],
         ["{1,2 2,3}", "{1,3 2,3 3,4}", "{1,4 3,4}"]),
 }
 
