@@ -195,10 +195,10 @@ class Database:
 
     @classmethod
     def _from_batch(cls, domain: str, batch):
-        """The database of the ``batch`` of plain labels, unchecked: its
-        rows passed every check of ``__init__``, and its entries come row
-        by row, an itemset's in label order and without a repeat, as
-        ``pattern_batch`` gives them."""
+        """The database of the ``batch``, unchecked: its rows passed every
+        check of ``__init__``, and its entries come row by row, an
+        itemset's in label order and without a repeat, as ``pattern_batch``
+        gives them."""
         db = object.__new__(cls)
         db._set(domain, None, None, _narrowed(batch))
         return db

@@ -126,15 +126,26 @@ def number(labels):
     return (distinct // base, distinct % base), index
 
 
+def later_pairs(later):
+    """Each entry i of ``later`` paired with each of the ``later[i]``
+    entries right after it: the first and the second entry of every pair,
+    in order of the first and then of the second."""
+    first = np.repeat(np.arange(len(later)), later)
+    return first, first + 1 + np.arange(len(first)) \
+        - np.repeat(np.cumsum(later) - later, later)
+
+
 def lookup(items, labels) -> np.ndarray:
-    """The index among ``items``, the sorted distinct items that ``number``
+    """The index among ``items``, sorted distinct items such as ``number``
     returns, of each entry of the columns ``labels`` (``Incidence.labels``),
-    or -1 for an entry that is no item.  A pair is found by its code, with
-    the base above every second label of both, which keeps the items'
-    codes sorted; past int64 too."""
+    or -1 for an entry that is no item.  A single column may hold keys of
+    any sortable dtype.  A pair is found by its code, with the base above
+    every second label of both, which keeps the items' codes sorted; past
+    int64 too."""
     if len(items) != len(labels) or not len(items[0]):
         return np.full(len(labels[0]), -1)
-    base = int(max(items[-1].max(), labels[-1].max(initial=0))) + 1
+    base = None if len(items) == 1 else int(  # keys need not have a max
+        max(items[1].max(), labels[1].max(initial=0))) + 1
     known, codes = _codes(items, base), _codes(labels, base)
     if known.dtype != codes.dtype:
         known, codes = known.astype(object), codes.astype(object)

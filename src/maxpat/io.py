@@ -49,13 +49,13 @@ import sys
 import numpy as np
 
 from . import _kernels
-from .core import Database
+from .core import Database, pattern_batch
 from .domains import (
     DIGRAPH, GRAPH, ITEMSET, SEQUENCE,
-    Itemset, LabelledGraph, Sequence, component_roots,
+    Itemset, LabelledGraph, Sequence, component_roots, element_kind,
 )
 from .errors import DatabaseError, ParseError, PatternError
-from .incidence import Incidence
+from .incidence import Incidence, lookup
 
 
 def _warn_stderr(msg):
@@ -306,11 +306,9 @@ def _graph_piece(data: bytes, directed: bool):
     if not directed:
         u, w = np.minimum(u, w), np.maximum(u, w)
     erows = block[is_e]
-    ends = [erows * base + x for x in (u, w)]
-    iu, iw = (np.searchsorted(keys, e) for e in ends)
-    for i, e in zip((iu, iw), ends):
-        if (keys[np.minimum(i, len(keys) - 1)] != e).any():
-            return None  # an end outside its block's vertices
+    iu, iw = (lookup((keys,), (erows * base + x,)) for x in (u, w))
+    if (np.minimum(iu, iw) < 0).any():
+        return None  # an end outside its block's vertices
     edges = np.sort(iu * len(keys) + iw)
     if (edges[1:] == edges[:-1]).any():
         return None  # a repeated edge
@@ -349,18 +347,11 @@ def _parse_graph_lines(text: str, graph_class=None) -> Database:
         if head == "e":
             if start is None or len(toks) != 3:
                 raise ParseError(f"bad edge line {raw!r}", lineno)
-            try:
-                edges.append((int(toks[1]), int(toks[2])))
-            except ValueError:
-                edges.append((parse_label_token(toks[1], lineno),
-                              parse_label_token(toks[2], lineno)))
+            edges.append(tuple(_label_tokens(toks[1:], lineno)))
         elif head == "v":
             if start is None or len(toks) != 2:
                 raise ParseError(f"bad vertex line {raw!r}", lineno)
-            try:
-                vertices.append(int(toks[1]))
-            except ValueError:
-                vertices.append(parse_label_token(toks[1], lineno))
+            vertices.extend(_label_tokens(toks[1:], lineno))
         elif head == "t":
             if start is not None:
                 flush()
@@ -400,7 +391,7 @@ def ingest_edge_lists(paths, components="keep", directed=False,
     least vertex on, instead of refusing a disconnected file."""
     if components not in ("keep", "split"):
         raise ValueError("components must be 'keep' or 'split'")
-    txns = []
+    txns, kinds = [], set()
     for path in paths:
         with open(path) as fh:
             text = fh.read()
@@ -426,6 +417,7 @@ def ingest_edge_lists(paths, components="keep", directed=False,
         # (one kind, say) before its vertices are sorted and numbered
         g = LabelledGraph(frozenset(x for e in edges for x in e),
                           frozenset(edges), directed=directed)
+        kinds.add(element_kind(g))
         vertices = sorted(g.vertices)
         number = {x: i for i, x in enumerate(vertices)}
         heads, tails = np.array([(number[u], number[v])
@@ -440,11 +432,14 @@ def ingest_edge_lists(paths, components="keep", directed=False,
                                 "connected")
         for e in g.edges:
             parts[roots[number[e[0]]]][1].append(e)
-        # the parts of a validated graph need no validation of their own
         txns.extend(LabelledGraph._trusted(frozenset(vs), frozenset(es),
                                            directed)
                     for vs, es in parts.values())
-    return Database(DIGRAPH if directed else GRAPH, tuple(txns))
+    if len(kinds) > 1:
+        raise DatabaseError("transactions mix plain and pair labels")
+    # the parts of validated graphs are connected: no check again
+    domain = DIGRAPH if directed else GRAPH
+    return Database._from_batch(domain, pattern_batch(domain, txns))
 
 
 # ---------------------------------------------------------------------------

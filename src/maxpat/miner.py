@@ -50,7 +50,7 @@ judged in numpy; patterns are built (``core.batch_patterns``) only for
 the answer and for a predicate that reads them, a level at a time.
 Itemsets and sequences also get the Apriori check: a grown row is kept
 only when each row that drops one of its elements is among the level's
-frequent rows.
+frequent rows, found by key (``incidence.lookup``).
 The climb counts every source pattern with a frequent image, so a
 sub-pattern missing there has an infrequent image, and so has the grown
 pattern.  A survivor without its largest item, or its last event, is
@@ -67,9 +67,9 @@ pair of entries in a run is one union, the survivor of the first with the
 item of the second.  That item is put in its place in the first's sorted
 row (``_inserted``), moving left past each larger item a column at a time,
 so no row is sorted on its own.  A k-set is built once per pair of its
-surviving (k-1)-subsets, so the unions are deduplicated, packed into int64
-words several item indices to a word: first within each block of pairs,
-which keeps only its distinct unions and so bounds the memory, then across
+surviving (k-1)-subsets, so the unions are deduplicated by their row keys
+(see the next paragraph), first within each block of pairs, which keeps
+only its distinct unions and so bounds the memory, and then across
 the level when it took more than one block.  The lexicographic prefix join
 familiar from unconstrained mining would be incomplete here: the two
 connected (k-1)-subsets that witness a connected k-set need not share a
@@ -94,7 +94,10 @@ the end with a padding item, numbered after the items, whose tidset is all
 ones: a grown graph level images to sets of two sizes, and still counts in
 one call.  Labels are validated once, where the database is built, and
 stay label columns; the itemsets and source patterns made from rows
-(``core.batch_patterns``) are not checked again.
+(``core.batch_patterns``) are not checked again.  Both climbs sort,
+deduplicate and look up rows by one key per row (``_row_keys``): its
+indices packed into an int64 word, or into words joined as one byte
+string when they take more, which sort as the rows do.
 
 Other domains are mined by encoding into itemsets through a reduction,
 in index space: ``encode_rows`` maps the database's batch of transactions
@@ -127,7 +130,7 @@ from .domains import (
 )
 from .errors import DomainMismatchError, ExtendError, PatternError
 from .feasibility import ALWAYS, describe, evaluate, judge
-from .incidence import Incidence, label_array, lookup, number
+from .incidence import Incidence, label_array, later_pairs, lookup, number
 # the mine path encodes with encode_rows; reduce_database stays a module
 # attribute because perfbench's tracer wraps it here by name
 from .reductions import (  # noqa: F401
@@ -189,49 +192,49 @@ def _packing(n_items):
     return width, 63 // width
 
 
-def _row_words(rows, n_items):
-    """The rows of an index matrix with entries below ``n_items``, packed
-    into int64 words, as many columns to a word as fit, first column
-    highest: equal rows pack equal, and sorting by the words in turn sorts
-    the rows lexicographically.  A matrix without columns packs to one
-    word of zeros."""
+def _row_keys(rows, n_items):
+    """One key per row of an index matrix with entries below ``n_items``:
+    its int64 word, or its words big-endian as one byte string, packed as
+    many columns to a word as fit, first column highest (no column packs
+    to 0).  Every word is below 2**63, so keys sort, compare and search in
+    the rows' lexicographic order."""
     width, per_word = _packing(n_items)
-    words = []
-    for lo in range(0, max(1, rows.shape[1]), per_word):
-        w = np.zeros(len(rows), dtype=np.int64)
-        for col in rows.T[lo:lo + per_word]:
-            w <<= width
-            w |= col
-        words.append(w)
-    return words
+    words = np.zeros((max(1, -(-rows.shape[1] // per_word)), len(rows)),
+                     dtype=np.int64)
+    for j, col in enumerate(rows.T):
+        w = words[j // per_word]
+        w <<= width
+        w |= col
+    if len(words) == 1:
+        return words[0]
+    return np.ascontiguousarray(words.T, dtype=">i8").view(
+        f"V{8 * len(words)}").ravel()
 
 
-def _word_rows(words, k, n_items):
-    """The k-column index matrix that ``_row_words`` packed into
-    ``words``."""
+def _key_rows(keys, k, n_items):
+    """The k-column index matrix that ``_row_keys`` keyed by ``keys``."""
     width, per_word = _packing(n_items)
-    rows = np.empty((len(words[0]), k), dtype=np.intp)
+    words = (keys if keys.dtype == np.int64 else keys.view(">i8")).reshape(
+        len(keys), keys.itemsize // 8)
+    rows = np.empty((len(keys), k), dtype=np.intp)
     for j in range(k):
         w, c = divmod(j, per_word)
         shift = width * (min(per_word, k - w * per_word) - 1 - c)
-        rows[:, j] = (words[w] >> shift) & ((1 << width) - 1)
+        rows[:, j] = (words[:, w] >> shift) & ((1 << width) - 1)
     return rows
 
 
-def _sort_words(words):
-    """The order that sorts rows packed by ``_row_words``, and for each
-    sorted position whether its row differs from the one before."""
-    order = np.lexsort(words[::-1])
-    ranked = [w[order] for w in words]
-    fresh = np.ones(len(order), dtype=bool)
-    fresh[1:] = ~np.logical_and.reduce([w[1:] == w[:-1] for w in ranked])
-    return order, fresh
+def _fresh(ranked):
+    """Whether each sorted key of ``ranked`` differs from the one before."""
+    fresh = np.ones(len(ranked), dtype=bool)
+    fresh[1:] = ranked[1:] != ranked[:-1]
+    return fresh
 
 
-def _unique_words(words):
-    """The distinct packed rows, in ascending order."""
-    order, fresh = _sort_words(words)
-    return [w[order[fresh]] for w in words]
+def _distinct(keys):
+    """The distinct ``keys``, in ascending order."""
+    keys = np.sort(keys)
+    return keys[_fresh(keys)]
 
 
 def _inserted(rows, new):
@@ -260,11 +263,12 @@ def _generate(survivors, items, phi):
         return np.empty((0, m + 1), dtype=np.intp)
     n_items = len(items[0])
     # one entry per survivor and column: the column's item, keyed by the
-    # survivor's other items; equal keys sort into runs
-    keys = [np.concatenate(ws) for ws in zip(*(
-        _row_words(np.delete(survivors, j, axis=1), n_items)
-        for j in range(m)))]
-    order, fresh = _sort_words(keys)
+    # survivor's other items; equal keys sort into runs, in any order, as
+    # the unions are deduplicated and sorted
+    keys = np.concatenate([_row_keys(np.delete(survivors, j, axis=1),
+                                     n_items) for j in range(m)])
+    order = np.argsort(keys)
+    fresh = _fresh(keys[order])
     owner = np.tile(np.arange(n, dtype=np.intp), m)[order]
     dropped = survivors.T.ravel()[order]
     # every entry pairs with each later entry of its run
@@ -273,7 +277,7 @@ def _generate(survivors, items, phi):
     later = np.repeat(ends, ends - starts) - 1 - np.arange(len(order))
     # blocks of entries whose unions fill about _CACHE_BYTES each bound the
     # intermediates (see ``_kernels``); a block keeps only its distinct
-    # unions, packed
+    # unions, keyed
     budget = max(1, _kernels._CACHE_BYTES // (8 * (m + 1)))
     pairs = np.cumsum(later)
     cuts = np.concatenate((
@@ -282,20 +286,16 @@ def _generate(survivors, items, phi):
     cuts = cuts[np.diff(cuts, prepend=-1) > 0]  # non-decreasing: dedupe
     blocks = []
     for lo, hi in zip(cuts[:-1], cuts[1:]):
-        count = later[lo:hi]
-        a = np.repeat(np.arange(lo, hi), count)
-        b = a + 1 + np.arange(len(a)) - np.repeat(np.cumsum(count) - count,
-                                                  count)
+        a, b = (x + lo for x in later_pairs(later[lo:hi]))
         if m == 1:  # later pairs share an item (see the module docstring)
             keep = phi.merge_hint(items, dropped[a], dropped[b])
             if not np.all(keep):
                 a, b = a[keep], b[keep]
         cand = _inserted(survivors[owner[a]], dropped[b])
-        blocks.append(_unique_words(_row_words(cand, n_items)))
+        blocks.append(_distinct(_row_keys(cand, n_items)))
     # one block's unions are distinct and sorted already
-    words = blocks[0] if len(blocks) == 1 else _unique_words(
-        [np.concatenate(ws) for ws in zip(*blocks)])
-    return _word_rows(words, m + 1, n_items)
+    keys = blocks[0] if len(blocks) == 1 else _distinct(np.concatenate(blocks))
+    return _key_rows(keys, m + 1, n_items)
 
 
 def _grow(rows, level, n, domain):
@@ -318,22 +318,18 @@ def _grow(rows, level, n, domain):
         codes = u * n + x
         fresh = (u != x) & (edges[owner] != codes[:, None]).all(axis=1)
         grown = _inserted(edges[owner[fresh]], codes[fresh])
-        return _word_rows(_unique_words(_row_words(grown, n * n)), level,
-                          n * n)
+        return _key_rows(_distinct(_row_keys(grown, n * n)), level, n * n)
     # an itemset gains a rank above its last, a sequence one it lacks
     fresh = np.arange(n) > rows[:, -1:] if domain == ITEMSET \
         else (rows[:, :, None] != np.arange(n)).all(axis=1)
     owner, new = np.nonzero(fresh)
     grown = np.column_stack((rows[owner], new))
     # the Apriori check: each row that drops a position i < level is in
-    # ``rows``; the sort is stable, so such a row starts the run it is in
-    order, fresh = _sort_words([np.concatenate(ws) for ws in zip(
-        _row_words(rows, n), *(_row_words(np.delete(grown, i, axis=1), n)
-                               for i in range(level)))])
-    known = np.empty(len(order), dtype=bool)
-    known[order] = order[np.flatnonzero(fresh)][np.cumsum(fresh) - 1] \
-        < len(rows)
-    return grown[known[len(rows):].reshape(level, -1).all(axis=0)]
+    # ``rows``
+    dropped = np.concatenate([_row_keys(np.delete(grown, i, axis=1), n)
+                              for i in range(level)])
+    found = lookup((np.sort(_row_keys(rows, n)),), (dropped,)) >= 0
+    return grown[found.reshape(level, -1).all(axis=0)]
 
 
 def _row_batch(domain, rows, labels):

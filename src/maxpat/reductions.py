@@ -95,7 +95,7 @@ from .errors import (
     ReductionIdError,
 )
 from .feasibility import PreimageExistsAnd
-from .incidence import Incidence, gathered, number
+from .incidence import Incidence, gathered, later_pairs, number
 
 
 class Reduction:
@@ -390,11 +390,8 @@ class SequenceToDag(Reduction):
             raise PatternError("the empty sequence has no graph image")
         seq = gathered(seq)
         # an arc from each event to each later event of its row
-        at = np.arange(len(seq.rows))
-        later = np.cumsum(sizes)[seq.rows] - at - 1
-        heads = np.repeat(at, later)
-        tails = heads + 1 + np.arange(len(heads)) \
-            - np.repeat(np.cumsum(later) - later, later)
+        heads, tails = later_pairs(
+            np.cumsum(sizes)[seq.rows] - np.arange(len(seq.rows)) - 1)
         # the events are the vertices; an arc between label pairs has the
         # components of its head and then of its tail
         return seq, Incidence(

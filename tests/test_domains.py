@@ -470,3 +470,59 @@ def test_grow_needs_every_one_smaller_sub_pattern(domain):
                     rest = [p for p in level if p != missing]
                     assert q not in _grow(domain, rest, len(q) - 1,
                                           alphabet), (q, missing)
+
+
+@pytest.mark.parametrize("domain", [ITEMSET, SEQUENCE])
+def test_grow_checks_rows_of_two_words(domain):
+    """Over 1 000 labels a rank takes 10 bits, six to an int64 word, so a
+    level of seven elements keys its rows in two words, and the Apriori
+    check looks them up as byte strings.  A pattern of two or more
+    elements is grown only with a label of its level (dropping another
+    element leaves one with it), so the reference grows over the level's
+    labels alone."""
+    rng = random.Random(23)
+    alphabet = sorted(rng.sample(range(1, 10**6), 1000))
+    make = Itemset if domain == ITEMSET else Sequence
+    for size in (7, 8):
+        # the least and the greatest rank set the highest and lowest bits
+        q = make(rng.sample(alphabet[1:-1], size - 2)
+                 + [alphabet[0], alphabet[-1]])
+        level = sorted(_one_smaller(q), key=canonical_key)
+        labels = sorted(item_labels(q))
+        _check_grown(_grow(domain, level, size - 1, alphabet),
+                     {g for p in level for g in _one_larger(domain, p, labels)
+                      if _one_smaller(g) <= set(level)})
+        for missing in level:
+            rest = [p for p in level if p != missing]
+            assert q not in _grow(domain, rest, size - 1, alphabet)
+
+
+@pytest.mark.parametrize("domain", [GRAPH, DIGRAPH])
+def test_grow_graphs_of_two_word_rows(domain):
+    """Over 1 000 labels an edge code takes 20 bits, three to an int64
+    word, so graphs of four and five edges are deduplicated as byte
+    strings.  Each grown graph is one edge larger than one of the level:
+    those over a few labels, the least and the greatest among them, are
+    the reference's, and the others add an edge from a vertex to a
+    label outside them."""
+    rng = random.Random(29)
+    alphabet = sorted(rng.sample(range(1, 10**6), 1000))
+    directed = domain == DIGRAPH
+    pool = rng.sample(alphabet[1:-1], 4) + [alphabet[0], alphabet[-1]]
+    for n_edges in (3, 4):
+        level = set()
+        while len(level) < 4:  # trees over the pool, which share labels
+            vs = rng.sample(pool, n_edges + 1)
+            es = {(v, rng.choice(vs[:i])) for i, v in enumerate(vs) if i}
+            level.add(LabelledGraph(vs, es if directed else
+                                    {tuple(sorted(e)) for e in es}, directed))
+        level = sorted(level, key=canonical_key)
+        grown = _grow(domain, level, n_edges + 1, alphabet)
+        assert len(grown) == len(set(grown))
+        few = set(pool + rng.sample(alphabet, 3))
+        _check_grown([g for g in grown if g.vertices <= few],
+                     {g for p in level for g in _one_larger(domain, p, few)})
+        assert len(grown) - sum(g.vertices <= few for g in grown) == sum(
+            len(p.vertices) for p in level) * (1000 - len(few)) \
+            * (1 + directed)
+        assert all(any(pattern_leq(p, g) for p in level) for g in grown)

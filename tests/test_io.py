@@ -3,7 +3,8 @@ from itertools import chain, groupby
 
 import pytest
 
-from maxpat.core import graph_db, itemset_db, sequence_db
+from maxpat import domains
+from maxpat.core import Database, graph_db, itemset_db, sequence_db
 from maxpat.domains import (
     DIGRAPH, GRAPH, ITEMSET, SEQUENCE, TREE,
     GraphClass, Itemset, LabelledGraph, Sequence,
@@ -224,6 +225,42 @@ def test_edge_list_mixing_label_kinds_is_refused(tmp_path, capsys,
     assert code == 3
     assert err.startswith("error:validation:")
     assert "Traceback" not in err
+
+
+def test_edge_list_components_are_checked_once(tmp_path, monkeypatch):
+    """The components that ``component_roots`` found connected are not
+    checked again when the database is built: ingesting runs ``spans`` on
+    none of them, kept or split, over plain labels and label pairs, and
+    the database equals one built from its transactions.  Files of both
+    label kinds are still refused together."""
+    calls = []
+
+    def counted(vertices, edges, _spans=domains.spans):
+        calls.append(len(vertices))
+        return _spans(vertices, edges)
+    monkeypatch.setattr(domains, "spans", counted)
+    split = tmp_path / "split.edges"
+    split.write_text("5 6\n1 2\n4 5\n")
+    one = tmp_path / "one.edges"
+    one.write_text("8 7\n")
+    pairs = tmp_path / "pairs.edges"
+    pairs.write_text("1,1 1,2\n3,3 4,4\n")
+    db = mio.ingest_edge_lists([split, one], components="split")
+    kept = mio.ingest_edge_lists([one], directed=True)
+    paired = mio.ingest_edge_lists([pairs], components="split")
+    assert calls == []
+    assert db.transactions == (graph({1, 2}, {(1, 2)}),
+                               graph({4, 5, 6}, {(4, 5), (5, 6)}),
+                               graph({7, 8}, {(7, 8)}))
+    assert kept.transactions == (graph({7, 8}, {(8, 7)}, directed=True),)
+    assert paired.transactions == (
+        graph({(1, 1), (1, 2)}, {((1, 1), (1, 2))}),
+        graph({(3, 3), (4, 4)}, {((3, 3), (4, 4))}))
+    for d in (db, kept, paired):
+        assert d == Database(d.domain, d.transactions)
+    with pytest.raises(DatabaseError,
+                       match="transactions mix plain and pair labels"):
+        mio.ingest_edge_lists([one, pairs], components="split")
 
 
 def test_edge_list_empty_file_skipped(tmp_path):

@@ -660,6 +660,53 @@ def test_inserted_matches_a_row_sort():
         [0, 2, 4, 6], [2, 3, 4, 6], [2, 4, 5, 6], [2, 4, 6, 7]]
 
 
+def test_row_keys_sort_like_the_rows():
+    """``_row_keys`` keys a row by one int64 word while it fits one, and
+    by a byte string of its words past that.  Either way ``_key_rows``
+    gives the rows back, equal rows key equal, and a stable sort of the
+    keys orders the rows as ``np.lexsort`` does: 0 to 2w + 1 columns, w
+    to a word, over 2, 1 000 and 2**20 items, with no rows, with repeats
+    and with the largest entry in every column."""
+    rng = np.random.default_rng(37)
+    for n_items in (2, 1000, 2**20):
+        _, per_word = miner._packing(n_items)
+        for k in sorted({0, 1, 2, per_word - 1, per_word, per_word + 1,
+                         2 * per_word, 2 * per_word + 1}):
+            for count in (0, 60):
+                rows = rng.integers(0, n_items, size=(count, k))
+                if count:
+                    rows[0], rows[1] = 0, n_items - 1
+                    rows = np.vstack((rows, rows[::7]))
+                keys = miner._row_keys(rows, n_items)
+                assert keys.shape == (len(rows),)
+                assert (keys.dtype == np.int64) == (k <= per_word)
+                assert np.array_equal(miner._key_rows(keys, k, n_items),
+                                      rows)
+                assert np.array_equal(
+                    np.argsort(keys, kind="stable"),
+                    np.lexsort(rows.T[::-1]) if k else np.arange(len(rows)))
+                assert len(miner._distinct(keys)) \
+                    == len(set(map(tuple, rows.tolist())))
+
+
+def test_lookup_finds_row_keys_of_either_kind():
+    """``lookup`` searches a single column as it is: sorted row keys of
+    one int64 word and of two words, as byte strings, alike."""
+    rng = np.random.default_rng(41)
+    for k in (3, 9):  # over 1 000 items, six to a word
+        rows = rng.integers(0, 1000, size=(200, k))
+        rows[150:] = rows[:50]
+        keys = miner._row_keys(rows, 1000)
+        assert keys.dtype == (np.int64 if k == 3 else np.dtype("V16"))
+        known = miner._distinct(keys[:100])
+        at = {r: i for i, r in enumerate(map(tuple, miner._key_rows(
+            known, k, 1000).tolist()))}
+        assert lookup((known,), (keys,)).tolist() == [
+            at.get(r, -1) for r in map(tuple, rows.tolist())]
+        assert lookup((known,), (keys[:0],)).tolist() == []
+        assert lookup((known[:0],), (keys,)).tolist() == [-1] * len(keys)
+
+
 def test_constrained_candidates_never_exceed_unconstrained():
     rng = random.Random(29)
     for _ in range(25):
